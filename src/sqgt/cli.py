@@ -34,13 +34,19 @@ VERIFY_PROPERTIES = ("sq-disjunct", "sq-separable", "bin-disjunct", "bin-sep-cgt
 DECODE_ALGORITHMS = ("disjunct", "concat", "lindstrom", "ml", "bp")
 
 
-def _int_list(raw: str) -> list[int]:
-    return [int(x) for x in raw.replace(",", " ").split()]
+def _int_list(raw: str, option: str) -> list[int]:
+    out = []
+    for token in raw.replace(",", " ").split():
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise BadRange(f"{option}: {token!r} is not an integer") from None
+    return out
 
 
 def _thresholds(args) -> tuple[int, ...]:
     if args.thresholds:
-        return tuple(_int_list(args.thresholds))
+        return tuple(_int_list(args.thresholds, "--thresholds"))
     raise BadRange("this method needs --thresholds with the full eta vector")
 
 
@@ -157,7 +163,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_encode(args) -> int:
     C, q, Q, eta = _load(args.code)
-    subjects = _int_list(args.defectives) if args.defectives else []
+    subjects = _int_list(args.defectives, "--defectives") if args.defectives else []
     y = syndrome(C, subjects, eta)
     if args.gamma_p or args.gamma_n:
         y = apply_noise(y, Q, NoiseModel(args.gamma_p, args.gamma_n), args.seed)
@@ -167,7 +173,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     C, q, Q, eta = _load(args.code)
-    z = np.array(_int_list(args.syndrome), dtype=np.int64)
+    z = np.array(_int_list(args.syndrome, "--syndrome"), dtype=np.int64)
     noise = NoiseModel(args.gamma_p, args.gamma_n)
     if args.algorithm == "disjunct":
         params = CodeParams(q=q, Q=Q, eta=eta, l=1, u=args.d, e=args.e)

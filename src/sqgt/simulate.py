@@ -12,6 +12,7 @@ P_e = |D symm-diff Dhat| / (d + |Dhat|). Under top-d selection |Dhat| = d,
 so all three coincide exactly.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -89,6 +90,12 @@ def parse_config(text: str) -> SweepConfig:
         except ValueError:
             raise ConfigError(f"{key}: bad integer {raw!r}") from None
 
+    def as_float(key, raw):
+        try:
+            return float(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: bad number {raw!r}") from None
+
     n = as_int("n", need("n"))
     d = as_int("d", need("d"))
     m = as_int("m", need("m"))
@@ -108,12 +115,16 @@ def parse_config(text: str) -> SweepConfig:
     for meth in methods:
         if meth not in _METHODS:
             raise ConfigError(f"unknown method {meth!r}, choose from {_METHODS}")
-    bp_tol = float(values.pop("bp_tol")) if "bp_tol" in values else None
-    damping = float(values.pop("damping", "0"))
+    bp_tol = as_float("bp_tol", values.pop("bp_tol")) if "bp_tol" in values else None
+    damping = as_float("damping", values.pop("damping", "0"))
     if values:
         raise ConfigError(f"unknown keys {sorted(values)}")
     if min(n, d, m, eta_step, trials, iterations) < 1 or d > n:
         raise ConfigError("need n >= d >= 1 and m, eta, trials, iterations >= 1")
+    if not 0.0 <= damping < 1.0:
+        raise ConfigError(f"damping must lie in [0, 1), got {damping}")
+    if bp_tol is not None and not 0.0 < bp_tol < math.inf:
+        raise ConfigError(f"bp_tol must be positive and finite, got {bp_tol}")
     return SweepConfig(
         n=n, d=d, m=m, eta_step=eta_step, q_values=q_values, gammas=tuple(gammas),
         trials=trials, iterations=iterations, methods=methods, seed=seed,

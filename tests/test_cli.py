@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import numpy as np
@@ -121,6 +122,17 @@ class TestOtherConstructions:
         assert run("decode", "--code", out, "--syndrome", z, "--algorithm", "bp",
                    "--d", 2, "--select", "top-d") == 0
         assert capsys.readouterr().out.strip() == "3,8"
+
+    @pytest.mark.parametrize("argv", [
+        ("decode", "--code", BASE, "--syndrome", "1,x,2", "--algorithm", "disjunct", "--d", 2),
+        ("encode", "--code", BASE, "--defectives", "1,x,2"),
+        ("construct", "--method", "scale-disjunct", "--base", BASE, "--d", 2, "--q", 3,
+         "--thresholds", "0,x,5", "--out", os.devnull),
+    ])
+    def test_bad_integer_list(self, capsys, argv):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("BadRange:") and "'x'" in err
 
 
 class TestSimulateCli:

@@ -25,6 +25,7 @@ from sqgt.decode import (
 )
 from sqgt.errors import (
     BadD,
+    BadRange,
     ExplosionGuard,
     NoConsistentSet,
     NonBinaryResidue,
@@ -314,6 +315,16 @@ class TestBp:
         for t in range(3):
             single = bp_decode(C, params, Z[t], noise, d=2)
             assert np.array_equal(single.p1, batch.p1[t])
+
+    def test_zero_trials(self):
+        C, params = random_disjunct(10, 2, 1, 2, seed=0, m=12)
+        marg = bp_decode_batch(C, params, np.empty((0, 12), dtype=int), NOISELESS, d=2)
+        assert marg.p1.shape == (0, 10) and marg.iterations == 0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    def test_bad_tol(self, tol):
+        with pytest.raises(BadRange):
+            BpConfig(tol=tol)
 
     def test_deterministic(self):
         C, params = random_disjunct(10, 2, 1, 2, seed=0, m=12)

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,14 @@ def test_parse_config_round_trip():
         TINY + "bogus=1\n",
         TINY.replace("methods", "x") + "methods=best\n",
         TINY.replace("trials=20", "trials=zero"),
+        TINY + "damping=abc\n",
+        TINY + "damping=1.5\n",
+        TINY + "damping=-0.1\n",
+        TINY + "bp_tol=x\n",
+        TINY + "bp_tol=0\n",
+        TINY + "bp_tol=-1e-3\n",
+        TINY + "bp_tol=nan\n",
+        TINY + "bp_tol=inf\n",
     ],
 )
 def test_parse_config_errors(broken):
@@ -51,6 +61,28 @@ def test_csv_deterministic_and_well_formed():
     assert lines[0] == CSV_HEADER
     # one row per (q, noise, method)
     assert len(lines) == 1 + 2 * 2 * 2
+
+
+GOLDEN = """
+n=30
+d=3
+m=20
+eta=2
+q=2,5,11
+gammas=0:0,0.04:0.04
+trials=60
+iterations=10
+damping=0.5
+seed=101
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_csv_matches_golden_bytes(threads):
+    # generated with the trial-major BP kernel; any change in the marginals'
+    # bits that flips a selection shows here
+    golden = (pathlib.Path(__file__).parent / "data" / "sweep_golden.csv").read_text()
+    assert rows_to_csv(run_simulation(parse_config(GOLDEN), threads=threads)) == golden
 
 
 def test_topd_rows_have_equal_rates():
