@@ -30,7 +30,9 @@ from .construct import (
     bose_chowla_code,
     concat_disjunct,
     concat_separable,
+    concat_spec,
     lindstrom,
+    lindstrom_spec,
     optimize_p0,
     random_binary_separable,
     random_disjunct,

@@ -12,6 +12,7 @@ from math import comb, inf, log2
 
 import numpy as np
 
+from .construct import _floor_log2_ratio
 from .errors import BadDistribution, BadEta, BadPartition, BadRange, BudgetExceeded
 
 __all__ = [
@@ -277,13 +278,6 @@ def sufficient_tests(n: int, d: int, pt, quant: Quantizer) -> float:
 def necessary_tests(n: int, d: int, pt, quant: Quantizer) -> float:
     """Test count below which every design has error bounded away from zero."""
     return _bound(n, d, pt, quant, lambda i: log2(comb(n - d + i, i)) if comb(n - d + i, i) > 1 else 0.0)
-
-
-def _floor_log2_ratio(a: int, b: int) -> int:
-    k = 0
-    while b * 2 ** (k + 1) <= a:
-        k += 1
-    return k
 
 
 def td_rate_denominator(d: int, eta_t: int) -> float:

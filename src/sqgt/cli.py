@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: construct, verify, encode, decode, simulate, capacity. Any
-library error ends the process with a nonzero status after printing the
-error class name on stderr; a failed verification prints the witness and
-exits with status 1.
+library error, and any operating-system error such as a missing input or
+an unwritable output file, ends the process with status 2 after printing
+the error class name on stderr; a failed verification prints the witness
+and exits with status 1.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from . import construct as con
 from . import decode as dec
 from . import simulate as sim
 from . import verify as ver
-from .errors import BadRange, InconsistentSpec, SqgtError
+from .errors import BadRange, SqgtError
 from .fileio import read_matrix, write_matrix
 from .model import CodeParams, NoiseModel, apply_noise, syndrome, validate_params
 
@@ -50,61 +51,13 @@ def _thresholds(args) -> tuple[int, ...]:
     raise BadRange("this method needs --thresholds with the full eta vector")
 
 
-def _load(path):
-    C, q, Q, eta = read_matrix(path)
-    return C, q, Q, tuple(eta)
-
-
-def _rebuild_concat(C, q, eta, d, e) -> con.ConcatSpec:
-    step = eta[1]
-    _, spec = con.concat_disjunct(np.ones((1, 1), dtype=int), d, e, q, step)
-    scales = spec.scales
-    if C.shape[1] % len(scales):
-        raise InconsistentSpec(
-            f"n={C.shape[1]} is not divisible by the {len(scales)} blocks"
-        )
-    nb = C.shape[1] // len(scales)
-    base = C[:, :nb] // scales[0]
-    rebuilt = np.hstack([s * base for s in scales])
-    if not np.array_equal(rebuilt, C):
-        raise InconsistentSpec("code is not a scaled-block concatenation for these parameters")
-    params = CodeParams.equidistant(q, step, 1, d, e)
-    return con.ConcatSpec(base=base, scales=scales, d=d, e=e, eta_step=step, params=params)
-
-
-def _rebuild_lindstrom(C, q, eta, kappa) -> con.LindstromSpec:
-    step = eta[1]
-    if C.shape[0] != 2**kappa - 1:
-        raise InconsistentSpec(f"m={C.shape[0]} does not match kappa={kappa}")
-    if np.any(C % step):
-        raise InconsistentSpec("entries are not multiples of the threshold step")
-    levels = (q - 1) // step
-    q2 = levels.bit_length() - 1
-    subsets = tuple(con.ordered_subsets(kappa))
-    full_widths = [q2 + len(S) for S in subsets]
-    if C.shape[1] > sum(full_widths):
-        raise InconsistentSpec(f"n={C.shape[1]} exceeds the construction size {sum(full_widths)}")
-    widths = []
-    remaining = C.shape[1]
-    for w in full_widths:
-        take = min(w, remaining)
-        widths.append(take)
-        remaining -= take
-    chains = tuple(tuple(con._default_chain(S)) for S in subsets)
-    params = CodeParams.equidistant(q, step, 1, C.shape[1], 0)
-    return con.LindstromSpec(
-        kappa=kappa, q=q, eta_step=step, q2=q2, subsets=subsets, chains=chains,
-        widths=tuple(widths), matrix=C // step, params=params,
-    )
-
-
 def _cmd_construct(args) -> int:
     seed = args.seed
     if args.method == "scale-disjunct":
-        base, *_ = _load(args.base)
+        base, *_ = read_matrix(args.base)
         C, params = con.scale_disjunct(base, args.d, args.e, args.q, _thresholds(args))
     elif args.method == "scale-separable":
-        base, *_ = _load(args.base)
+        base, *_ = read_matrix(args.base)
         C, params = con.scale_separable(
             base, args.d, args.e, args.q, _thresholds(args), base_kind=args.base_kind
         )
@@ -114,13 +67,9 @@ def _cmd_construct(args) -> int:
             args.n, args.d, levels, args.eta, e=args.e, p0=args.p0, delta=args.delta,
             seed=seed, q=args.q, m=args.m, m_multiplier=args.m_multiplier,
         )
-    elif args.method == "concat-disjunct":
-        base, *_ = _load(args.base)
+    elif args.method in ("concat-disjunct", "concat-separable"):
+        base, *_ = read_matrix(args.base)
         C, spec = con.concat_disjunct(base, args.d, args.e, args.q, args.eta)
-        params = spec.params
-    elif args.method == "concat-separable":
-        base, *_ = _load(args.base)
-        C, spec = con.concat_separable(base, args.d, args.e, args.q, args.eta)
         params = spec.params
     elif args.method == "bose-chowla":
         C, params = con.bose_chowla_code(args.n, args.d, args.q, args.eta)
@@ -138,7 +87,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    C, q, Q, eta = _load(args.code)
+    C, q, Q, eta = read_matrix(args.code)
     if args.property == "sq-disjunct":
         params = CodeParams(q=q, Q=Q, eta=eta, l=1, u=args.d, e=args.e)
         validate_params(params)
@@ -162,7 +111,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    C, q, Q, eta = _load(args.code)
+    C, q, Q, eta = read_matrix(args.code)
     subjects = _int_list(args.defectives, "--defectives") if args.defectives else []
     y = syndrome(C, subjects, eta)
     if args.gamma_p or args.gamma_n:
@@ -172,7 +121,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    C, q, Q, eta = _load(args.code)
+    C, q, Q, eta = read_matrix(args.code)
     z = np.array(_int_list(args.syndrome, "--syndrome"), dtype=np.int64)
     noise = NoiseModel(args.gamma_p, args.gamma_n)
     if args.algorithm == "disjunct":
@@ -180,11 +129,9 @@ def _cmd_decode(args) -> int:
         validate_params(params)
         found = dec.decode_disjunct(C, params, z)
     elif args.algorithm == "concat":
-        spec = _rebuild_concat(C, q, eta, args.d, args.e)
-        found = dec.decode_concat(spec, z)
+        found = dec.decode_concat(con.concat_spec(C, q, eta, args.d, args.e), z)
     elif args.algorithm == "lindstrom":
-        spec = _rebuild_lindstrom(C, q, eta, args.kappa)
-        found = dec.decode_lindstrom(spec, z)
+        found = dec.decode_lindstrom(con.lindstrom_spec(C, q, eta), z)
     elif args.algorithm == "ml":
         u = args.u if args.u else args.d
         params = CodeParams(q=q, Q=Q, eta=eta, l=args.l, u=u, e=args.e)
@@ -277,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--e", type=int, default=0)
     d.add_argument("--l", type=int, default=1)
     d.add_argument("--u", type=int)
-    d.add_argument("--kappa", type=int, default=2)
     d.add_argument("--gamma-p", type=float, default=0.0)
     d.add_argument("--gamma-n", type=float, default=0.0)
     d.add_argument("--iterations", type=int, default=20)
@@ -308,7 +254,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SqgtError as err:
+    except (SqgtError, OSError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 2
 

@@ -1,17 +1,26 @@
 """Code constructions for the quantized-adder testing model.
 
-Each builder returns a test matrix together with the bracket parameters it
-claims (so the verify module can certify the claim), plus any metadata the
-matching decoder needs. Scaling constructions accept arbitrary thresholds;
-the concatenation, number-theoretic, and recursive constructions assume the
-equidistant model and take a scalar threshold step.
+Each constructor returns a test matrix together with the bracket parameters
+it claims (so the verify module can certify the claim), plus any metadata
+the matching decoder needs. Scaling constructions accept arbitrary
+thresholds; the concatenation, number-theoretic, and recursive constructions
+assume the equidistant model and take a scalar threshold step.
 
-Probabilistic builders take an explicit seed and an optional row-count
+The decoder metadata of the concatenated and recursive codes (ConcatSpec,
+LindstromSpec) has one builder each, concat_spec and lindstrom_spec. They
+derive it from the scaled matrix, q and the thresholds (plus d and e for a
+concatenation) and check the matrix against it. The constructors and the
+command line both go through them, so a code read back from a file decodes
+exactly like the code just built. concat_separable is an alias of
+concat_disjunct: the concatenation does not depend on the base's property.
+
+Probabilistic constructors take an explicit seed and an optional row-count
 override or multiplier; their row-count formulas use natural logarithms and
 only guarantee the claimed property asymptotically.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import ceil, comb, log
 
 import numpy as np
@@ -23,6 +32,7 @@ from .errors import (
     BadRange,
     BadThreshold,
     DensityOutOfRange,
+    InconsistentSpec,
     NotPrime,
     Overflow,
 )
@@ -32,6 +42,8 @@ from .rng import make_rng
 __all__ = [
     "ConcatSpec",
     "LindstromSpec",
+    "concat_spec",
+    "lindstrom_spec",
     "scale_disjunct",
     "scale_separable",
     "row_success_prob",
@@ -57,19 +69,17 @@ __all__ = [
 # scaling constructions (arbitrary thresholds)
 # ---------------------------------------------------------------------------
 
-def _scaled(base, q: int, eta) -> np.ndarray:
-    base = check_matrix(base, 2)
-    if q - 1 < eta[1]:
-        raise AlphabetTooSmall(f"need q-1 >= eta_1, got q-1={q - 1}, eta_1={eta[1]}")
-    return (q - 1) * base
-
-
-def scale_disjunct(base, d: int, e: int, q: int, eta) -> tuple[np.ndarray, CodeParams]:
-    """Scale a binary d-disjunct code by q-1; the result is SQ-disjunct."""
-    C = _scaled(base, q, eta)
-    params = CodeParams(q=q, Q=len(eta) - 1, eta=tuple(eta), l=1, u=d, e=e)
-    validate_params(params)
-    return C, params
+def _equidistant_step(eta) -> int:
+    """The step t of thresholds eta_r = r*t; BadThreshold names the first
+    threshold that breaks the step."""
+    eta = tuple(eta)
+    step = eta[1] if len(eta) > 1 else 0
+    if step < 1:
+        raise BadThreshold(f"equidistant thresholds need eta_1 >= 1, got {eta}")
+    for r, t in enumerate(eta):
+        if t != r * step:
+            raise BadThreshold(f"thresholds are not equidistant: eta_{r}={t}, step {step} needs {r * step}")
+    return step
 
 
 def scale_separable(base, d: int, e: int, q: int, eta, base_kind: str = "cgt") -> tuple[np.ndarray, CodeParams]:
@@ -83,17 +93,24 @@ def scale_separable(base, d: int, e: int, q: int, eta, base_kind: str = "cgt") -
     if base_kind not in ("cgt", "qgt"):
         raise BadRange(f"base_kind must be 'cgt' or 'qgt', got {base_kind!r}")
     if base_kind == "qgt":
-        step = eta[1]
-        if any(eta[r] != r * step for r in range(len(eta))):
-            raise BadThreshold("qgt-separable bases need equidistant thresholds")
+        step = _equidistant_step(eta)
         if (q - 1) % step != 0:
             raise AlphabetTooSmall(
                 f"q-1={q - 1} must be a multiple of the step {step} for a qgt base"
             )
-    C = _scaled(base, q, eta)
+    base = check_matrix(base, 2)
+    if q - 1 < eta[1]:
+        raise AlphabetTooSmall(f"need q-1 >= eta_1, got q-1={q - 1}, eta_1={eta[1]}")
     params = CodeParams(q=q, Q=len(eta) - 1, eta=eta, l=1, u=d, e=e)
     validate_params(params)
-    return C, params
+    return (q - 1) * base, params
+
+
+def scale_disjunct(base, d: int, e: int, q: int, eta) -> tuple[np.ndarray, CodeParams]:
+    """Scale a binary d-disjunct code by q-1; the result is SQ-disjunct.
+
+    The computation is scale_separable's with a "cgt" base."""
+    return scale_separable(base, d, e, q, eta, base_kind="cgt")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +245,6 @@ class ConcatSpec:
     scales: tuple[int, ...]
     d: int
     e: int
-    eta_step: int
     params: CodeParams
 
     @property
@@ -240,8 +256,7 @@ class ConcatSpec:
         return self.scales[j - 1] * self.base
 
 
-def _concat(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.ndarray, ConcatSpec]:
-    base = check_matrix(base, 2)
+def _concat_scales(d: int, q: int, eta_step: int) -> tuple[int, ...]:
     if eta_step < 1 or d < 1:
         raise BadRange(f"need eta_step >= 1 and d >= 1, got {eta_step}, {d}")
     budget = (q - 1) // eta_step
@@ -257,11 +272,26 @@ def _concat(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.ndarray, Co
         while g <= budget:
             multipliers.append(g)
             g = g * d + 1
-    scales = tuple(eta_step * g for g in multipliers)
-    C = np.hstack([s * base for s in scales])
-    params = CodeParams.equidistant(q, eta_step, 1, d, e)
-    spec = ConcatSpec(base=base, scales=scales, d=d, e=e, eta_step=eta_step, params=params)
-    return C, spec
+    return tuple(eta_step * g for g in multipliers)
+
+
+def concat_spec(C, q: int, eta, d: int, e: int) -> ConcatSpec:
+    """Block structure of a scaled-block concatenation, read off its matrix.
+
+    The scales follow from q, d and the threshold step; the base is the
+    first block divided by its scale. InconsistentSpec is raised unless C is
+    exactly [s_1*B, ..., s_K*B] for a binary B.
+    """
+    C = check_matrix(C, q)
+    step = _equidistant_step(eta)
+    scales = _concat_scales(d, q, step)
+    if C.shape[1] % len(scales):
+        raise InconsistentSpec(f"n={C.shape[1]} is not divisible by the {len(scales)} blocks")
+    base = C[:, : C.shape[1] // len(scales)] // scales[0]
+    if base.max() > 1 or not np.array_equal(np.hstack([s * base for s in scales]), C):
+        raise InconsistentSpec("code is not a scaled-block concatenation for these parameters")
+    params = CodeParams.equidistant(q, step, 1, d, e)
+    return ConcatSpec(base=base, scales=scales, d=d, e=e, params=params)
 
 
 def concat_disjunct(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.ndarray, ConcatSpec]:
@@ -271,12 +301,13 @@ def concat_disjunct(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.nda
     for 1..d defectives and decodes block by block with the disjunct
     counting decoder.
     """
-    return _concat(base, d, e, q, eta_step)
+    base = check_matrix(base, 2)
+    C = np.hstack([s * base for s in _concat_scales(d, q, eta_step)])
+    return C, concat_spec(C, q, CodeParams.equidistant(q, eta_step, 1, d, e).eta, d, e)
 
 
-def concat_separable(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.ndarray, ConcatSpec]:
-    """Same concatenation applied to a binary d-separable base code."""
-    return _concat(base, d, e, q, eta_step)
+# The same concatenation applied to a binary d-separable base code.
+concat_separable = concat_disjunct
 
 
 # ---------------------------------------------------------------------------
@@ -598,17 +629,13 @@ def ordered_subsets(kappa: int) -> list[frozenset[int]]:
 class LindstromSpec:
     """Metadata for the recursive block construction.
 
-    subsets is the ordered block labeling, chains the nested gate sets used
-    for the low-weight columns of each block, widths the retained column
-    count per block after truncation, and matrix the unscaled integer code.
+    q2 is the number of bit columns beyond the first in every block,
+    subsets the ordered block labeling, widths the retained column count
+    per block after truncation, and matrix the unscaled integer code.
     """
 
-    kappa: int
-    q: int
-    eta_step: int
     q2: int
     subsets: tuple[frozenset[int], ...]
-    chains: tuple[tuple[frozenset[int], ...], ...]
     widths: tuple[int, ...]
     matrix: np.ndarray
     params: CodeParams
@@ -621,6 +648,40 @@ class LindstromSpec:
         """Column range of block i (1-based) in the assembled matrix."""
         start = int(sum(self.widths[: i - 1]))
         return slice(start, start + self.widths[i - 1])
+
+
+def _bit_columns(q: int, eta_step: int) -> int:
+    levels = (q - 1) // eta_step
+    if levels < 1:
+        raise AlphabetTooSmall(f"need q-1 >= eta_step, got q-1={q - 1}, step={eta_step}")
+    return levels.bit_length() - 1  # floor(log2(levels))
+
+
+def lindstrom_spec(C, q: int, eta) -> LindstromSpec:
+    """Block structure of a (possibly truncated) recursive code, read off
+    its scaled matrix.
+
+    kappa follows from m = 2^kappa - 1, the bit-column count from q and the
+    threshold step, and the block widths from n. InconsistentSpec is raised
+    when C cannot be such a code; the decoder checks each block's columns.
+    """
+    C = check_matrix(C, q)
+    step = _equidistant_step(eta)
+    m, n = C.shape
+    kappa = m.bit_length()
+    if m != 2**kappa - 1:
+        raise InconsistentSpec(f"m={m} is not 2^kappa - 1 for any kappa")
+    if np.any(C % step):
+        raise InconsistentSpec("entries are not multiples of the threshold step")
+    q2 = _bit_columns(q, step)
+    subsets = tuple(ordered_subsets(kappa))
+    full_widths = [q2 + len(S) for S in subsets]
+    if n > sum(full_widths):
+        raise InconsistentSpec(f"n={n} exceeds the construction size {sum(full_widths)}")
+    starts = accumulate(full_widths, initial=0)
+    widths = tuple(min(w, max(0, n - s)) for w, s in zip(full_widths, starts))
+    params = CodeParams.equidistant(q, step, 1, n, 0)
+    return LindstromSpec(q2=q2, subsets=subsets, widths=widths, matrix=C // step, params=params)
 
 
 def _default_chain(subset: frozenset[int]) -> list[frozenset[int]]:
@@ -651,14 +712,11 @@ def lindstrom(
     """
     if kappa < 1:
         raise BadKappa(f"need kappa >= 1, got {kappa}")
-    levels = (q - 1) // eta_step
-    if levels < 1:
-        raise AlphabetTooSmall(f"need q-1 >= eta_step, got q-1={q - 1}, step={eta_step}")
-    q2 = levels.bit_length() - 1  # floor(log2(levels))
+    q2 = _bit_columns(q, eta_step)
     m = 2**kappa - 1
     subsets = ordered_subsets(kappa)
 
-    chain_list: list[tuple[frozenset[int], ...]] = []
+    blocks = []
     for i, S in enumerate(subsets, start=1):
         if chains and i in chains:
             chain = [frozenset(int(x) for x in T) for T in chains[i]]
@@ -674,46 +732,22 @@ def lindstrom(
                 prev = T
         else:
             chain = _default_chain(S)
-        chain_list.append(tuple(chain))
-
-    blocks = []
-    for i, S in enumerate(subsets):
         width = q2 + len(S)
         B = np.zeros((m, width), dtype=np.int64)
         odd = np.array([len(S & Sj) % 2 == 1 for Sj in subsets])
         for k in range(1, q2 + 2):
             B[odd, k - 1] = 2 ** (q2 - k + 1)
         for k in range(q2 + 2, width + 1):
-            T = chain_list[i][k - (q2 + 2)]
+            T = chain[k - (q2 + 2)]
             gate = np.array([len(Sj & T) % 2 == 1 for Sj in subsets])
             B[:, k - 1] = ((B[:, k - 2] > 0) & gate).astype(np.int64)
         blocks.append(B)
 
     full = np.hstack(blocks)
-    full_widths = [q2 + len(S) for S in subsets]
-    total = sum(full_widths)
+    total = full.shape[1]
     if n is None:
         n = total
     if not 1 <= n <= total:
         raise BadRange(f"n must lie in 1..{total}, got {n}")
-    widths = []
-    remaining = n
-    for w in full_widths:
-        take = min(w, remaining)
-        widths.append(take)
-        remaining -= take
-    matrix = full[:, :n]
-
-    params = CodeParams.equidistant(q, eta_step, 1, n, 0)
-    spec = LindstromSpec(
-        kappa=kappa,
-        q=q,
-        eta_step=eta_step,
-        q2=q2,
-        subsets=tuple(subsets),
-        chains=tuple(chain_list),
-        widths=tuple(widths),
-        matrix=matrix,
-        params=params,
-    )
-    return eta_step * matrix, spec
+    C = eta_step * full[:, :n]
+    return C, lindstrom_spec(C, q, CodeParams.equidistant(q, eta_step, 1, n, 0).eta)

@@ -9,6 +9,7 @@ two selection rules to obtain a defective set.
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, inf
+from numbers import Integral
 
 import numpy as np
 
@@ -93,18 +94,10 @@ def decode_concat(spec: ConcatSpec, z) -> tuple[int, ...]:
     found: list[int] = []
     y = z.copy()
     for j in range(spec.blocks, 0, -1):
-        f = (spec.d**j - 1) // (spec.d - 1)
+        f = spec.scales[j - 1] // spec.scales[0]  # 1 + d + ... + d^(j-1)
         yj = f * (y // f)
         y = y - yj
-        block_params = CodeParams(
-            q=spec.params.q,
-            Q=spec.params.Q,
-            eta=spec.params.eta,
-            l=1,
-            u=spec.d,
-            e=spec.e,
-        )
-        for local in decode_disjunct(spec.block_matrix(j), block_params, yj):
+        for local in decode_disjunct(spec.block_matrix(j), spec.params, yj):
             found.append((j - 1) * nb + local)
     return tuple(sorted(found))
 
@@ -227,8 +220,8 @@ class BpConfig:
     tol: float | None = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise BadRange(f"need at least one iteration, got {self.max_iters}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral) or self.max_iters < 1:
+            raise BadRange(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not 0.0 <= self.damping < 1.0:
             raise BadRange(f"damping must lie in [0, 1), got {self.damping}")
         if self.prior is not None and not 0.0 < self.prior < 1.0:

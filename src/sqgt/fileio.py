@@ -55,6 +55,8 @@ def parse_matrix(text: str) -> tuple[np.ndarray, int, int, tuple[int, ...]]:
     if missing:
         raise ParseError(f"line 2: missing keys {sorted(missing)}")
     q, Q, m, n = fields["q"], fields["Q"], fields["m"], fields["n"]
+    if m < 1 or n < 1:
+        raise ParseError(f"line 2: need m, n >= 1, got m={m}, n={n}")
     if len(lines) < 3 or not lines[2].startswith("eta="):
         raise ParseError("line 3: expected eta=<comma-separated ints>")
     try:

@@ -121,6 +121,8 @@ def parse_config(text: str) -> SweepConfig:
         raise ConfigError(f"unknown keys {sorted(values)}")
     if min(n, d, m, eta_step, trials, iterations) < 1 or d > n:
         raise ConfigError("need n >= d >= 1 and m, eta, trials, iterations >= 1")
+    if min(q_values) < 2:
+        raise ConfigError(f"q: every alphabet size must be >= 2, got {q_values}")
     if not 0.0 <= damping < 1.0:
         raise ConfigError(f"damping must lie in [0, 1), got {damping}")
     if bp_tol is not None and not 0.0 < bp_tol < math.inf:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sqgt.cli import main
-from sqgt.fileio import CSV_HEADER, read_matrix
+from sqgt.fileio import CSV_HEADER, read_matrix, write_matrix
 
 from conftest import GOLDEN_9x24
 
@@ -62,6 +62,14 @@ class TestConstructVerifyRoundTrip:
         assert code == 2
         assert "AlphabetTooSmall" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("decode", "--code", "{tmp}/missing.sqgt", "--syndrome", "1", "--algorithm", "disjunct"),
+        ("construct", "--method", "lindstrom", "--q", 3, "--eta", 2, "--out", "{tmp}/no/dir.sqgt"),
+    ])
+    def test_os_error_reported(self, tmp_path, capsys, argv):
+        assert run(*(str(a).format(tmp=tmp_path) for a in argv)) == 2
+        assert capsys.readouterr().err.startswith("FileNotFoundError:")
+
     def test_parse_error_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.sqgt"
         bad.write_text("garbage\n")
@@ -78,8 +86,21 @@ class TestOtherConstructions:
         assert run("encode", "--code", out, "--defectives", "1,9,22,26") == 0
         z = capsys.readouterr().out.strip().replace(" ", ",")
         assert run("decode", "--code", out, "--syndrome", z, "--algorithm",
-                   "lindstrom", "--kappa", 3) == 0
+                   "lindstrom") == 0
         assert capsys.readouterr().out.strip() == "1,9,22,26"
+
+    def test_lindstrom_decode_needs_equidistant_thresholds(self, tmp_path, capsys):
+        out = tmp_path / "lind.sqgt"
+        assert run("construct", "--method", "lindstrom", "--kappa", 3, "--q", 9,
+                   "--eta", 2, "--out", out) == 0
+        C, q, Q, eta = read_matrix(out)
+        write_matrix(out, C, q, Q, (0, 2, 5) + eta[3:])
+        capsys.readouterr()
+        # with eta_2 moved, a structure read as step eta_1 decodes subject 2 as 3
+        assert run("encode", "--code", out, "--defectives", "2") == 0
+        z = capsys.readouterr().out.strip().replace(" ", ",")
+        assert run("decode", "--code", out, "--syndrome", z, "--algorithm", "lindstrom") == 2
+        assert capsys.readouterr().err.startswith("BadThreshold:")
 
     def test_bose_chowla_and_ml(self, tmp_path, capsys):
         out = tmp_path / "bc.sqgt"

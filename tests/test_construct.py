@@ -1,3 +1,5 @@
+import dataclasses
+import pathlib
 from itertools import combinations_with_replacement
 from math import comb, log
 
@@ -10,7 +12,9 @@ from sqgt.construct import (
     bose_chowla_code,
     concat_disjunct,
     concat_separable,
+    concat_spec,
     lindstrom,
+    lindstrom_spec,
     optimize_p0,
     random_binary_separable,
     random_disjunct,
@@ -29,10 +33,14 @@ from sqgt.errors import (
     BadKappa,
     BadRange,
     BadThreshold,
+    InconsistentSpec,
     NotPrime,
     Overflow,
+    SqgtError,
 )
-from sqgt.model import CodeParams
+from sqgt.decode import decode_concat, decode_lindstrom
+from sqgt.fileio import format_matrix, parse_matrix, read_matrix
+from sqgt.model import CodeParams, syndrome
 from sqgt.rng import make_rng
 from sqgt.verify import is_sq_disjunct, is_sq_separable
 
@@ -357,3 +365,74 @@ class TestLindstrom:
     def test_chain_shape_validated(self):
         with pytest.raises(BadRange):
             lindstrom(3, 9, 2, chains={7: [{1, 2, 3}, {1}]})
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _outcome(decode, spec, z):
+    try:
+        return decode(spec, z)
+    except SqgtError as err:
+        return type(err)
+
+
+class TestSpecBuilders:
+    @pytest.mark.parametrize("case", [
+        *(("concat", base, d, q, step)
+          for base in ("base_2disjunct_9x12.sqgt", "base_2separable_7x8.sqgt")
+          for d in (1, 2, 3)
+          for q, step in ((7, 2), (13, 3))),
+        ("lindstrom", 1, 3, 2, None, None),
+        ("lindstrom", 2, 3, 2, None, None),
+        ("lindstrom", 2, 9, 2, 5, None),
+        ("lindstrom", 3, 9, 2, None, GOLDEN_LINDSTROM_CHAINS),
+        ("lindstrom", 3, 9, 2, 19, None),
+        ("lindstrom", 4, 5, 1, None, None),
+        ("lindstrom", 4, 9, 2, 40, None),
+    ])
+    def test_builder_round_trip(self, case):
+        """The builder applied to the constructor's matrix, as written to and
+        read back from a file, gives the constructor's spec field by field,
+        and both specs decode alike."""
+        if case[0] == "concat":
+            _, name, d, q, step = case
+            C, spec = concat_disjunct(read_matrix(DATA / name)[0], d, 0, q, step)
+            build, decode, sizes = (lambda *a: concat_spec(*a, d, 0)), decode_concat, range(1, d + 1)
+        else:
+            _, kappa, q, step, n, chains = case
+            C, spec = lindstrom(kappa, q, step, n=n, chains=chains)
+            build, decode, sizes = lindstrom_spec, decode_lindstrom, range(C.shape[1] + 1)
+        p = spec.params
+        C2, q2, _, eta2 = parse_matrix(format_matrix(C, p.q, p.Q, p.eta))
+        built = build(C2, q2, eta2)
+        for field in dataclasses.fields(spec):
+            a, b = getattr(built, field.name), getattr(spec, field.name)
+            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, field.name
+        rng = make_rng(5)
+        for size in sizes:
+            for _ in range(4):
+                planted = sorted(int(x) + 1 for x in rng.choice(C.shape[1], size, replace=False))
+                z = syndrome(C, planted, p.eta)
+                assert _outcome(decode, built, z) == _outcome(decode, spec, z)
+
+    @pytest.mark.parametrize("build,error,match", [
+        # one threshold off the step
+        (lambda: lindstrom_spec(lindstrom(3, 9, 2)[0], 9, (0, 2, 5) + tuple(range(6, 60, 2))),
+         BadThreshold, "eta_2=5"),
+        (lambda: concat_spec(GOLDEN_9x24, 7, (0, 2, 4, 6, 8, 10, 12, 13), 2, 0),
+         BadThreshold, "eta_7=13"),
+        # wrong d: three blocks do not divide n=16, do not rebuild the matrix,
+        # or leave one block with a non-binary base
+        (lambda: concat_spec(GOLDEN_7x16, 7, tuple(range(0, 16, 2)), 1, 0), InconsistentSpec, "divisible"),
+        (lambda: concat_spec(GOLDEN_9x24, 7, tuple(range(0, 16, 2)), 1, 0), InconsistentSpec, "concatenation"),
+        (lambda: concat_spec(GOLDEN_9x24, 7, tuple(range(0, 16, 2)), 3, 0), InconsistentSpec, "concatenation"),
+        # m not of the form 2^kappa - 1, n beyond the construction size
+        (lambda: lindstrom_spec(2 * GOLDEN_LINDSTROM_7x26[:6], 9, tuple(range(0, 2 * 28, 2))),
+         InconsistentSpec, "m=6"),
+        (lambda: lindstrom_spec(np.hstack([2 * GOLDEN_LINDSTROM_7x26] * 2), 9, tuple(range(0, 2 * 54, 2))),
+         InconsistentSpec, "n=52"),
+    ])
+    def test_builder_rejects(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()

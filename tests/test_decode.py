@@ -326,6 +326,11 @@ class TestBp:
         with pytest.raises(BadRange):
             BpConfig(tol=tol)
 
+    @pytest.mark.parametrize("max_iters", [2.5, True, "3", 0])
+    def test_bad_max_iters(self, max_iters):
+        with pytest.raises(BadRange):
+            BpConfig(max_iters=max_iters)
+
     def test_deterministic(self):
         C, params = random_disjunct(10, 2, 1, 2, seed=0, m=12)
         z = syndrome(C, [1, 5], params.eta)

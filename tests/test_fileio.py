@@ -55,6 +55,12 @@ def test_bad_threshold_count():
         parse_matrix(text)
 
 
+@pytest.mark.parametrize("shape", ["m=0 n=1", "m=1 n=0"])
+def test_empty_matrix(shape):
+    with pytest.raises(ParseError, match="line 2"):
+        parse_matrix(f"SQGT-CODE v1\nq=2 Q=2 {shape}\neta=0,1,4\n\n")
+
+
 def test_entry_out_of_alphabet():
     text = "SQGT-CODE v1\nq=2 Q=2 m=1 n=1\neta=0,1,4\n3\n"
     with pytest.raises(ParseError, match="0..1"):

@@ -45,6 +45,7 @@ def test_parse_config_round_trip():
         TINY + "bp_tol=-1e-3\n",
         TINY + "bp_tol=nan\n",
         TINY + "bp_tol=inf\n",
+        TINY.replace("q=3,5", "q=1,5"),
     ],
 )
 def test_parse_config_errors(broken):
