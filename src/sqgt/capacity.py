@@ -204,7 +204,9 @@ def capacity_search(
 
     Returns (distribution, quantizer, bits); a lower bound on the capacity
     by construction. Ties break toward the lexicographically smallest grid
-    point and then the first quantizer in boundary order.
+    point and then the first quantizer in boundary order. The budget bounds
+    the objective evaluations: every quantizer at every grid point and,
+    with refine, at the 21^(q-1) refine points around the best one.
     """
     if d < 1 or q < 2 or Q < 1:
         raise BadRange(f"need d >= 1, q >= 2, Q >= 1, got {d}, {q}, {Q}")
@@ -216,10 +218,13 @@ def capacity_search(
         Quantizer((0,) + cuts + (top + 1,))
         for cuts in combinations(range(1, top + 1), Q - 1)
     ]
+    fine = 10
     n_grid = comb(resolution + q - 1, q - 1)
-    if n_grid * len(quantizers) > budget:
+    n_points = n_grid + ((2 * fine + 1) ** (q - 1) if refine else 0)
+    if n_points * len(quantizers) > budget:
         raise BudgetExceeded(
-            f"{n_grid} grid points x {len(quantizers)} quantizers exceed budget {budget}"
+            f"{n_points} grid and refine points x {len(quantizers)} quantizers "
+            f"exceed budget {budget}"
         )
 
     def eval_point(weights) -> tuple[float, Quantizer, tuple[float, ...]]:
@@ -239,7 +244,6 @@ def capacity_search(
             best_v, best_q, best_pt, best_w = v, quant, pt, weights
 
     if refine and best_w is not None:
-        fine = 10
         offsets = range(-fine, fine + 1)
         base = tuple(w * fine for w in best_w)
         for deltas in product(offsets, repeat=q - 1):

@@ -83,7 +83,10 @@ def decode_concat(spec: ConcatSpec, z) -> tuple[int, ...]:
     Step 1 peels the syndrome into per-block syndromes by repeated
     divide-and-floor against the block scale ratios; step 2 runs the
     disjunct counting decoder inside every block. Corrects up to e errors
-    per block.
+    per block. Each block's answer is encoded again; NoConsistentSet is
+    raised when it holds more than d subjects or its syndrome misses the
+    block syndrome in more than e coordinates, which happens when the
+    base is only separable, not disjunct.
     """
     z = np.asarray(z, dtype=np.int64)
     m, nb = spec.base.shape
@@ -91,14 +94,27 @@ def decode_concat(spec: ConcatSpec, z) -> tuple[int, ...]:
         raise InconsistentSpec(f"syndrome length {z.shape[0]} does not match m={m}")
     if spec.d == 1:
         return _decode_concat_single(spec, z)
+    eta = np.asarray(spec.params.eta, dtype=np.int64)
     found: list[int] = []
     y = z.copy()
     for j in range(spec.blocks, 0, -1):
         f = spec.scales[j - 1] // spec.scales[0]  # 1 + d + ... + d^(j-1)
         yj = f * (y // f)
         y = y - yj
-        for local in decode_disjunct(spec.block_matrix(j), spec.params, yj):
-            found.append((j - 1) * nb + local)
+        block = spec.block_matrix(j)
+        local = decode_disjunct(block, spec.params, yj)
+        if len(local) > spec.d:
+            raise NoConsistentSet(
+                f"block {j} decodes to {len(local)} subjects, more than d={spec.d}"
+            )
+        encoded = quantize_sums(block[:, [i - 1 for i in local]].sum(axis=1), eta)
+        misses = int((encoded != yj).sum())
+        if misses > spec.e:
+            raise NoConsistentSet(
+                f"block {j} decodes to a set whose syndrome misses the block "
+                f"syndrome in {misses} coordinates, more than e={spec.e}"
+            )
+        found.extend((j - 1) * nb + i for i in local)
     return tuple(sorted(found))
 
 

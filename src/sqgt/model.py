@@ -141,14 +141,19 @@ def quantize_sums(sums, eta, strict: bool = True) -> np.ndarray:
     """Map integer sums to threshold buckets: r such that eta_r <= s < eta_{r+1}.
 
     With strict=True a sum at or above the sentinel raises SumOutOfRange,
-    signalling a violated sentinel assumption.
+    signalling a violated sentinel assumption. When every sum lies in
+    0..sums.size-1, the buckets of 0..max are computed once and looked up,
+    which gives the same result as the binary search per element.
     """
     sums = np.asarray(sums, dtype=np.int64)
     eta_arr = np.asarray(eta, dtype=np.int64)
-    if strict and sums.size and sums.max() >= eta_arr[-1]:
-        raise SumOutOfRange(
-            f"coordinate sum {int(sums.max())} reached sentinel {int(eta_arr[-1])}"
-        )
+    if sums.size:
+        top = int(sums.max())
+        if strict and top >= eta_arr[-1]:
+            raise SumOutOfRange(f"coordinate sum {top} reached sentinel {int(eta_arr[-1])}")
+        if top < sums.size and sums.min() >= 0:
+            lut = np.searchsorted(eta_arr, np.arange(top + 1), side="right") - 1
+            return lut[sums]
     return np.searchsorted(eta_arr, sums, side="right") - 1
 
 

@@ -7,7 +7,18 @@ order, pivots by position), so the returned witness is deterministic: it is
 always the first violation in that order.
 
 These are exponential oracles by design; a configurable budget keeps them at
-desk scale.
+desk scale. Two exact reductions keep the work down without changing any
+verdict or witness:
+
+- A syndrome coordinate depends only on its test's row, so the SQ-disjunct
+  and SQ-separable checks run on the distinct rows of C and weight every
+  coordinate count by how often its row occurs. The 2e+1 > m test and the
+  counts a witness reports still refer to all m rows.
+- For e > 0 the SQ-separable pair scan is a multi-index search
+  (Norouzi, Punjani & Fleet, CVPR 2012): the distinct rows are cut into
+  2e+1 blocks, two syndromes at distance at most 2e agree on at least one
+  whole block, so only pairs that share a bucket on some block are
+  compared.
 """
 
 from dataclasses import dataclass
@@ -59,15 +70,55 @@ def colex_combinations(n: int, k: int):
             yield rest + (top,)
 
 
+def _colex_array(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n), k <= n, in colexicographic order, one per
+    row.
+
+    The k-subsets of range(t) are the first C(t, k) of them, so level k
+    stacks, for each top element t, the first C(t, k-1) rows of level k-1
+    beside t.
+    """
+    out = np.zeros((1, 0), dtype=np.int64)
+    for level in range(1, k + 1):
+        tops = range(level - 1, n - k + level)
+        sizes = [comb(t, level - 1) for t in tops]
+        out = np.column_stack((
+            np.concatenate([out[:s] for s in sizes]),
+            np.repeat(np.array(tops, dtype=np.int64), sizes),
+        ))
+    return out
+
+
 def _subset_chunks(n: int, k: int, chunk: int):
-    buf = []
-    for c in colex_combinations(n, k):
-        buf.append(c)
-        if len(buf) == chunk:
-            yield np.array(buf, dtype=np.int64)
-            buf = []
-    if buf:
-        yield np.array(buf, dtype=np.int64)
+    """Yield the k-subsets of range(n), k >= 1, in colex order, at most
+    chunk per array.
+
+    Row r has the top element t with C(t, k) <= r < C(t+1, k), below it the
+    (k-1)-subset at row r - C(t, k), so only the (k-1)-subsets of
+    range(n-1) are held in memory.
+    """
+    rest = _colex_array(n - 1, k - 1)
+    first = np.array([comb(t, k) for t in range(n + 1)], dtype=np.int64)
+    for start in range(0, comb(n, k), chunk):
+        r = np.arange(start, min(start + chunk, comb(n, k)), dtype=np.int64)
+        top = np.searchsorted(first, r, side="right") - 1
+        yield np.column_stack((rest[r - first[top]], top))
+
+
+def _distinct_rows(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of C, transposed, and how often each occurs.
+
+    Returns (cols, weight): cols[j] holds column j on the distinct rows,
+    and distinct row k stands for weight[k] rows of C. A syndrome
+    coordinate depends only on its test's row, so every count over
+    coordinates is a count over distinct rows weighted by weight. Rows are
+    compared as opaque byte strings: one sort, where np.unique(axis=0) is
+    about ten times slower.
+    """
+    C = np.ascontiguousarray(C)
+    keys = C.view(np.dtype((np.void, C.itemsize * C.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return np.ascontiguousarray(C[first].T), counts.astype(np.int64)
 
 
 def is_sq_disjunct(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witness | None:
@@ -93,69 +144,93 @@ def is_sq_disjunct(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witne
         raise ExplosionGuard(f"C({n},{d + 1}) subsets exceed budget {budget}")
 
     eta = np.asarray(params.eta, dtype=np.int64)
-    single = quantize_sums(C, eta)  # (m, n) syndromes of single columns
-    chunk = max(1, (1 << 22) // (m * (d + 1)))
+    cols, weight = _distinct_rows(C)
+    single = quantize_sums(cols, eta)  # syndromes of single columns
+    chunk = max(1, (1 << 22) // (cols.shape[1] * (d + 1)))
     for subs in _subset_chunks(n, d + 1, chunk):
-        cols = C[:, subs]  # (m, B, d+1)
-        total = cols.sum(axis=2)
-        ok = np.empty((subs.shape[0], d + 1), dtype=bool)
+        members = [cols[subs[:, p]] for p in range(d + 1)]  # d+1 of (B, rows)
+        total = sum(members)
+        counts = np.empty((subs.shape[0], d + 1), dtype=np.int64)
         for p in range(d + 1):
-            rest = quantize_sums(total - cols[:, :, p], eta)
-            counts = (single[:, subs[:, p]] > rest).sum(axis=0)
-            ok[:, p] = counts >= 2 * e + 1
-        bad = ~ok.all(axis=1)
+            rest = quantize_sums(total - members[p], eta)
+            counts[:, p] = (single[subs[:, p]] > rest) @ weight
+        bad = counts < 2 * e + 1
         if bad.any():
-            b = int(np.argmax(bad))
-            p = int(np.argmax(~ok[b]))
+            b = int(np.argmax(bad.any(axis=1)))
+            p = int(np.argmax(bad[b]))
             subset = subs[b]
             pivot = int(subset[p])
-            rest = quantize_sums(
-                C[:, subset].sum(axis=1) - C[:, pivot], eta
-            )
-            count = int((single[:, pivot] > rest).sum())
             return Witness(
                 "sq-disjunct",
                 (tuple(int(i) + 1 for i in subset), (pivot + 1,)),
-                f"column {pivot + 1} beats the other {d} on {count} coordinates, "
+                f"column {pivot + 1} beats the other {d} on {int(counts[b, p])} coordinates, "
                 f"needs {2 * e + 1}",
             )
     return None
 
 
-def _admissible_sets(n: int, lo: int, hi: int, budget: int) -> list[tuple[int, ...]]:
+def _admissible_sets(n: int, lo: int, hi: int, budget: int) -> list[np.ndarray]:
+    """The subsets of range(n) with sizes lo..hi, one colex array per size."""
     total = sum(comb(n, s) for s in range(lo, hi + 1))
     if total > budget:
         raise ExplosionGuard(f"{total} candidate sets exceed budget {budget}")
-    sets: list[tuple[int, ...]] = []
-    for size in range(lo, hi + 1):
-        sets.extend(colex_combinations(n, size))
-    return sets
+    return [_colex_array(n, size) for size in range(lo, hi + 1)]
 
 
-def _syndrome_table(C: np.ndarray, sets, eta) -> np.ndarray:
-    """Row i holds the syndrome of sets[i]; grouped per set size for speed."""
-    m = C.shape[0]
-    out = np.empty((len(sets), m), dtype=np.int64)
-    start = 0
-    while start < len(sets):
-        size = len(sets[start])
-        stop = start
-        while stop < len(sets) and len(sets[stop]) == size:
-            stop += 1
-        idx = np.array(sets[start:stop], dtype=np.int64)
-        sums = C[:, idx].sum(axis=2) if size else np.zeros((m, stop - start), dtype=np.int64)
-        out[start:stop] = quantize_sums(sums, eta).T
-        start = stop
-    return out
+def _set_at(sets: list[np.ndarray], i: int) -> tuple[int, ...]:
+    """Set number i (0-based) of the concatenated table, as 1-based subjects."""
+    for arr in sets:
+        if i < arr.shape[0]:
+            return tuple(int(x) + 1 for x in arr[i])
+        i -= arr.shape[0]
+    raise IndexError(i)
 
 
-def _first_close_pair(syn: np.ndarray, e: int, pair_budget: int):
-    """First pair (i < j) of rows differing in fewer than 2e+1 coordinates.
+def _syndrome_table(cols: np.ndarray, sets: list[np.ndarray], eta) -> np.ndarray:
+    """Row i holds the syndrome of set number i; cols[j] is column j."""
+    return np.concatenate([quantize_sums(cols[idx].sum(axis=1), eta) for idx in sets])
 
-    Pairs are scanned in colex order on (j, i), matching the canonical set
-    order, so the scan finds the canonical first violation.
+
+def _bucket_scan(syn: np.ndarray, coords: np.ndarray):
+    """Bucket the table rows on the given coordinates.
+
+    Returns (order, lo, count): order lists the row numbers sorted by bucket
+    and, within a bucket, ascending; the rows i < j sharing j's bucket are
+    order[lo[j] : lo[j] + count[j]].
     """
     N = syn.shape[0]
+    if coords.size:
+        part = np.ascontiguousarray(syn[:, coords])
+        keys = part.view(np.dtype((np.void, part.itemsize * part.shape[1]))).ravel()
+        bucket = np.unique(keys, return_inverse=True)[1].ravel()
+    else:
+        bucket = np.zeros(N, dtype=np.int64)
+    order = np.argsort(bucket, kind="stable")
+    at = np.arange(N)
+    pos = np.empty(N, dtype=np.int64)
+    pos[order] = at
+    ordered = bucket[order]
+    opens = np.ones(N, dtype=bool)
+    opens[1:] = ordered[1:] != ordered[:-1]
+    group_start = np.maximum.accumulate(np.where(opens, at, 0))
+    lo = group_start[pos]
+    return order, lo, pos - lo
+
+
+def _first_close_pair(syn: np.ndarray, weight: np.ndarray, e: int, pair_budget: int):
+    """First pair (i < j) of table rows whose syndromes differ in fewer than
+    2e+1 coordinates, coordinate k counting weight[k] times.
+
+    Pairs are ordered colex on (j, i), matching the canonical set order.
+    For e > 0 this is a multi-index search: the coordinates are cut into
+    2e+1 blocks, and a pair within distance 2e differs on at most 2e of
+    them, so it agrees on at least one whole block. Only pairs that share a
+    bucket on some block are compared, in ascending j, chunk by chunk; the
+    first chunk holding a close pair holds the canonical one. With fewer
+    coordinates than blocks no block has to agree, and every pair is
+    compared.
+    """
+    N, M = syn.shape
     if e == 0:
         seen: dict[bytes, int] = {}
         for j in range(N):
@@ -166,12 +241,34 @@ def _first_close_pair(syn: np.ndarray, e: int, pair_budget: int):
         return None
     if N * (N - 1) // 2 > pair_budget:
         raise ExplosionGuard(f"{N * (N - 1) // 2} set pairs exceed budget {pair_budget}")
-    for j in range(1, N):
-        diff = (syn[:j] != syn[j]).sum(axis=1)
-        bad = diff < 2 * e + 1
-        if bad.any():
-            i = int(np.argmax(bad))
-            return i, j, int(diff[i])
+    need = 2 * e + 1
+    if M >= need:
+        blocks = np.array_split(np.arange(M), need)
+    else:
+        blocks = [np.arange(0)]
+    scans = [_bucket_scan(syn, coords) for coords in blocks]
+    cum = np.cumsum(sum(count for _, _, count in scans))
+    cap = max(1, (1 << 20) // M)  # candidate pairs per chunk
+    j0 = 1
+    while j0 < N:
+        j1 = int(np.searchsorted(cum, cum[j0 - 1] + cap, side="right"))
+        j1 = min(max(j1, j0 + 1), N)
+        I, J = [], []
+        for order, lo, count in scans:
+            c = count[j0:j1]
+            total = int(c.sum())
+            if total:
+                skip = np.repeat(np.cumsum(c) - c, c)
+                I.append(order[np.repeat(lo[j0:j1], c) + np.arange(total) - skip])
+                J.append(np.repeat(np.arange(j0, j1), c))
+        if I:
+            I, J = np.concatenate(I), np.concatenate(J)
+            dist = (syn[I] != syn[J]) @ weight
+            close = np.flatnonzero(dist < need)
+            if close.size:
+                k = close[np.lexsort((I[close], J[close]))[0]]
+                return int(I[k]), int(J[k]), int(dist[k])
+        j0 = j1
     return None
 
 
@@ -189,14 +286,15 @@ def is_sq_separable(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witn
     if 2 * params.e + 1 > m:
         return Witness("sq-separable", (), f"needs {2 * params.e + 1} witness rows but m={m}")
     sets = _admissible_sets(n, params.l, params.u, budget)
-    syn = _syndrome_table(C, sets, np.asarray(params.eta, dtype=np.int64))
-    hit = _first_close_pair(syn, params.e, budget)
+    cols, weight = _distinct_rows(C)
+    syn = _syndrome_table(cols, sets, np.asarray(params.eta, dtype=np.int64))
+    hit = _first_close_pair(syn, weight, params.e, budget)
     if hit is None:
         return None
     i, j, dist = hit
     return Witness(
         "sq-separable",
-        (tuple(x + 1 for x in sets[i]), tuple(x + 1 for x in sets[j])),
+        (_set_at(sets, i), _set_at(sets, j)),
         f"syndromes differ in {dist} coordinates, need {2 * params.e + 1}",
     )
 

@@ -150,6 +150,12 @@ class TestCapacitySearch:
         with pytest.raises(BudgetExceeded):
             capacity_search(2, 3, 3, grid_step=0.001, budget=100)
 
+    def test_budget_counts_refine(self):
+        # 66 grid points x 6 quantizers fit in 1000; the 441 refine points do not
+        capacity_search(2, 3, 3, grid_step=0.1, budget=1000, refine=False)
+        with pytest.raises(BudgetExceeded):
+            capacity_search(2, 3, 3, grid_step=0.1, budget=1000)
+
 
 class TestBounds:
     def test_trivial_case(self):

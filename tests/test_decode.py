@@ -6,6 +6,7 @@ import pytest
 from sqgt.construct import (
     bose_chowla_code,
     concat_disjunct,
+    concat_separable,
     lindstrom,
     random_disjunct,
     scale_disjunct,
@@ -41,7 +42,7 @@ from sqgt.model import (
 )
 from sqgt.rng import derive_seed, make_rng
 
-from conftest import GOLDEN_LINDSTROM_CHAINS
+from conftest import BASE_7x8, BASE_9x12, GOLDEN_LINDSTROM_CHAINS
 
 
 class TestDecodeDisjunct:
@@ -138,6 +139,36 @@ class TestDecodeConcat:
             y = syndrome(C, [subject], spec.params.eta)
             assert decode_concat(spec, y) == (subject,)
         assert decode_concat(spec, np.zeros(9, dtype=int)) == ()
+
+
+    @pytest.mark.parametrize("q,step", [(7, 2), (13, 3), (5, 1)])
+    @pytest.mark.parametrize("disjunct_base", [True, False])
+    def test_every_small_set_right_or_refused(self, q, step, disjunct_base):
+        # the counting decoder is exact only on a disjunct base; on a merely
+        # separable one some blocks decode to a set that does not re-encode
+        base = BASE_9x12 if disjunct_base else BASE_7x8
+        C, spec = concat_separable(base, d=2, e=0, q=q, eta_step=step)
+        n = C.shape[1]
+        refused = 0
+        for size in range(3):
+            for planted in itertools.combinations(range(1, n + 1), size):
+                y = syndrome(C, planted, spec.params.eta)
+                try:
+                    assert decode_concat(spec, y) == planted
+                except NoConsistentSet:
+                    refused += 1
+        assert (refused == 0) == disjunct_base
+
+
+    def test_block_answer_must_reencode(self):
+        # column 2 lies under column 1, so the counting decoder answers
+        # {1, 2} for subject 1 alone: no more than d subjects, but a
+        # syndrome that misses the block's
+        base = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1]])
+        C, spec = concat_separable(base, d=2, e=0, q=7, eta_step=2)
+        y = syndrome(C, [1], spec.params.eta)
+        with pytest.raises(NoConsistentSet, match="misses"):
+            decode_concat(spec, y)
 
 
 class TestDecodeLindstrom:

@@ -119,6 +119,47 @@ class TestSqSum:
             assert got.tolist() == C[:, [s - 1 for s in subjects]].sum(axis=1).tolist()
 
 
+class TestQuantizeSums:
+    """The table lookup against one binary search per element."""
+
+    ETA = (0, 2, 3, 5, 7)
+
+    @staticmethod
+    def _search(sums, eta):
+        return np.searchsorted(np.asarray(eta), np.asarray(sums, dtype=np.int64), side="right") - 1
+
+    @pytest.mark.parametrize("sums", [
+        [],
+        np.zeros((0, 3), dtype=int),
+        [-3, 0, 1, 2, 6],  # negative sums
+        [0, 1, 2, 3, 4, 5, 6],  # max == size - 1: the lookup path
+        [0, 1, 2, 3, 4, 5, 6, 6, 6, 6, 6, 6, 6],
+        [1, 2, 3, 4, 5, 6],  # max == size: the search path
+        [[6, 0, 1], [2, 5, 3]],
+        5,  # a 0-d sum
+    ])
+    def test_matches_searchsorted(self, sums):
+        got = quantize_sums(sums, self.ETA)
+        want = self._search(sums, self.ETA)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sums", [[7, 0, 1, 2, 3, 4, 5, 6, 8, 9], [9, 7], [-1, 7, 30]])
+    def test_above_sentinel_unchecked(self, sums):
+        got = quantize_sums(sums, self.ETA, strict=False)
+        assert np.array_equal(got, self._search(sums, self.ETA))
+        with pytest.raises(SumOutOfRange):
+            quantize_sums(sums, self.ETA)
+
+    def test_random_against_searchsorted(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            eta = np.cumsum(rng.integers(1, 5, size=int(rng.integers(2, 8))))
+            eta = (0, *eta.tolist())
+            sums = rng.integers(-2, eta[-1], size=tuple(rng.integers(0, 6, size=2)))
+            assert np.array_equal(quantize_sums(sums, eta), self._search(sums, eta))
+
+
 class TestIncludes:
     def test_reflexive(self):
         assert includes((0, 1, 2), (0, 1, 2))
