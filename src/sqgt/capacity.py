@@ -213,7 +213,9 @@ def capacity_search(
     top = (q - 1) * d
     if Q > top + 1:
         raise BadPartition(f"cannot split 0..{top} into {Q} nonempty regions")
-    resolution = round(1.0 / grid_step)
+    resolution = round(1.0 / grid_step) if grid_step > 0 and 1.0 / grid_step < inf else 0
+    if resolution < 1:
+        raise BadRange(f"grid_step must be positive with round(1/grid_step) >= 1, got {grid_step}")
     quantizers = [
         Quantizer((0,) + cuts + (top + 1,))
         for cuts in combinations(range(1, top + 1), Q - 1)
@@ -227,8 +229,8 @@ def capacity_search(
             f"exceed budget {budget}"
         )
 
-    def eval_point(weights) -> tuple[float, Quantizer, tuple[float, ...]]:
-        pt = tuple(wi / resolution for wi in weights)
+    def eval_point(weights, scale) -> tuple[float, Quantizer, tuple[float, ...]]:
+        pt = tuple(wi / scale for wi in weights)
         best_v, best_q = -1.0, None
         for quant in quantizers:
             v = rate_objective(pt, d, quant)
@@ -239,7 +241,7 @@ def capacity_search(
     best_v, best_q, best_pt = -1.0, None, None
     best_w = None
     for weights in _simplex_grid(q, resolution):
-        v, quant, pt = eval_point(weights)
+        v, quant, pt = eval_point(weights, resolution)
         if v > best_v:
             best_v, best_q, best_pt, best_w = v, quant, pt, weights
 
@@ -253,11 +255,9 @@ def capacity_search(
             w[-1] = resolution * fine - sum(w[:-1])
             if any(x < 0 for x in w):
                 continue
-            pt = tuple(x / (resolution * fine) for x in w)
-            for quant in quantizers:
-                v = rate_objective(pt, d, quant)
-                if v > best_v:
-                    best_v, best_q, best_pt = v, quant, pt
+            v, quant, pt = eval_point(w, resolution * fine)
+            if v > best_v:
+                best_v, best_q, best_pt = v, quant, pt
     return best_pt, best_q, best_v
 
 

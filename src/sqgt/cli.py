@@ -62,7 +62,7 @@ def _cmd_construct(args) -> int:
             base, args.d, args.e, args.q, _thresholds(args), base_kind=args.base_kind
         )
     elif args.method == "random-disjunct":
-        levels = args.levels if args.levels else (args.q - 1) // args.eta
+        levels = args.levels if args.levels else con._step_levels(args.q, args.eta)
         C, params = con.random_disjunct(
             args.n, args.d, levels, args.eta, e=args.e, p0=args.p0, delta=args.delta,
             seed=seed, q=args.q, m=args.m, m_multiplier=args.m_multiplier,
@@ -230,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--damping", type=float, default=0.0)
     d.add_argument("--bp-tol", type=float)
     d.add_argument("--select", choices=("top-d", "threshold"), default="top-d")
-    d.add_argument("--seed", type=int, default=0)
     d.set_defaults(func=_cmd_decode)
 
     s = sub.add_parser("simulate", help="run an error-rate sweep to CSV")

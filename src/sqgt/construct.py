@@ -21,7 +21,7 @@ only guarantee the claimed property asymptotically.
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import ceil, comb, log
+from math import ceil, comb, inf, log
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .errors import (
 )
 from .model import CodeParams, check_matrix, validate_params
 from .rng import make_rng
+from .verify import _colex_array
 
 __all__ = [
     "ConcatSpec",
@@ -80,6 +81,22 @@ def _equidistant_step(eta) -> int:
         if t != r * step:
             raise BadThreshold(f"thresholds are not equidistant: eta_{r}={t}, step {step} needs {r * step}")
     return step
+
+
+def _step_levels(q: int, eta_step: int) -> int:
+    """How many nonzero multiples of the threshold step lie in 0..q-1."""
+    if eta_step < 1:
+        raise BadRange(f"eta step must be >= 1, got {eta_step}")
+    return (q - 1) // eta_step
+
+
+def _check_rows(m: int | None, m_multiplier: float) -> None:
+    """Refuse an explicit row count below 1 and a multiplier that is not a
+    positive finite number."""
+    if m is not None and m < 1:
+        raise BadRange(f"m must be >= 1, got {m}")
+    if not 0 < m_multiplier < inf:
+        raise BadRange(f"m_multiplier must be positive and finite, got {m_multiplier}")
 
 
 def scale_separable(base, d: int, e: int, q: int, eta, base_kind: str = "cgt") -> tuple[np.ndarray, CodeParams]:
@@ -195,6 +212,7 @@ def random_disjunct(
     """
     if n <= d or d < 1:
         raise BadRange(f"need n > d >= 1, got n={n}, d={d}")
+    _check_rows(m, m_multiplier)
     if levels < 1:
         raise BadRange(f"need at least one nonzero level, got {levels}")
     if q is None:
@@ -522,7 +540,7 @@ def bose_chowla_code(n: int, d: int, q: int, eta_step: int) -> tuple[np.ndarray,
     d-sum integer set; claimed SQ-separable for exactly d defectives."""
     if n < 2:
         raise BadRange(f"need n >= 2, got {n}")
-    q_prime = (q - 1) // eta_step + 1
+    q_prime = _step_levels(q, eta_step) + 1
     if q_prime < 2:
         raise AlphabetTooSmall(f"need q-1 >= eta_step, got q-1={q - 1}, step={eta_step}")
     L = smallest_prime_at_least(n)
@@ -549,10 +567,7 @@ def _floor_log2_ratio(a: int, b: int) -> int:
     """Largest k >= 0 with b * 2^k <= a (requires a >= b >= 1)."""
     if b < 1 or a < b:
         raise BadRange(f"need a >= b >= 1, got a={a}, b={b}")
-    k = 0
-    while b * 2 ** (k + 1) <= a:
-        k += 1
-    return k
+    return (a // b).bit_length() - 1  # b * 2^k <= a iff 2^k <= a // b
 
 
 def binary_row_success_bound(d: int, eta, alpha: int) -> float:
@@ -588,6 +603,7 @@ def random_binary_separable(
     eta = tuple(eta)
     if d > n // 2:
         raise BadRange(f"construction assumes d <= n/2, got d={d}, n={n}")
+    _check_rows(m, m_multiplier)
     rho = binary_row_success_bound(d, eta, alpha)
     r = _floor_log2_ratio(d, eta[alpha]) + 1
     densities = [1.0 / (2 ** (i + 2) * eta[alpha]) for i in range(1, r + 1)]
@@ -616,13 +632,11 @@ def random_binary_separable(
 
 def ordered_subsets(kappa: int) -> list[frozenset[int]]:
     """Nonempty subsets of {1..kappa} ordered by size, then colexicographically."""
-    from .verify import colex_combinations
-
-    out = []
-    for size in range(1, kappa + 1):
-        for combo in colex_combinations(kappa, size):
-            out.append(frozenset(x + 1 for x in combo))
-    return out
+    return [
+        frozenset(int(x) + 1 for x in row)
+        for size in range(1, kappa + 1)
+        for row in _colex_array(kappa, size)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -651,10 +665,10 @@ class LindstromSpec:
 
 
 def _bit_columns(q: int, eta_step: int) -> int:
-    levels = (q - 1) // eta_step
+    levels = _step_levels(q, eta_step)
     if levels < 1:
         raise AlphabetTooSmall(f"need q-1 >= eta_step, got q-1={q - 1}, step={eta_step}")
-    return levels.bit_length() - 1  # floor(log2(levels))
+    return _floor_log2_ratio(levels, 1)
 
 
 def lindstrom_spec(C, q: int, eta) -> LindstromSpec:

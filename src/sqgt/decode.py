@@ -8,7 +8,7 @@ two selection rules to obtain a defective set.
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb, inf
+from math import inf
 from numbers import Integral
 
 import numpy as np
@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     BadD,
     BadRange,
-    ExplosionGuard,
     InconsistentSpec,
     NoConsistentSet,
     NonBinaryResidue,
@@ -31,7 +30,7 @@ from .model import (
     quantize_sums,
     validate_params,
 )
-from .verify import colex_combinations
+from .verify import _check_set_budget, _subset_chunks, _syndrome_table
 
 __all__ = [
     "decode_disjunct",
@@ -52,14 +51,25 @@ _VAR_FLOOR = 1e-12  # keeps variable messages interior so loopy over-confidence
                     # cannot zero out a factor's entire sum distribution
 
 
+def _check_results(Z, m: int, Q: int | None, batch: bool = False) -> np.ndarray:
+    """Z as int64 after checking that it holds the results of m tests, one
+    row per trial when batch is set, each in 0..Q-1 unless Q is None;
+    BadRange otherwise."""
+    Z = np.asarray(Z, dtype=np.int64)
+    if Z.ndim != 1 + batch or Z.shape[-1] != m:
+        want = f"(trials, m={m})" if batch else f"(m={m},)"
+        raise BadRange(f"results must have shape {want}, got {Z.shape}")
+    if Q is not None and Z.size and (Z.min() < 0 or Z.max() > Q - 1):
+        raise BadRange(f"results must lie in 0..{Q - 1}")
+    return Z
+
+
 def decode_disjunct(C, params: CodeParams, z) -> tuple[int, ...]:
     """Counting decoder for SQ-disjunct codes; exact when z carries at most
     e substitution errors. Subject i is declared defective iff its
     single-column syndrome exceeds z on at most e coordinates."""
     C = check_matrix(C, params.q)
-    z = np.asarray(z, dtype=np.int64)
-    if z.shape != (C.shape[0],):
-        raise BadRange(f"syndrome length {z.shape} does not match m={C.shape[0]}")
+    z = _check_results(z, C.shape[0], params.Q)
     single = quantize_sums(C, np.asarray(params.eta, dtype=np.int64))
     exceed = (single > z[:, None]).sum(axis=0)
     return tuple(int(i) + 1 for i in np.nonzero(exceed <= params.e)[0])
@@ -88,10 +98,8 @@ def decode_concat(spec: ConcatSpec, z) -> tuple[int, ...]:
     block syndrome in more than e coordinates, which happens when the
     base is only separable, not disjunct.
     """
-    z = np.asarray(z, dtype=np.int64)
     m, nb = spec.base.shape
-    if z.shape != (m,):
-        raise InconsistentSpec(f"syndrome length {z.shape[0]} does not match m={m}")
+    z = _check_results(z, m, spec.params.Q)
     if spec.d == 1:
         return _decode_concat_single(spec, z)
     eta = np.asarray(spec.params.eta, dtype=np.int64)
@@ -148,11 +156,11 @@ def decode_lindstrom(spec: LindstromSpec, z) -> tuple[int, ...]:
     the contribution of already-decoded subjects, and reads the block's
     indicator bits off the binary representation of the remainder.
     """
-    z = np.asarray(z, dtype=np.int64)
     C = spec.matrix
     mrows, n = C.shape
-    if z.shape != (mrows,):
-        raise InconsistentSpec(f"syndrome length {z.shape[0]} does not match m={mrows}")
+    # shape only: the elimination refuses results outside 0..Q-1 with
+    # NonBinaryResidue
+    z = _check_results(z, mrows, None)
     w = np.zeros(n, dtype=np.int64)
     known = np.zeros(n, dtype=bool)
     for i in range(len(spec.subsets), 0, -1):
@@ -190,30 +198,32 @@ def decode_ml(
 
     Serves as the oracle the efficient decoders are compared against. Ties
     break toward the set appearing first in the canonical order (sizes
-    ascending, colexicographic within one size).
+    ascending, colexicographic within one size). The sets are enumerated
+    and encoded as in the SQ-separable verifier, one chunk at a time.
     """
     validate_params(params)
     C = check_matrix(C, params.q)
-    z = np.asarray(z, dtype=np.int64)
     m, n = C.shape
-    total = sum(comb(n, s) for s in range(params.l, params.u + 1))
-    if total > budget:
-        raise ExplosionGuard(f"{total} candidate sets exceed budget {budget}")
+    z = _check_results(z, m, params.Q)
+    _check_set_budget(n, params.l, params.u, budget)
     eta = np.asarray(params.eta, dtype=np.int64)
     with np.errstate(divide="ignore"):
         logP = np.log(channel_matrix(params.Q, noise))
-    best: tuple[int, ...] | None = None
+    cols = np.ascontiguousarray(C.T)
+    best: np.ndarray | None = None
     best_ll = -inf
-    for size in range(params.l, params.u + 1):
-        for subset in colex_combinations(n, size):
-            y = quantize_sums(C[:, list(subset)].sum(axis=1), eta)
-            ll = float(logP[y, z].sum())
-            if ll > best_ll:
-                best_ll = ll
-                best = subset
+    for size in range(params.l, min(params.u, n) + 1):
+        for subs in _subset_chunks(n, size, max(1, (1 << 20) // (m * size))):
+            # each row of the (sets, m) gather is contiguous, so it sums in
+            # the same order as the 1-D sum of one set's log-likelihoods
+            ll = logP[_syndrome_table(cols, [subs], eta), z].sum(axis=1)
+            k = int(np.argmax(ll))
+            if ll[k] > best_ll:
+                best_ll = ll[k]
+                best = subs[k]
     if best is None or best_ll == -inf:
         raise NoConsistentSet("no candidate set has positive likelihood")
-    return tuple(i + 1 for i in best)
+    return tuple(int(i) + 1 for i in best)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +443,8 @@ def bp_decode_batch(
     """
     validate_params(params)
     C = check_matrix(C, params.q)
-    Z = np.asarray(Z, dtype=np.int64)
-    if Z.ndim != 2 or Z.shape[1] != C.shape[0]:
-        raise BadRange(f"Z must be (trials, m={C.shape[0]}), got {Z.shape}")
-    if Z.size and (Z.min() < 0 or Z.max() > params.Q - 1):
-        raise BadRange(f"results must lie in 0..{params.Q - 1}")
     m, n = C.shape
+    Z = _check_results(Z, m, params.Q, batch=True)
     trials = Z.shape[0]
     if d is None:
         d = params.u

@@ -32,7 +32,6 @@ from .model import CodeParams, check_matrix, quantize_sums, validate_params
 __all__ = [
     "Witness",
     "DEFAULT_BUDGET",
-    "colex_combinations",
     "is_sq_disjunct",
     "is_sq_separable",
     "is_binary_disjunct_cgt",
@@ -60,16 +59,6 @@ class Witness:
         return f"{self.kind}: {shown}: {self.detail}" if shown else f"{self.kind}: {self.detail}"
 
 
-def colex_combinations(n: int, k: int):
-    """Yield k-subsets of range(n) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, n):
-        for rest in colex_combinations(top, k - 1):
-            yield rest + (top,)
-
-
 def _colex_array(n: int, k: int) -> np.ndarray:
     """The k-subsets of range(n), k <= n, in colexicographic order, one per
     row.
@@ -90,8 +79,8 @@ def _colex_array(n: int, k: int) -> np.ndarray:
 
 
 def _subset_chunks(n: int, k: int, chunk: int):
-    """Yield the k-subsets of range(n), k >= 1, in colex order, at most
-    chunk per array.
+    """Yield the k-subsets of range(n), 1 <= k <= n, in colex order, at
+    most chunk per array.
 
     Row r has the top element t with C(t, k) <= r < C(t+1, k), below it the
     (k-1)-subset at row r - C(t, k), so only the (k-1)-subsets of
@@ -169,12 +158,12 @@ def is_sq_disjunct(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witne
     return None
 
 
-def _admissible_sets(n: int, lo: int, hi: int, budget: int) -> list[np.ndarray]:
-    """The subsets of range(n) with sizes lo..hi, one colex array per size."""
+def _check_set_budget(n: int, lo: int, hi: int, budget: int) -> None:
+    """Raise ExplosionGuard when range(n) has more than budget subsets
+    with sizes lo..hi."""
     total = sum(comb(n, s) for s in range(lo, hi + 1))
     if total > budget:
         raise ExplosionGuard(f"{total} candidate sets exceed budget {budget}")
-    return [_colex_array(n, size) for size in range(lo, hi + 1)]
 
 
 def _set_at(sets: list[np.ndarray], i: int) -> tuple[int, ...]:
@@ -285,7 +274,8 @@ def is_sq_separable(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witn
         raise TooFewColumns(f"need n >= u, got n={n}, u={params.u}")
     if 2 * params.e + 1 > m:
         return Witness("sq-separable", (), f"needs {2 * params.e + 1} witness rows but m={m}")
-    sets = _admissible_sets(n, params.l, params.u, budget)
+    _check_set_budget(n, params.l, params.u, budget)
+    sets = [_colex_array(n, size) for size in range(params.l, params.u + 1)]
     cols, weight = _distinct_rows(C)
     syn = _syndrome_table(cols, sets, np.asarray(params.eta, dtype=np.int64))
     hit = _first_close_pair(syn, weight, params.e, budget)

@@ -16,7 +16,7 @@ from sqgt.capacity import (
     td_rate_denominator,
 )
 from sqgt.construct import binary_row_success_bound
-from sqgt.errors import BadEta, BadPartition, BudgetExceeded
+from sqgt.errors import BadEta, BadPartition, BadRange, BudgetExceeded
 from sqgt.rng import make_rng
 
 TABLE_PT = (0.33, 0.34, 0.33)
@@ -149,6 +149,16 @@ class TestCapacitySearch:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             capacity_search(2, 3, 3, grid_step=0.001, budget=100)
+
+    @pytest.mark.parametrize("step", [0.0, 2.0, 5.0, -0.1, float("nan"), float("inf"), 5e-324])
+    def test_bad_grid_step(self, step):
+        with pytest.raises(BadRange):
+            capacity_search(2, 3, 3, grid_step=step)
+
+    def test_one_grid_step(self):
+        # round(1/1.5) == 1: the grid holds only the corners of the simplex
+        pt, _, _ = capacity_search(2, 3, 3, grid_step=1.5, refine=False)
+        assert pt == (0.0, 0.0, 1.0)
 
     def test_budget_counts_refine(self):
         # 66 grid points x 6 quantizers fit in 1000; the 441 refine points do not

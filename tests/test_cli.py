@@ -156,6 +156,41 @@ class TestOtherConstructions:
         assert err.startswith("BadRange:") and "'x'" in err
 
 
+class TestBadValues:
+    RANDOM = ("--method", "random-disjunct", "--n", 12, "--d", 2, "--q", 5, "--eta", 2)
+    BINARY = ("--method", "random-binary", "--n", 12, "--d", 3, "--thresholds", "0,2,4,5")
+    CAPACITY = ("capacity", "--d", 2, "--q", 3, "--Q", 3, "--grid-step")
+
+    @pytest.mark.parametrize("argv", [
+        ("--method", "random-disjunct", "--n", 12, "--d", 2, "--q", 5, "--eta", 0),
+        ("--method", "bose-chowla", "--n", 5, "--d", 2, "--q", 3, "--eta", 0),
+        ("--method", "lindstrom", "--kappa", 3, "--q", 9, "--eta", 0),
+        RANDOM + ("--m", -3),
+        RANDOM + ("--m-multiplier", -1),
+        BINARY + ("--m", -3),
+        BINARY + ("--m-multiplier", 0),
+    ])
+    def test_construct(self, capsys, argv):
+        assert run("construct", *argv, "--out", os.devnull) == 2
+        assert capsys.readouterr().err.startswith("BadRange:")
+
+    @pytest.mark.parametrize("argv", [
+        CAPACITY + (0,),
+        CAPACITY + (5,),
+        CAPACITY + (-0.1,),
+        ("decode", "--code", BASE, "--syndrome", "1,0,1,0,0,0,0,0,99", "--algorithm",
+         "disjunct", "--d", 2),
+        ("decode", "--code", BASE, "--syndrome", "1,0,1", "--algorithm", "ml", "--d", 2),
+        ("decode", "--code", BASE, "--syndrome", "1,0,1,0,0,0,0,0,2", "--algorithm", "ml",
+         "--d", 2),
+        ("decode", "--code", BASE, "--syndrome=-1,0,1,0,0,0,0,0,0", "--algorithm", "ml",
+         "--d", 2),
+    ])
+    def test_search_and_decode(self, capsys, argv):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("BadRange:")
+
+
 class TestSimulateCli:
     CONFIG = "n=10\nd=2\nm=10\neta=2\nq=3\ngammas=0:0\ntrials=5\niterations=5\nseed=4\nmethods=top-d\n"
 

@@ -140,6 +140,18 @@ class TestRandomDisjunct:
         with pytest.raises(BadDistribution):
             random_disjunct(16, 2, 2, 1, p0=0.5, p1=0.5, seed=0)
 
+    @pytest.mark.parametrize("rows", [
+        {"m": -3}, {"m": 0}, {"m_multiplier": -1.0}, {"m_multiplier": 0.0},
+        {"m_multiplier": float("nan")}, {"m_multiplier": float("inf")},
+    ])
+    @pytest.mark.parametrize("build", [
+        lambda **rows: random_disjunct(12, 2, 2, 2, seed=0, **rows),
+        lambda **rows: random_binary_separable(12, 3, (0, 2, 4, 5), 1, seed=0, **rows),
+    ])
+    def test_bad_row_count(self, build, rows):
+        with pytest.raises(BadRange):
+            build(**rows)
+
     def test_deterministic_per_seed(self):
         A, _ = random_disjunct(10, 2, 2, 2, seed=9, m=30)
         B, _ = random_disjunct(10, 2, 2, 2, seed=9, m=30)
@@ -265,6 +277,11 @@ class TestBoseChowlaCode:
         C, _ = bose_chowla_code(5, 2, q=3, eta_step=1)
         assert C.shape[0] == 3  # ceil(2 * log_3 5)
 
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_bad_step(self, step):
+        with pytest.raises(BadRange):
+            bose_chowla_code(5, 2, q=3, eta_step=step)
+
 
 class TestBinaryRowSuccessBound:
     def test_known_value(self):
@@ -304,6 +321,17 @@ class TestRandomBinarySeparable:
         from sqgt.construct import _floor_log2_ratio
 
         assert _floor_log2_ratio(2, 2) + 1 == 1
+
+    def test_floor_log2_ratio(self):
+        from sqgt.construct import _floor_log2_ratio
+
+        for a in range(1, 300):
+            for b in range(1, a + 1):
+                k = _floor_log2_ratio(a, b)
+                assert b * 2**k <= a < b * 2 ** (k + 1)
+        for a, b in [(1, 2), (3, 0)]:
+            with pytest.raises(BadRange):
+                _floor_log2_ratio(a, b)
 
     def test_tiny_instance_often_separable(self):
         # oversized row count makes the desk-scale success rate high
@@ -357,6 +385,11 @@ class TestLindstrom:
     def test_bad_kappa(self):
         with pytest.raises(BadKappa):
             lindstrom(0, 3, 2)
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_bad_step(self, step):
+        with pytest.raises(BadRange):
+            lindstrom(2, 3, step)
 
     def test_small_lindstrom_separable(self):
         C, spec = lindstrom(2, 3, 2)

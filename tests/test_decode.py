@@ -225,6 +225,38 @@ class TestDecodeLindstrom:
             decode_lindstrom(spec, z)
 
 
+def _decoder(name):
+    """(decode, C, params) for one decoder on a small code."""
+    if name == "concat":
+        C, spec = concat_disjunct(BASE_9x12, 2, 0, 7, 2)
+        return (lambda z: decode_concat(spec, z)), C, spec.params
+    if name == "lindstrom":
+        C, spec = lindstrom(2, 3, 1)
+        return (lambda z: decode_lindstrom(spec, z)), C, spec.params
+    params = CodeParams.equidistant(2, 1, 1, 2)
+    decode = {
+        "disjunct": decode_disjunct,
+        "ml": decode_ml,
+        "bp": lambda C, p, z: select_topd(bp_decode(C, p, z), 1),
+    }[name]
+    return (lambda z: decode(BASE_9x12, params, z)), BASE_9x12, params
+
+
+@pytest.mark.parametrize("name", ["disjunct", "concat", "lindstrom", "ml", "bp"])
+def test_every_decoder_checks_results(name):
+    decode, C, params = _decoder(name)
+    z = syndrome(C, [1], params.eta)
+    assert decode(z) == (1,)
+    bad = [z[1:], np.append(z, 0), z[None, :]]
+    if name != "lindstrom":
+        # the recursive decoder reports a result above Q-1 as
+        # NonBinaryResidue (test_corrupted_syndrome_raises)
+        bad += [np.full(len(z), params.Q), np.full(len(z), -1)]
+    for z in bad:
+        with pytest.raises(BadRange):
+            decode(z)
+
+
 class TestDecodeMl:
     def test_noiseless_unique_recovery(self, base_7x8):
         C, params = bose_chowla_code(6, 2, q=3, eta_step=1)

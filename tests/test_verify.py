@@ -10,7 +10,8 @@ from sqgt.errors import ExplosionGuard, NotBinary, TooFewColumns
 from sqgt.model import CodeParams, sq_sum
 from sqgt.verify import (
     Witness,
-    colex_combinations,
+    _colex_array,
+    _subset_chunks,
     is_binary_disjunct_cgt,
     is_binary_separable_cgt,
     is_binary_separable_qgt,
@@ -19,6 +20,7 @@ from sqgt.verify import (
 )
 
 from conftest import BASE_7x8, BASE_9x12
+from verify_reference import colex_combinations
 
 
 def slow_sq_disjunct(C, params):
@@ -175,5 +177,15 @@ class TestBinaryVerifiers:
 
 
 def test_colex_order():
-    got = list(colex_combinations(4, 2))
+    got = [tuple(row) for row in _colex_array(4, 2).tolist()]
     assert got == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000])
+def test_subset_chunks_match_generator(chunk):
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            parts = list(_subset_chunks(n, k, chunk))
+            assert all(1 <= len(p) <= chunk for p in parts)
+            got = [tuple(row) for p in parts for row in p.tolist()]
+            assert got == list(colex_combinations(n, k))

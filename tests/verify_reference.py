@@ -12,7 +12,17 @@ import numpy as np
 
 from sqgt.errors import BadRange, ExplosionGuard, TooFewColumns
 from sqgt.model import CodeParams, check_matrix, quantize_sums, validate_params
-from sqgt.verify import DEFAULT_BUDGET, Witness, colex_combinations
+from sqgt.verify import DEFAULT_BUDGET, Witness
+
+
+def colex_combinations(n: int, k: int):
+    """Yield k-subsets of range(n) in colexicographic order."""
+    if k == 0:
+        yield ()
+        return
+    for top in range(k - 1, n):
+        for rest in colex_combinations(top, k - 1):
+            yield rest + (top,)
 
 
 def _subset_chunks(n: int, k: int, chunk: int):
