@@ -19,7 +19,7 @@ from . import simulate as sim
 from . import verify as ver
 from .errors import BadRange, SqgtError
 from .fileio import read_matrix, write_matrix
-from .model import CodeParams, NoiseModel, apply_noise, syndrome, validate_params
+from .model import CodeParams, NoiseModel, apply_noise, syndrome
 
 CONSTRUCT_METHODS = (
     "scale-disjunct",
@@ -49,6 +49,14 @@ def _thresholds(args) -> tuple[int, ...]:
     if args.thresholds:
         return tuple(_int_list(args.thresholds, "--thresholds"))
     raise BadRange("this method needs --thresholds with the full eta vector")
+
+
+def _code_params(args, q: int, Q: int, eta, ranged: bool) -> CodeParams:
+    """The code file's alphabet and thresholds with the defective range
+    (1:d), or (l:u) with u defaulting to d when ranged, and --e. The
+    library entry points validate them."""
+    l, u = (args.l, args.u or args.d) if ranged else (1, args.d)
+    return CodeParams(q=q, Q=Q, eta=eta, l=l, u=u, e=args.e)
 
 
 def _cmd_construct(args) -> int:
@@ -89,14 +97,9 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     C, q, Q, eta = read_matrix(args.code)
     if args.property == "sq-disjunct":
-        params = CodeParams(q=q, Q=Q, eta=eta, l=1, u=args.d, e=args.e)
-        validate_params(params)
-        witness = ver.is_sq_disjunct(C, params, budget=args.budget)
+        witness = ver.is_sq_disjunct(C, _code_params(args, q, Q, eta, ranged=False), args.budget)
     elif args.property == "sq-separable":
-        u = args.u if args.u else args.d
-        params = CodeParams(q=q, Q=Q, eta=eta, l=args.l, u=u, e=args.e)
-        validate_params(params)
-        witness = ver.is_sq_separable(C, params, budget=args.budget)
+        witness = ver.is_sq_separable(C, _code_params(args, q, Q, eta, ranged=True), args.budget)
     elif args.property == "bin-disjunct":
         witness = ver.is_binary_disjunct_cgt(C, args.d, args.e, budget=args.budget)
     elif args.property == "bin-sep-cgt":
@@ -125,21 +128,15 @@ def _cmd_decode(args) -> int:
     z = np.array(_int_list(args.syndrome, "--syndrome"), dtype=np.int64)
     noise = NoiseModel(args.gamma_p, args.gamma_n)
     if args.algorithm == "disjunct":
-        params = CodeParams(q=q, Q=Q, eta=eta, l=1, u=args.d, e=args.e)
-        validate_params(params)
-        found = dec.decode_disjunct(C, params, z)
+        found = dec.decode_disjunct(C, _code_params(args, q, Q, eta, ranged=False), z)
     elif args.algorithm == "concat":
         found = dec.decode_concat(con.concat_spec(C, q, eta, args.d, args.e), z)
     elif args.algorithm == "lindstrom":
         found = dec.decode_lindstrom(con.lindstrom_spec(C, q, eta), z)
     elif args.algorithm == "ml":
-        u = args.u if args.u else args.d
-        params = CodeParams(q=q, Q=Q, eta=eta, l=args.l, u=u, e=args.e)
-        validate_params(params)
-        found = dec.decode_ml(C, params, z, noise)
+        found = dec.decode_ml(C, _code_params(args, q, Q, eta, ranged=True), z, noise)
     else:  # bp
-        params = CodeParams(q=q, Q=Q, eta=eta, l=1, u=args.d, e=args.e)
-        validate_params(params)
+        params = _code_params(args, q, Q, eta, ranged=False)
         cfg = dec.BpConfig(max_iters=args.iterations, damping=args.damping, tol=args.bp_tol)
         marg = dec.bp_decode(C, params, z, noise, d=args.d, cfg=cfg)
         if args.select == "top-d":

@@ -84,19 +84,25 @@ def _equidistant_step(eta) -> int:
 
 
 def _step_levels(q: int, eta_step: int) -> int:
-    """How many nonzero multiples of the threshold step lie in 0..q-1."""
+    """How many nonzero multiples of the threshold step lie in 0..q-1;
+    BadRange for a step below 1, AlphabetTooSmall when there are none."""
     if eta_step < 1:
         raise BadRange(f"eta step must be >= 1, got {eta_step}")
-    return (q - 1) // eta_step
+    levels = (q - 1) // eta_step
+    if levels < 1:
+        raise AlphabetTooSmall(f"need q-1 >= eta_step, got q-1={q - 1}, step={eta_step}")
+    return levels
 
 
-def _check_rows(m: int | None, m_multiplier: float) -> None:
-    """Refuse an explicit row count below 1 and a multiplier that is not a
-    positive finite number."""
+def _check_rows(m: int | None, m_multiplier: float, delta: float) -> None:
+    """Refuse an explicit row count below 1, a multiplier that is not a
+    positive finite number and a delta that is not a finite number >= 0."""
     if m is not None and m < 1:
         raise BadRange(f"m must be >= 1, got {m}")
     if not 0 < m_multiplier < inf:
         raise BadRange(f"m_multiplier must be positive and finite, got {m_multiplier}")
+    if not 0 <= delta < inf:
+        raise BadRange(f"delta must be finite and >= 0, got {delta}")
 
 
 def scale_separable(base, d: int, e: int, q: int, eta, base_kind: str = "cgt") -> tuple[np.ndarray, CodeParams]:
@@ -212,7 +218,7 @@ def random_disjunct(
     """
     if n <= d or d < 1:
         raise BadRange(f"need n > d >= 1, got n={n}, d={d}")
-    _check_rows(m, m_multiplier)
+    _check_rows(m, m_multiplier, delta)
     if levels < 1:
         raise BadRange(f"need at least one nonzero level, got {levels}")
     if q is None:
@@ -275,21 +281,16 @@ class ConcatSpec:
 
 
 def _concat_scales(d: int, q: int, eta_step: int) -> tuple[int, ...]:
-    if eta_step < 1 or d < 1:
-        raise BadRange(f"need eta_step >= 1 and d >= 1, got {eta_step}, {d}")
-    budget = (q - 1) // eta_step
-    if budget < 1:
-        raise AlphabetTooSmall(f"need q-1 >= eta_step, got q-1={q - 1}, step={eta_step}")
-    if d == 1:
-        # the block-count formula degenerates at d=1; use every multiple of
-        # the step, decoding by direct column matching
-        multipliers = list(range(1, budget + 1))
-    else:
-        multipliers = []
-        g = 1  # 1 + d + ... + d^(j-1)
-        while g <= budget:
-            multipliers.append(g)
-            g = g * d + 1
+    """Block scales eta_step * (1 + d + ... + d^(j-1)) up to q-1; at d = 1
+    that is every multiple of the step."""
+    if d < 1:
+        raise BadRange(f"need d >= 1, got {d}")
+    budget = _step_levels(q, eta_step)
+    multipliers = []
+    g = 1  # 1 + d + ... + d^(j-1)
+    while g <= budget:
+        multipliers.append(g)
+        g = g * d + 1
     return tuple(eta_step * g for g in multipliers)
 
 
@@ -541,8 +542,6 @@ def bose_chowla_code(n: int, d: int, q: int, eta_step: int) -> tuple[np.ndarray,
     if n < 2:
         raise BadRange(f"need n >= 2, got {n}")
     q_prime = _step_levels(q, eta_step) + 1
-    if q_prime < 2:
-        raise AlphabetTooSmall(f"need q-1 >= eta_step, got q-1={q - 1}, step={eta_step}")
     L = smallest_prime_at_least(n)
     integers = bose_chowla(L, d)[:n]
     m = 0
@@ -603,7 +602,7 @@ def random_binary_separable(
     eta = tuple(eta)
     if d > n // 2:
         raise BadRange(f"construction assumes d <= n/2, got d={d}, n={n}")
-    _check_rows(m, m_multiplier)
+    _check_rows(m, m_multiplier, delta)
     rho = binary_row_success_bound(d, eta, alpha)
     r = _floor_log2_ratio(d, eta[alpha]) + 1
     densities = [1.0 / (2 ** (i + 2) * eta[alpha]) for i in range(1, r + 1)]
@@ -664,13 +663,6 @@ class LindstromSpec:
         return slice(start, start + self.widths[i - 1])
 
 
-def _bit_columns(q: int, eta_step: int) -> int:
-    levels = _step_levels(q, eta_step)
-    if levels < 1:
-        raise AlphabetTooSmall(f"need q-1 >= eta_step, got q-1={q - 1}, step={eta_step}")
-    return _floor_log2_ratio(levels, 1)
-
-
 def lindstrom_spec(C, q: int, eta) -> LindstromSpec:
     """Block structure of a (possibly truncated) recursive code, read off
     its scaled matrix.
@@ -687,7 +679,7 @@ def lindstrom_spec(C, q: int, eta) -> LindstromSpec:
         raise InconsistentSpec(f"m={m} is not 2^kappa - 1 for any kappa")
     if np.any(C % step):
         raise InconsistentSpec("entries are not multiples of the threshold step")
-    q2 = _bit_columns(q, step)
+    q2 = _floor_log2_ratio(_step_levels(q, step), 1)
     subsets = tuple(ordered_subsets(kappa))
     full_widths = [q2 + len(S) for S in subsets]
     if n > sum(full_widths):
@@ -726,7 +718,7 @@ def lindstrom(
     """
     if kappa < 1:
         raise BadKappa(f"need kappa >= 1, got {kappa}")
-    q2 = _bit_columns(q, eta_step)
+    q2 = _floor_log2_ratio(_step_levels(q, eta_step), 1)
     m = 2**kappa - 1
     subsets = ordered_subsets(kappa)
 

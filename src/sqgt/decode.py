@@ -68,6 +68,7 @@ def decode_disjunct(C, params: CodeParams, z) -> tuple[int, ...]:
     """Counting decoder for SQ-disjunct codes; exact when z carries at most
     e substitution errors. Subject i is declared defective iff its
     single-column syndrome exceeds z on at most e coordinates."""
+    validate_params(params)
     C = check_matrix(C, params.q)
     z = _check_results(z, C.shape[0], params.Q)
     single = quantize_sums(C, np.asarray(params.eta, dtype=np.int64))

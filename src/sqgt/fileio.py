@@ -6,12 +6,15 @@ Matrix files are line oriented and diff-friendly:
     q=<int> Q=<int> m=<int> n=<int>
     eta=<comma-separated Q+1 ints>
     <m lines of n space-separated ints>
+
+Reading refuses thresholds that do not start at 0 and strictly increase
+with ThresholdNotIncreasing, as validate_params does.
 """
 
 import numpy as np
 
 from .errors import ParseError
-from .model import check_matrix
+from .model import _check_thresholds, check_matrix
 
 __all__ = ["MAGIC", "CSV_HEADER", "write_matrix", "read_matrix", "format_matrix", "parse_matrix"]
 
@@ -65,6 +68,7 @@ def parse_matrix(text: str) -> tuple[np.ndarray, int, int, tuple[int, ...]]:
         raise ParseError("line 3: bad integer in threshold list") from None
     if len(eta) != Q + 1:
         raise ParseError(f"line 3: expected {Q + 1} thresholds, got {len(eta)}")
+    _check_thresholds(eta)
     rows = []
     for i in range(m):
         lineno = 4 + i

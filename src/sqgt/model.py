@@ -67,13 +67,22 @@ class CodeParams:
         step = self.eta[1]
         return all(self.eta[r] == r * step for r in range(len(self.eta)))
 
-    @property
-    def eta_step(self) -> int | None:
-        return self.eta[1] if self.is_equidistant else None
-
     def __str__(self) -> str:
         eta = ",".join(str(t) for t in self.eta)
         return f"[{self.q};{self.Q};({eta});({self.l}:{self.u});{self.e}]"
+
+
+def _check_thresholds(eta) -> None:
+    """Raise ThresholdNotIncreasing unless eta starts at 0 and strictly
+    increases."""
+    if eta[0] != 0:
+        raise ThresholdNotIncreasing(f"eta_0 must be 0, got {eta[0]}")
+    for r in range(len(eta) - 1):
+        if eta[r + 1] <= eta[r]:
+            raise ThresholdNotIncreasing(
+                f"thresholds must strictly increase, "
+                f"eta_{r}={eta[r]} vs eta_{r + 1}={eta[r + 1]}"
+            )
 
 
 def validate_params(p: CodeParams) -> None:
@@ -88,14 +97,7 @@ def validate_params(p: CodeParams) -> None:
         raise ThresholdNotIncreasing(
             f"expected {p.Q + 1} thresholds for Q={p.Q}, got {len(p.eta)}"
         )
-    if p.eta[0] != 0:
-        raise ThresholdNotIncreasing(f"eta_0 must be 0, got {p.eta[0]}")
-    for r in range(p.Q):
-        if p.eta[r + 1] <= p.eta[r]:
-            raise ThresholdNotIncreasing(
-                f"thresholds must strictly increase, "
-                f"eta_{r}={p.eta[r]} vs eta_{r + 1}={p.eta[r + 1]}"
-            )
+    _check_thresholds(p.eta)
     if p.eta[-1] <= (p.q - 1) * p.u:
         raise SentinelTooSmall(
             f"sentinel eta_Q={p.eta[-1]} must exceed (q-1)*u={(p.q - 1) * p.u}"
@@ -115,7 +117,8 @@ class NoiseModel:
     gamma_n: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_p < 0 or self.gamma_n < 0 or self.gamma_p + self.gamma_n > 1:
+        # written so that a NaN rate fails it: every comparison with NaN is false
+        if not (self.gamma_p >= 0 and self.gamma_n >= 0 and self.gamma_p + self.gamma_n <= 1):
             raise BadRange(
                 f"need gamma_p, gamma_n >= 0 and gamma_p + gamma_n <= 1, "
                 f"got ({self.gamma_p}, {self.gamma_n})"

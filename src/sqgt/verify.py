@@ -129,8 +129,7 @@ def is_sq_disjunct(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witne
         raise TooFewColumns(f"need n > d, got n={n}, d={d}")
     if 2 * e + 1 > m:
         return Witness("sq-disjunct", (), f"needs {2 * e + 1} witness rows but m={m}")
-    if comb(n, d + 1) > budget:
-        raise ExplosionGuard(f"C({n},{d + 1}) subsets exceed budget {budget}")
+    _check_set_budget(n, d + 1, d + 1, budget)
 
     eta = np.asarray(params.eta, dtype=np.int64)
     cols, weight = _distinct_rows(C)
@@ -296,18 +295,18 @@ def _as_binary(C) -> np.ndarray:
     return C
 
 
-def _binary_reduction_params(C: np.ndarray, d: int, e: int, adder: bool) -> CodeParams:
+def _binary_reduction_params(d: int, e: int, adder: bool, l: int = 1) -> CodeParams:
     if adder:
         # identity thresholds: bucket(s) == s, so SQ-sum is the arithmetic sum
-        return CodeParams(q=2, Q=d + 1, eta=tuple(range(d + 2)), l=1, u=d, e=e)
+        return CodeParams(q=2, Q=d + 1, eta=tuple(range(d + 2)), l=l, u=d, e=e)
     # single threshold at 1: bucket(s) == (s >= 1), so SQ-sum is the Boolean OR
-    return CodeParams(q=2, Q=2, eta=(0, 1, d + 1), l=1, u=d, e=e)
+    return CodeParams(q=2, Q=2, eta=(0, 1, d + 1), l=l, u=d, e=e)
 
 
 def is_binary_disjunct_cgt(C, d: int, e: int = 0, budget: int = DEFAULT_BUDGET) -> Witness | None:
     """Classical binary d-disjunct check: 2e+1 private rows per pivot column."""
     C = _as_binary(C)
-    return is_sq_disjunct(C, _binary_reduction_params(C, d, e, adder=False), budget)
+    return is_sq_disjunct(C, _binary_reduction_params(d, e, adder=False), budget)
 
 
 def is_binary_separable_cgt(
@@ -315,8 +314,7 @@ def is_binary_separable_cgt(
 ) -> Witness | None:
     """Classical binary d-separable check with Boolean-OR syndromes."""
     C = _as_binary(C)
-    p = _binary_reduction_params(C, d, e, adder=False)
-    return is_sq_separable(C, CodeParams(p.q, p.Q, p.eta, min_size, d, e), budget)
+    return is_sq_separable(C, _binary_reduction_params(d, e, adder=False, l=min_size), budget)
 
 
 def is_binary_separable_qgt(
@@ -329,5 +327,4 @@ def is_binary_separable_qgt(
     the number-theoretic ones) are checked with min_size=d.
     """
     C = _as_binary(C)
-    p = _binary_reduction_params(C, d, e, adder=True)
-    return is_sq_separable(C, CodeParams(p.q, p.Q, p.eta, min_size, d, e), budget)
+    return is_sq_separable(C, _binary_reduction_params(d, e, adder=True, l=min_size), budget)

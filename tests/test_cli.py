@@ -169,6 +169,12 @@ class TestBadValues:
         RANDOM + ("--m-multiplier", -1),
         BINARY + ("--m", -3),
         BINARY + ("--m-multiplier", 0),
+        RANDOM + ("--delta", "nan"),
+        RANDOM + ("--delta", "inf"),
+        RANDOM + ("--delta", -100),
+        BINARY + ("--delta", "nan"),
+        BINARY + ("--delta", "inf"),
+        BINARY + ("--delta", -100),
     ])
     def test_construct(self, capsys, argv):
         assert run("construct", *argv, "--out", os.devnull) == 2
@@ -189,6 +195,34 @@ class TestBadValues:
     def test_search_and_decode(self, capsys, argv):
         assert run(*argv) == 2
         assert capsys.readouterr().err.startswith("BadRange:")
+
+    @pytest.mark.parametrize("argv", [
+        ("encode", "--code", BASE, "--defectives", "1,2"),
+        ("decode", "--code", BASE, "--syndrome", "1,0,1,0,0,0,0,0,1", "--algorithm", "ml",
+         "--d", 2),
+        ("decode", "--code", BASE, "--syndrome", "1,0,1,0,0,0,0,0,1", "--algorithm", "bp",
+         "--d", 2),
+    ])
+    @pytest.mark.parametrize("rate", ["--gamma-p", "--gamma-n"])
+    def test_nan_noise_rate(self, capsys, argv, rate):
+        assert run(*argv, rate, "nan") == 2
+        assert capsys.readouterr().err.startswith("BadRange:")
+
+    def test_random_disjunct_without_levels(self, capsys):
+        argv = ("--method", "random-disjunct", "--n", 12, "--d", 2, "--q", 3, "--eta", 3)
+        assert run("construct", *argv, "--out", os.devnull) == 2
+        assert capsys.readouterr().err.startswith("AlphabetTooSmall:")
+
+    @pytest.mark.parametrize("argv", [
+        ("encode", "--defectives", "1,2"),
+        ("decode", "--syndrome", "1,1", "--algorithm", "disjunct", "--d", 2),
+        ("verify", "--property", "sq-separable", "--d", 2),
+    ])
+    def test_decreasing_thresholds_in_file(self, tmp_path, capsys, argv):
+        code = tmp_path / "bad.sqgt"
+        code.write_text("SQGT-CODE v1\nq=3 Q=3 m=2 n=2\neta=0,3,1,9\n1 2\n2 1\n")
+        assert run(argv[0], "--code", code, *argv[1:]) == 2
+        assert capsys.readouterr().err.startswith("ThresholdNotIncreasing:")
 
 
 class TestSimulateCli:

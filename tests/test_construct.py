@@ -152,6 +152,15 @@ class TestRandomDisjunct:
         with pytest.raises(BadRange):
             build(**rows)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -100.0, -1e-9])
+    @pytest.mark.parametrize("build", [
+        lambda delta: random_disjunct(12, 2, 2, 2, seed=0, delta=delta),
+        lambda delta: random_binary_separable(12, 3, (0, 2, 4, 5), 1, seed=0, delta=delta),
+    ])
+    def test_bad_delta(self, build, delta):
+        with pytest.raises(BadRange, match="delta"):
+            build(delta)
+
     def test_deterministic_per_seed(self):
         A, _ = random_disjunct(10, 2, 2, 2, seed=9, m=30)
         B, _ = random_disjunct(10, 2, 2, 2, seed=9, m=30)
@@ -216,6 +225,17 @@ class TestConcat:
         C, spec = concat_disjunct(base_9x12, d=1, e=0, q=7, eta_step=2)
         assert spec.scales == (2, 4, 6)
         assert C.shape == (9, 36)
+
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("q", range(2, 14))
+    def test_d1_scales_are_every_multiple(self, q, step):
+        from sqgt.construct import _concat_scales
+
+        if q - 1 < step:
+            with pytest.raises(AlphabetTooSmall):
+                _concat_scales(1, q, step)
+        else:
+            assert _concat_scales(1, q, step) == tuple(range(step, q, step))
 
     def test_golden_separable(self, base_7x8):
         C, spec = concat_separable(base_7x8, d=2, e=0, q=7, eta_step=2)

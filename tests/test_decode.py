@@ -30,6 +30,7 @@ from sqgt.errors import (
     ExplosionGuard,
     NoConsistentSet,
     NonBinaryResidue,
+    ThresholdNotIncreasing,
 )
 from sqgt.model import (
     NOISELESS,
@@ -69,6 +70,12 @@ class TestDecodeDisjunct:
             z = y.copy()
             z[k] = min(max(z[k] + (1 if rng.random() < 0.5 else -1), 0), params.Q - 1)
             assert decode_disjunct(C, params, z) == tuple(planted)
+
+    @pytest.mark.parametrize("eta", [(0, 2, 2, 5), (0, 3, 1, 9), (1, 2, 3, 5)])
+    def test_thresholds_must_increase(self, base_9x12, eta):
+        params = CodeParams(q=3, Q=3, eta=eta, l=1, u=2)
+        with pytest.raises(ThresholdNotIncreasing):
+            decode_disjunct(2 * base_9x12, params, np.zeros(9, dtype=int))
 
 
 class TestDecodeConcat:

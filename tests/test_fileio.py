@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from sqgt.errors import ParseError
+from sqgt.errors import ParseError, ThresholdNotIncreasing
 from sqgt.fileio import format_matrix, parse_matrix, read_matrix, write_matrix
 
 from conftest import BASE_9x12, GOLDEN_9x24
@@ -52,6 +52,13 @@ def test_short_row_column_report():
 def test_bad_threshold_count():
     text = "SQGT-CODE v1\nq=2 Q=2 m=1 n=1\neta=0,1\n1\n"
     with pytest.raises(ParseError, match="expected 3 thresholds"):
+        parse_matrix(text)
+
+
+@pytest.mark.parametrize("eta", ["0,3,1,9", "0,3,3,9", "1,3,5,9"])
+def test_thresholds_must_start_at_zero_and_increase(eta):
+    text = f"SQGT-CODE v1\nq=3 Q=3 m=1 n=2\neta={eta}\n1 2\n"
+    with pytest.raises(ThresholdNotIncreasing):
         parse_matrix(text)
 
 

@@ -218,6 +218,13 @@ class TestApplyNoise:
         with pytest.raises(BadRange):
             NoiseModel(gamma_p=0.7 + gp, gamma_n=0.7 + gn)
 
+    @pytest.mark.parametrize("rates", [
+        (float("nan"), 0.0), (0.0, float("nan")), (float("nan"), float("nan")),
+    ])
+    def test_nan_rate_rejected(self, rates):
+        with pytest.raises(BadRange):
+            NoiseModel(*rates)
+
     def test_empirical_rates_match(self):
         # interior value: transition frequencies within 3 sigma over 1e5 draws
         gp, gn = 0.07, 0.11

@@ -171,6 +171,14 @@ class TestBinaryVerifiers:
         C = np.array([[1, 1], [1, 1]])
         assert isinstance(is_binary_separable_qgt(C, 1, 0), Witness)
 
+    def test_min_size_restricts_set_sizes(self):
+        # column 3 is both the OR and the sum of columns 1 and 2
+        C = np.array([[1, 0, 1], [0, 1, 1]])
+        assert is_binary_separable_cgt(C, 2).sets == ((3,), (1, 2))
+        assert is_binary_separable_cgt(C, 2, min_size=2).sets == ((1, 2), (1, 3))
+        assert is_binary_separable_qgt(C, 2).sets == ((3,), (1, 2))
+        assert is_binary_separable_qgt(C, 2, min_size=2) is None
+
     def test_not_binary(self):
         with pytest.raises(NotBinary):
             is_binary_disjunct_cgt(np.full((2, 3), 2), 1, 0)
