@@ -7,7 +7,7 @@ converse test-count bounds. All entropies are in bits; 0*log(0) is 0.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, inf, log2
 
 import numpy as np
@@ -178,17 +178,25 @@ def rate_objective(pt, d: int, quant: Quantizer) -> float:
     return min(mutual_information(pt, d, i, quant) / i for i in range(1, d + 1))
 
 
-def _simplex_grid(q: int, resolution: int):
-    """Integer compositions of `resolution` into q parts, lexicographic."""
+def _compositions(total: int, parts: int):
+    """Integer compositions of total into parts parts, lexicographic: the
+    running sums of a composition are a sorted choice of its cut points."""
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for v in range(remaining + 1):
-            yield from rec(prefix + (v,), remaining - v, slots - 1)
 
-    yield from rec((), resolution, q)
+def _scan(best, points, scale: int, d: int, quantizers):
+    """First strict maximum of the rate objective over (point, quantizer)
+    pairs in row-major order, starting from best; each point is integer
+    weights over scale. best and the result are (bits, quantizer,
+    distribution, weights)."""
+    for weights in points:
+        pt = tuple(w / scale for w in weights)
+        for quant in quantizers:
+            v = rate_objective(pt, d, quant)
+            if v > best[0]:
+                best = (v, quant, pt, weights)
+    return best
 
 
 def capacity_search(
@@ -203,10 +211,12 @@ def capacity_search(
     contiguous Q-region quantizers of the sum range.
 
     Returns (distribution, quantizer, bits); a lower bound on the capacity
-    by construction. Ties break toward the lexicographically smallest grid
-    point and then the first quantizer in boundary order. The budget bounds
-    the objective evaluations: every quantizer at every grid point and,
-    with refine, at the 21^(q-1) refine points around the best one.
+    by construction. The result is the first strict maximum over the grid
+    points in lexicographic order and then, with refine, over the 21^(q-1)
+    refine points around the best grid point (offsets -10..10 at a ten
+    times finer step, lexicographic), with the quantizers of each point in
+    boundary order. The budget bounds the objective evaluations: every
+    quantizer at every grid and refine point.
     """
     if d < 1 or q < 2 or Q < 1:
         raise BadRange(f"need d >= 1, q >= 2, Q >= 1, got {d}, {q}, {Q}")
@@ -228,37 +238,14 @@ def capacity_search(
             f"{n_points} grid and refine points x {len(quantizers)} quantizers "
             f"exceed budget {budget}"
         )
-
-    def eval_point(weights, scale) -> tuple[float, Quantizer, tuple[float, ...]]:
-        pt = tuple(wi / scale for wi in weights)
-        best_v, best_q = -1.0, None
-        for quant in quantizers:
-            v = rate_objective(pt, d, quant)
-            if v > best_v:
-                best_v, best_q = v, quant
-        return best_v, best_q, pt
-
-    best_v, best_q, best_pt = -1.0, None, None
-    best_w = None
-    for weights in _simplex_grid(q, resolution):
-        v, quant, pt = eval_point(weights, resolution)
-        if v > best_v:
-            best_v, best_q, best_pt, best_w = v, quant, pt, weights
-
-    if refine and best_w is not None:
-        offsets = range(-fine, fine + 1)
-        base = tuple(w * fine for w in best_w)
-        for deltas in product(offsets, repeat=q - 1):
-            w = list(base)
-            for j, dj in enumerate(deltas):
-                w[j] += dj
-            w[-1] = resolution * fine - sum(w[:-1])
-            if any(x < 0 for x in w):
-                continue
-            v, quant, pt = eval_point(w, resolution * fine)
-            if v > best_v:
-                best_v, best_q, best_pt = v, quant, pt
-    return best_pt, best_q, best_v
+    best = _scan((-1.0, None, None, None), _compositions(resolution, q), resolution, d, quantizers)
+    if refine:
+        scale = resolution * fine
+        heads = product(*(range(fine * w - fine, fine * w + fine + 1) for w in best[3][:-1]))
+        points = ((*h, scale - sum(h)) for h in heads)
+        best = _scan(best, (w for w in points if min(w) >= 0), scale, d, quantizers)
+    bits, quant, pt, _ = best
+    return pt, quant, bits
 
 
 def _bound(n: int, d: int, pt, quant: Quantizer, numerator) -> float:

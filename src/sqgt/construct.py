@@ -31,12 +31,11 @@ from .errors import (
     BadKappa,
     BadRange,
     BadThreshold,
-    DensityOutOfRange,
     InconsistentSpec,
     NotPrime,
     Overflow,
 )
-from .model import CodeParams, check_matrix, validate_params
+from .model import CodeParams, _check_thresholds, check_matrix, validate_params
 from .rng import make_rng
 from .verify import _colex_array
 
@@ -575,6 +574,7 @@ def binary_row_success_bound(d: int, eta, alpha: int) -> float:
     eta = tuple(eta)
     if not 1 <= alpha < len(eta):
         raise BadRange(f"alpha must index a threshold, got {alpha}")
+    _check_thresholds(eta)
     if eta[1] < 2:
         raise BadThreshold(f"the bound needs eta_1 >= 2, got {eta[1]}")
     if d < 2 or eta[alpha] > d:
@@ -606,8 +606,6 @@ def random_binary_separable(
     rho = binary_row_success_bound(d, eta, alpha)
     r = _floor_log2_ratio(d, eta[alpha]) + 1
     densities = [1.0 / (2 ** (i + 2) * eta[alpha]) for i in range(1, r + 1)]
-    if any(not 0.0 < p < 1.0 for p in densities):
-        raise DensityOutOfRange(f"block densities out of range: {densities}")
     if m is None:
         if e > 0:
             rows = r * ((4 * d / rho + delta) * log(n / d) + 4 * e / rho)

@@ -69,10 +69,6 @@ class BadThreshold(SqgtError):
     """A threshold value is unusable for this formula."""
 
 
-class DensityOutOfRange(SqgtError):
-    """A Bernoulli density fell outside (0, 1)."""
-
-
 class BadKappa(SqgtError):
     """The branching parameter of the recursive construction is invalid."""
 

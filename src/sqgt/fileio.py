@@ -7,14 +7,15 @@ Matrix files are line oriented and diff-friendly:
     eta=<comma-separated Q+1 ints>
     <m lines of n space-separated ints>
 
-Reading refuses thresholds that do not start at 0 and strictly increase
-with ThresholdNotIncreasing, as validate_params does.
+Reading refuses alphabet sizes q or Q below 2 with BadRange, and thresholds
+that do not start at 0 and strictly increase with ThresholdNotIncreasing,
+as validate_params does.
 """
 
 import numpy as np
 
 from .errors import ParseError
-from .model import _check_thresholds, check_matrix
+from .model import _check_alphabets, _check_thresholds, check_matrix
 
 __all__ = ["MAGIC", "CSV_HEADER", "write_matrix", "read_matrix", "format_matrix", "parse_matrix"]
 
@@ -60,6 +61,7 @@ def parse_matrix(text: str) -> tuple[np.ndarray, int, int, tuple[int, ...]]:
     q, Q, m, n = fields["q"], fields["Q"], fields["m"], fields["n"]
     if m < 1 or n < 1:
         raise ParseError(f"line 2: need m, n >= 1, got m={m}, n={n}")
+    _check_alphabets(q, Q)
     if len(lines) < 3 or not lines[2].startswith("eta="):
         raise ParseError("line 3: expected eta=<comma-separated ints>")
     try:

@@ -85,10 +85,15 @@ def _check_thresholds(eta) -> None:
             )
 
 
+def _check_alphabets(q: int, Q: int) -> None:
+    """Raise BadRange unless both alphabet sizes are at least 2."""
+    if q < 2 or Q < 2:
+        raise BadRange(f"alphabet sizes must be >= 2, got q={q}, Q={Q}")
+
+
 def validate_params(p: CodeParams) -> None:
     """Raise unless every CodeParams invariant holds."""
-    if p.q < 2 or p.Q < 2:
-        raise BadRange(f"alphabet sizes must be >= 2, got q={p.q}, Q={p.Q}")
+    _check_alphabets(p.q, p.Q)
     if p.e < 0:
         raise BadRange(f"error budget must be >= 0, got e={p.e}")
     if not (1 <= p.l <= p.u):
@@ -140,11 +145,11 @@ def check_matrix(C, q: int | None = None) -> np.ndarray:
     return arr
 
 
-def quantize_sums(sums, eta, strict: bool = True) -> np.ndarray:
+def quantize_sums(sums, eta) -> np.ndarray:
     """Map integer sums to threshold buckets: r such that eta_r <= s < eta_{r+1}.
 
-    With strict=True a sum at or above the sentinel raises SumOutOfRange,
-    signalling a violated sentinel assumption. When every sum lies in
+    A sum at or above the sentinel raises SumOutOfRange, signalling a
+    violated sentinel assumption. When every sum lies in
     0..sums.size-1, the buckets of 0..max are computed once and looked up,
     which gives the same result as the binary search per element.
     """
@@ -152,7 +157,7 @@ def quantize_sums(sums, eta, strict: bool = True) -> np.ndarray:
     eta_arr = np.asarray(eta, dtype=np.int64)
     if sums.size:
         top = int(sums.max())
-        if strict and top >= eta_arr[-1]:
+        if top >= eta_arr[-1]:
             raise SumOutOfRange(f"coordinate sum {top} reached sentinel {int(eta_arr[-1])}")
         if top < sums.size and sums.min() >= 0:
             lut = np.searchsorted(eta_arr, np.arange(top + 1), side="right") - 1

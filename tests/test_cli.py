@@ -161,7 +161,7 @@ class TestBadValues:
     BINARY = ("--method", "random-binary", "--n", 12, "--d", 3, "--thresholds", "0,2,4,5")
     CAPACITY = ("capacity", "--d", 2, "--q", 3, "--Q", 3, "--grid-step")
 
-    @pytest.mark.parametrize("argv", [
+    CONSTRUCT = [(argv, "BadRange") for argv in (
         ("--method", "random-disjunct", "--n", 12, "--d", 2, "--q", 5, "--eta", 0),
         ("--method", "bose-chowla", "--n", 5, "--d", 2, "--q", 3, "--eta", 0),
         ("--method", "lindstrom", "--kappa", 3, "--q", 9, "--eta", 0),
@@ -175,10 +175,16 @@ class TestBadValues:
         BINARY + ("--delta", "nan"),
         BINARY + ("--delta", "inf"),
         BINARY + ("--delta", -100),
-    ])
-    def test_construct(self, capsys, argv):
+    )] + [
+        (BINARY[:-1] + ("0,2,0,5", "--alpha", 2), "ThresholdNotIncreasing"),
+        (BINARY[:-1] + ("0,2,-4,5", "--alpha", 2), "ThresholdNotIncreasing"),
+    ]
+
+    @pytest.mark.parametrize("argv, error", CONSTRUCT,
+                             ids=[f"argv{i}" for i in range(len(CONSTRUCT))])
+    def test_construct(self, capsys, argv, error):
         assert run("construct", *argv, "--out", os.devnull) == 2
-        assert capsys.readouterr().err.startswith("BadRange:")
+        assert capsys.readouterr().err.startswith(f"{error}:")
 
     @pytest.mark.parametrize("argv", [
         CAPACITY + (0,),
@@ -223,6 +229,18 @@ class TestBadValues:
         code.write_text("SQGT-CODE v1\nq=3 Q=3 m=2 n=2\neta=0,3,1,9\n1 2\n2 1\n")
         assert run(argv[0], "--code", code, *argv[1:]) == 2
         assert capsys.readouterr().err.startswith("ThresholdNotIncreasing:")
+
+    @pytest.mark.parametrize("argv", [
+        ("encode", "--defectives", "1,2"),
+        ("decode", "--syndrome", "0", "--algorithm", "disjunct", "--d", 2),
+        ("verify", "--property", "sq-separable", "--d", 2),
+    ])
+    @pytest.mark.parametrize("params", ["q=2 Q=1 m=1 n=2\neta=0,5", "q=1 Q=2 m=1 n=2\neta=0,1,2"])
+    def test_alphabets_below_two_in_file(self, tmp_path, capsys, argv, params):
+        code = tmp_path / "bad.sqgt"
+        code.write_text(f"SQGT-CODE v1\n{params}\n0 0\n")
+        assert run(argv[0], "--code", code, *argv[1:]) == 2
+        assert capsys.readouterr().err.startswith("BadRange: alphabet sizes must be >= 2")
 
 
 class TestSimulateCli:

@@ -37,6 +37,7 @@ from sqgt.errors import (
     NotPrime,
     Overflow,
     SqgtError,
+    ThresholdNotIncreasing,
 )
 from sqgt.decode import decode_concat, decode_lindstrom
 from sqgt.fileio import format_matrix, parse_matrix, read_matrix
@@ -327,6 +328,11 @@ class TestBinaryRowSuccessBound:
         with pytest.raises(BadThreshold):
             binary_row_success_bound(3, (0, 1, 4), 1)
 
+    @pytest.mark.parametrize("eta", [(0, 2, 0, 5), (0, 2, -4, 5), (1, 2, 3, 5)])
+    def test_thresholds_must_increase(self, eta):
+        with pytest.raises(ThresholdNotIncreasing):
+            binary_row_success_bound(3, eta, 2)
+
 
 class TestRandomBinarySeparable:
     def test_block_layout(self):
@@ -341,6 +347,11 @@ class TestRandomBinarySeparable:
         from sqgt.construct import _floor_log2_ratio
 
         assert _floor_log2_ratio(2, 2) + 1 == 1
+
+    @pytest.mark.parametrize("eta", [(0, 2, 0, 5), (0, 2, -4, 5)])
+    def test_thresholds_must_increase(self, eta):
+        with pytest.raises(ThresholdNotIncreasing):
+            random_binary_separable(12, 3, eta, 2, m=4)
 
     def test_floor_log2_ratio(self):
         from sqgt.construct import _floor_log2_ratio

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from sqgt.errors import ParseError, ThresholdNotIncreasing
+from sqgt.errors import BadRange, ParseError, ThresholdNotIncreasing
 from sqgt.fileio import format_matrix, parse_matrix, read_matrix, write_matrix
 
 from conftest import BASE_9x12, GOLDEN_9x24
@@ -72,3 +72,9 @@ def test_entry_out_of_alphabet():
     text = "SQGT-CODE v1\nq=2 Q=2 m=1 n=1\neta=0,1,4\n3\n"
     with pytest.raises(ParseError, match="0..1"):
         parse_matrix(text)
+
+
+@pytest.mark.parametrize("params", ["q=2 Q=1 m=1 n=2\neta=0,5", "q=1 Q=2 m=1 n=2\neta=0,1,2"])
+def test_alphabets_below_two(params):
+    with pytest.raises(BadRange, match="alphabet sizes must be >= 2"):
+        parse_matrix(f"SQGT-CODE v1\n{params}\n0 0\n")

@@ -146,8 +146,6 @@ class TestQuantizeSums:
 
     @pytest.mark.parametrize("sums", [[7, 0, 1, 2, 3, 4, 5, 6, 8, 9], [9, 7], [-1, 7, 30]])
     def test_above_sentinel_unchecked(self, sums):
-        got = quantize_sums(sums, self.ETA, strict=False)
-        assert np.array_equal(got, self._search(sums, self.ETA))
         with pytest.raises(SumOutOfRange):
             quantize_sums(sums, self.ETA)
 
