@@ -13,6 +13,7 @@ import argparse
 import pathlib
 import sys
 
+from sqgt.errors import SqgtError
 from sqgt.simulate import SweepConfig, rows_to_csv, run_simulation
 
 
@@ -42,4 +43,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except SqgtError as err:
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        sys.exit(2)

@@ -332,25 +332,17 @@ concat_separable = concat_disjunct
 # number-theoretic construction (distinct d-sums via finite-field logs)
 # ---------------------------------------------------------------------------
 
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    f = 2
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 1
-    return True
-
-
-def smallest_prime_at_least(n: int) -> int:
-    p = max(2, n)
-    while not _is_prime(p):
-        p += 1
-    return p
+def _digits(value: int, base: int, width: int) -> tuple[int, ...]:
+    """The lowest `width` base-`base` digits of value, least significant first."""
+    out = []
+    for _ in range(width):
+        value, digit = divmod(value, base)
+        out.append(digit)
+    return tuple(out)
 
 
 def _prime_factors(x: int) -> list[int]:
+    """The distinct prime factors of x, increasing; x is prime iff this is [x]."""
     out = []
     f = 2
     while f * f <= x:
@@ -362,6 +354,13 @@ def _prime_factors(x: int) -> list[int]:
     if x > 1:
         out.append(x)
     return out
+
+
+def smallest_prime_at_least(n: int) -> int:
+    p = max(2, n)
+    while _prime_factors(p) != [p]:
+        p += 1
+    return p
 
 
 def _poly_mul_mod(a, b, f, L):
@@ -382,8 +381,7 @@ def _poly_mul_mod(a, b, f, L):
 
 
 def _poly_pow_mod(base, exp, f, L):
-    d = len(f) - 1
-    result = tuple([1] + [0] * (d - 1))
+    result = _digits(1, L, len(f) - 1)
     cur = tuple(base)
     while exp:
         if exp & 1:
@@ -393,57 +391,20 @@ def _poly_pow_mod(base, exp, f, L):
     return result
 
 
-def _poly_gcd(a, b, L):
-    a, b = list(a), list(b)
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = trim(a), trim(b)
-    while b:
-        inv = pow(b[-1], -1, L)
-        while len(a) >= len(b):
-            c = (a[-1] * inv) % L
-            shift = len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[i + shift] = (a[i + shift] - c * bi) % L
-            a = trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return a
-
-
-def _is_irreducible(f, L):
-    """Rabin test for a monic polynomial f over GF(L)."""
-    d = len(f) - 1
-    x = tuple([0, 1] + [0] * (d - 2)) if d >= 2 else (0,)
-    xq = _poly_pow_mod(x, L**d, f, L)
-    if xq != x:
-        return False
-    for p in _prime_factors(d):
-        h = list(_poly_pow_mod(x, L ** (d // p), f, L))
-        h[1] = (h[1] - 1) % L  # h = x^(L^(d/p)) - x
-        g = _poly_gcd(h, list(f), L)
-        if len(g) != 1:
-            return False
-    return True
-
-
 def _find_irreducible(L, d):
-    # monic x^d + (low-order coefficients); scan codes deterministically
+    """The first monic irreducible x^d + ... over GF(L) whose low-order
+    coefficients are the base-L digits of 1, 2, ... with a nonzero constant.
+    f is reducible iff a monic g of degree 1..d//2 divides it, that is iff
+    the remainder f mod g = _poly_mul_mod(f, (1,), g, L) is all zero."""
     for code in range(1, L**d):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % L)
-            c //= L
-        if coeffs[0] == 0:
+        low = _digits(code, L, d)
+        if low[0] == 0:
             continue
-        f = tuple(coeffs) + (1,)
-        if _is_irreducible(f, L):
+        f = low + (1,)
+        divisors = (
+            _digits(c, L, k) + (1,) for k in range(1, d // 2 + 1) for c in range(L**k)
+        )
+        if all(any(_poly_mul_mod(f, (1,), g, L)) for g in divisors):
             return f
     raise NotPrime(f"no irreducible polynomial of degree {d} found over GF({L})")
 
@@ -454,31 +415,24 @@ def bose_chowla(L: int, d: int) -> tuple[int, ...]:
 
     Realized through discrete logarithms in GF(L^d): with a primitive
     element t, the logs of t+a over all a in GF(L) have the property. L must
-    be prime.
+    be prime. The field is GF(L)[x] modulo _find_irreducible(L, d), and t is
+    its first primitive element in the same digit order, starting at x.
     """
     if d < 2:
         raise BadRange(f"need d >= 2, got {d}")
-    if not _is_prime(L):
+    if _prime_factors(L) != [L]:
         raise NotPrime(f"{L} is not prime")
     if L**d - 1 > 2**62:
         raise Overflow(f"L^d = {L}^{d} exceeds the safe integer range")
     f = _find_irreducible(L, d)
     order = L**d - 1
     prime_parts = _prime_factors(order)
-    one = tuple([1] + [0] * (d - 1))
-
-    theta = None
+    one = _digits(1, L, d)
     for code in range(L, L**d):  # skip constants, start at x
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % L)
-            c //= L
-        cand = tuple(coeffs)
-        if all(_poly_pow_mod(cand, order // p, f, L) != one for p in prime_parts):
-            theta = cand
+        theta = _digits(code, L, d)
+        if all(_poly_pow_mod(theta, order // p, f, L) != one for p in prime_parts):
             break
-    if theta is None:
+    else:
         raise NotPrime(f"no primitive element found in GF({L}^{d})")
 
     # walk powers of theta; collect exponents of elements theta + a, a in GF(L)
@@ -548,11 +502,7 @@ def bose_chowla_code(n: int, d: int, q: int, eta_step: int) -> tuple[np.ndarray,
     while reach < L**d:
         reach *= q_prime
         m += 1
-    C = np.zeros((m, n), dtype=np.int64)
-    for j, val in enumerate(integers):
-        for k in range(m):  # little-endian digits
-            C[k, j] = val % q_prime
-            val //= q_prime
+    C = np.column_stack([_digits(val, q_prime, m) for val in integers])
     params = CodeParams.equidistant(q, eta_step, d, d, 0)
     return eta_step * C, params
 

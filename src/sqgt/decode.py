@@ -76,18 +76,6 @@ def decode_disjunct(C, params: CodeParams, z) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in np.nonzero(exceed <= params.e)[0])
 
 
-def _decode_concat_single(spec: ConcatSpec, z: np.ndarray) -> tuple[int, ...]:
-    # d == 1: each block holds one scaled copy; match columns directly
-    C = np.hstack([spec.block_matrix(j + 1) for j in range(spec.blocks)])
-    eta = np.asarray(spec.params.eta, dtype=np.int64)
-    syn = quantize_sums(C, eta)
-    mism = (syn != z[:, None]).sum(axis=0)
-    if not z.any() and spec.e == 0:
-        return ()
-    hits = np.nonzero(mism <= spec.e)[0]
-    return tuple(int(i) + 1 for i in hits[:1])
-
-
 def decode_concat(spec: ConcatSpec, z) -> tuple[int, ...]:
     """Two-step decoder for concatenated scaled-block codes.
 
@@ -101,8 +89,6 @@ def decode_concat(spec: ConcatSpec, z) -> tuple[int, ...]:
     """
     m, nb = spec.base.shape
     z = _check_results(z, m, spec.params.Q)
-    if spec.d == 1:
-        return _decode_concat_single(spec, z)
     eta = np.asarray(spec.params.eta, dtype=np.int64)
     found: list[int] = []
     y = z.copy()

@@ -33,6 +33,8 @@ _METHODS = ("top-d", "threshold")
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep's settings; building one checks every value (ConfigError)."""
+
     n: int
     d: int
     m: int
@@ -45,6 +47,20 @@ class SweepConfig:
     seed: int
     bp_tol: float | None = None
     damping: float = 0.0
+
+    def __post_init__(self):
+        for meth in self.methods:
+            if meth not in _METHODS:
+                raise ConfigError(f"unknown method {meth!r}, choose from {_METHODS}")
+        sizes = (self.n, self.d, self.m, self.eta_step, self.trials, self.iterations)
+        if min(sizes) < 1 or self.d > self.n:
+            raise ConfigError("need n >= d >= 1 and m, eta, trials, iterations >= 1")
+        if min(self.q_values, default=0) < 2:
+            raise ConfigError(f"q: every alphabet size must be >= 2, got {self.q_values}")
+        if not 0.0 <= self.damping < 1.0:
+            raise ConfigError(f"damping must lie in [0, 1), got {self.damping}")
+        if self.bp_tol is not None and not 0.0 < self.bp_tol < math.inf:
+            raise ConfigError(f"bp_tol must be positive and finite, got {self.bp_tol}")
 
 
 @dataclass(frozen=True)
@@ -112,21 +128,10 @@ def parse_config(text: str) -> SweepConfig:
         except ValueError:
             raise ConfigError(f"gammas: bad pair {pair!r}") from None
     methods = tuple(x.strip() for x in values.pop("methods", "top-d,threshold").split(","))
-    for meth in methods:
-        if meth not in _METHODS:
-            raise ConfigError(f"unknown method {meth!r}, choose from {_METHODS}")
     bp_tol = as_float("bp_tol", values.pop("bp_tol")) if "bp_tol" in values else None
     damping = as_float("damping", values.pop("damping", "0"))
     if values:
         raise ConfigError(f"unknown keys {sorted(values)}")
-    if min(n, d, m, eta_step, trials, iterations) < 1 or d > n:
-        raise ConfigError("need n >= d >= 1 and m, eta, trials, iterations >= 1")
-    if min(q_values) < 2:
-        raise ConfigError(f"q: every alphabet size must be >= 2, got {q_values}")
-    if not 0.0 <= damping < 1.0:
-        raise ConfigError(f"damping must lie in [0, 1), got {damping}")
-    if bp_tol is not None and not 0.0 < bp_tol < math.inf:
-        raise ConfigError(f"bp_tol must be positive and finite, got {bp_tol}")
     return SweepConfig(
         n=n, d=d, m=m, eta_step=eta_step, q_values=q_values, gammas=tuple(gammas),
         trials=trials, iterations=iterations, methods=methods, seed=seed,
@@ -191,13 +196,26 @@ def _run_point(cfg: SweepConfig, q: int, gp: float, gn: float) -> list[Simulatio
     return rows
 
 
+def _env_threads() -> int:
+    """SQGT_THREADS as an integer >= 0 (0 when unset); ConfigError otherwise."""
+    raw = os.environ.get("SQGT_THREADS", "0")
+    refusal = f"SQGT_THREADS must be an integer >= 0, got {raw!r}"
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(refusal) from None
+    if threads < 0:
+        raise ConfigError(refusal)
+    return threads
+
+
 def run_simulation(cfg: SweepConfig, threads: int | None = None) -> list[SimulationRow]:
     """Run every sweep point; rows come back in deterministic sweep order
     (q outer, noise pair inner, then selection method) regardless of the
     thread count. Thread cap: argument, else SQGT_THREADS, else cpu count."""
     points = [(q, gp, gn) for q in cfg.q_values for (gp, gn) in cfg.gammas]
     if threads is None:
-        threads = int(os.environ.get("SQGT_THREADS", "0")) or (os.cpu_count() or 1)
+        threads = _env_threads() or (os.cpu_count() or 1)
     threads = max(1, min(threads, len(points)))
     if threads == 1:
         buckets = [_run_point(cfg, *pt) for pt in points]

@@ -76,6 +76,17 @@ class TestConstructVerifyRoundTrip:
         assert run("verify", "--code", bad, "--property", "bin-disjunct", "--d", 1) == 2
         assert "ParseError" in capsys.readouterr().err
 
+    def test_concat_d1_refuses_unexplained_syndrome(self, tmp_path, capsys):
+        out = tmp_path / "code.sqgt"
+        assert run("construct", "--method", "concat-disjunct", "--base", BASE,
+                   "--d", 1, "--q", 7, "--eta", 2, "--out", out) == 0
+        capsys.readouterr()
+        assert run("decode", "--code", out, "--syndrome", "3,0,0,0,3,0,0,0,0",
+                   "--algorithm", "concat", "--d", 1) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("NoConsistentSet: block 3 ")
+
 
 class TestOtherConstructions:
     def test_lindstrom_and_decode(self, tmp_path, capsys):
@@ -262,6 +273,16 @@ class TestSimulateCli:
         monkeypatch.setenv("SQGT_THREADS", "2")
         assert run("simulate", "--config", cfg) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+    def test_bad_threads_env(self, tmp_path, capsys, monkeypatch, value):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(self.CONFIG)
+        monkeypatch.setenv("SQGT_THREADS", value)
+        assert run("simulate", "--config", cfg) == 2
+        assert capsys.readouterr().err.startswith(
+            f"ConfigError: SQGT_THREADS must be an integer >= 0, got {value!r}"
+        )
 
     def test_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

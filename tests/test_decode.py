@@ -147,6 +147,16 @@ class TestDecodeConcat:
             assert decode_concat(spec, y) == (subject,)
         assert decode_concat(spec, np.zeros(9, dtype=int)) == ()
 
+    def test_d1_refuses_a_syndrome_no_subject_explains(self, base_9x12):
+        # no single subject explains this syndrome: block 3's answer does not
+        # re-encode to the block syndrome
+        C, spec = concat_disjunct(base_9x12, d=1, e=0, q=7, eta_step=2)
+        with pytest.raises(NoConsistentSet):
+            decode_concat(spec, [3, 0, 0, 0, 3, 0, 0, 0, 0])
+        ml_params = CodeParams(spec.params.q, spec.params.Q, spec.params.eta, 1, 1, 0)
+        with pytest.raises(NoConsistentSet):
+            decode_ml(C, ml_params, [3, 0, 0, 0, 3, 0, 0, 0, 0])
+
 
     @pytest.mark.parametrize("q,step", [(7, 2), (13, 3), (5, 1)])
     @pytest.mark.parametrize("disjunct_base", [True, False])

@@ -53,6 +53,27 @@ def test_parse_config_errors(broken):
         parse_config(broken)
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"trials": 0}, "need n >= d >= 1"),
+        ({"trials": -1}, "need n >= d >= 1"),
+        ({"d": 13}, "need n >= d >= 1"),
+        ({"methods": ("best",)}, "unknown method 'best'"),
+        ({"q_values": (3, 1)}, "q: every alphabet size must be >= 2, got (3, 1)"),
+        ({"q_values": ()}, "q: every alphabet size must be >= 2, got ()"),
+        ({"damping": 1.0}, "damping must lie in [0, 1)"),
+        ({"bp_tol": float("nan")}, "bp_tol must be positive and finite"),
+    ],
+)
+def test_sweep_config_checks_itself(change, message):
+    # a config built in code gets the checks and messages of parse_config
+    fields = {**vars(parse_config(TINY)), **change}
+    with pytest.raises(ConfigError) as err:
+        SweepConfig(**fields)
+    assert str(err.value).startswith(message)
+
+
 def test_csv_deterministic_and_well_formed():
     cfg = parse_config(TINY)
     a = rows_to_csv(run_simulation(cfg, threads=1))
