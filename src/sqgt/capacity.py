@@ -7,7 +7,7 @@ converse test-count bounds. All entropies are in bits; 0*log(0) is 0.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product
 from math import comb, inf, log2
 
 import numpy as np
@@ -185,17 +185,117 @@ def _compositions(total: int, parts: int):
         yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
 
 
+def _ordered_sums(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """x[:, s:s + width].sum(axis=1) for every s in starts, as a (rows,
+    starts) array added in numpy's own order for a contiguous slice of that
+    width: in sequence from 0.0 below 8 entries, in 8 interleaved partial
+    sums up to 128, and as two halves (a multiple of 8 first) above."""
+    if width > 128:
+        half = width // 2 - width // 2 % 8
+        return _ordered_sums(x, starts, half) + _ordered_sums(x, starts + half, width - half)
+    out = np.zeros((len(x), len(starts)))
+    tail = 0
+    if width >= 8:
+        lanes = x[:, starts[:, None] + np.arange(8)]
+        tail = width - width % 8
+        for j in range(8, tail, 8):
+            lanes += x[:, starts[:, None] + (j + np.arange(8))]
+        lane = lanes.transpose(2, 0, 1)
+        out += ((lane[0] + lane[1]) + (lane[2] + lane[3])) + ((lane[4] + lane[5]) + (lane[6] + lane[7]))
+    for j in range(tail, width):
+        out += x[:, starts + j]
+    return out
+
+
+def _information_table(points, d: int, edges: np.ndarray) -> np.ndarray:
+    """mutual_information(pt, d, i, quant) at split i (axis 0, i = 1..d) for
+    every point (axis 1) and quantizer (axis 2; one row of edges each), bit
+    for bit: the same convolutions, and every sum that mutual_information
+    takes through numpy (region masses, entropy terms) added in the order
+    numpy's reduction would add it."""
+    chains = []
+    for pt in points:
+        pt, chain = np.asarray(pt, dtype=float), [np.array([1.0])]
+        for _ in range(d):
+            chain.append(np.convolve(chain[-1], pt))
+        chains.append(chain)
+    info = np.zeros((d, len(chains), len(edges)))
+    for i in range(1, d + 1):
+        p_open = np.array([chain[i] for chain in chains])
+        p_known = np.array([chain[d - i] for chain in chains])
+        n = p_open.shape[1]
+        # the slice p_open[lo:hi] of every (shift, quantizer, region), coded lo * (n + 1) + hi
+        bounds = np.clip(edges - np.arange(p_known.shape[1])[:, None, None], 0, n)
+        code = bounds[..., :-1] * (n + 1) + bounds[..., 1:]
+        used = np.flatnonzero(np.bincount(code.ravel(), minlength=(n + 1) ** 2))
+        starts, stops = np.divmod(used, n + 1)
+        mass = np.zeros((len(chains), (n + 1) ** 2))
+        for width in np.unique(stops - starts):
+            same = stops - starts == width
+            mass[:, used[same]] = _ordered_sums(p_open, starts[same], int(width))
+        positive = mass > 0
+        terms = np.zeros_like(mass)
+        terms[positive] = mass[positive] * np.log2(mass[positive])
+        # entropy of each (point, shift, quantizer): its positive terms in region order
+        total = np.zeros((len(chains), *code.shape[:2]))
+        for r in range(code.shape[2]):
+            total += terms[:, code[..., r]]
+        if code.shape[2] >= 8:
+            count = positive[:, code].sum(axis=3)
+            for c in np.unique(count[count >= 8]):
+                p, b, k = np.nonzero(count == c)
+                cells = code[b, k]
+                compact = terms[p[:, None], cells][positive[p[:, None], cells]].reshape(len(p), c)
+                total[p, b, k] = _ordered_sums(compact, np.array([0]), int(c))[:, 0]
+        entropy = -total
+        for b in range(p_known.shape[1]):
+            pb = p_known[:, b, None]
+            info[i - 1] = np.where(pb > 0, info[i - 1] + pb * entropy[:, b], info[i - 1])
+    return info
+
+
+def _objective_table(points, d: int, edges: np.ndarray) -> np.ndarray:
+    """rate_objective(pt, d, quant) for every point (row) and quantizer
+    (column; one row of edges each), bit for bit: the first minimum over
+    splits of _information_table / i."""
+    info = _information_table(points, d, edges)
+    objective = info[0]
+    for i in range(2, d + 1):
+        rate = info[i - 1] / i
+        objective = np.where(rate < objective, rate, objective)
+    return objective
+
+
+_CELLS = 1 << 20
+
+
 def _scan(best, points, scale: int, d: int, quantizers):
     """First strict maximum of the rate objective over (point, quantizer)
     pairs in row-major order, starting from best; each point is integer
     weights over scale. best and the result are (bits, quantizer,
-    distribution, weights)."""
-    for weights in points:
-        pt = tuple(w / scale for w in weights)
-        for quant in quantizers:
-            v = rate_objective(pt, d, quant)
-            if v > best[0]:
-                best = (v, quant, pt, weights)
+    distribution, weights).
+
+    The pairs go to _objective_table in blocks of about _CELLS floats
+    (points x quantizers x shifts x regions, plus each point's slice
+    masses): whole points while they fit, else one point's quantizers in
+    slices. np.argmax is the first maximum of a block, kept only if it
+    beats the best of the blocks before it.
+    """
+    top, Q = quantizers[0].top, quantizers[0].Q
+    per_quant = (top // d * (d - 1) + 1) * Q
+    per_point = per_quant * len(quantizers) + (top + 2) ** 2
+    n_points = max(1, _CELLS // per_point)
+    n_quants = len(quantizers) if n_points > 1 else max(1, _CELLS // per_quant)
+    edges = np.array([quant.edges for quant in quantizers])
+    points = iter(points)
+    while block := list(islice(points, n_points)):
+        pts = [tuple(w / scale for w in weights) for weights in block]
+        for k0 in range(0, len(quantizers), n_quants):
+            table = _objective_table(pts, d, edges[k0:k0 + n_quants])
+            at = int(np.argmax(table))
+            if table.flat[at] > best[0]:
+                p, k = divmod(at, table.shape[1])
+                best = (table.flat[at], quantizers[k0 + k], pts[p], block[p])
     return best
 
 

@@ -14,7 +14,6 @@ so all three coincide exactly.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,6 +219,8 @@ def run_simulation(cfg: SweepConfig, threads: int | None = None) -> list[Simulat
     if threads == 1:
         buckets = [_run_point(cfg, *pt) for pt in points]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only here: it pulls in logging
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             buckets = list(pool.map(lambda pt: _run_point(cfg, *pt), points))
     return [row for bucket in buckets for row in bucket]

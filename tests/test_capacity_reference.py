@@ -1,10 +1,11 @@
 """capacity_search against the two hand-written scans it replaced: the same
 distribution, quantizer and bits, or the same error class with the same
-message, after the same number of rate_objective calls.
+message, after evaluating the same number of (distribution, quantizer)
+pairs: the (point, quantizer) cells of _objective_table's tables against
+the reference's rate_objective calls.
 
-Both searches call rate_objective with the same arguments, so its values
-are computed once per (distribution, d, quantizer) and shared; each call
-is still counted.
+The reference's rate_objective values are computed once per (distribution,
+d, quantizer) and shared between cases; each call is still counted.
 """
 
 from itertools import product
@@ -13,7 +14,7 @@ import pytest
 
 import capacity_reference
 import sqgt.capacity
-from sqgt.capacity import _compositions, capacity_search, rate_objective
+from sqgt.capacity import _compositions, _objective_table, capacity_search, rate_objective
 
 from capacity_reference import reference_capacity_search
 
@@ -23,24 +24,32 @@ _VALUES = {}
 
 
 def _outcome(search, module, monkeypatch, d, q, Q, step, refine, budget):
-    """(result or error, rate_objective calls), counted through the module
-    global the search looks up."""
-    calls = []
+    """(result or error, pairs evaluated), counted through the module global
+    the search looks up: _objective_table in sqgt.capacity, rate_objective
+    in the reference."""
+    evaluated = [0]
 
-    def counted(*args):
-        calls.append(args)
+    def counted_table(points, d, edges):
+        evaluated[0] += len(points) * len(edges)
+        return _objective_table(points, d, edges)
+
+    def counted_objective(*args):
+        evaluated[0] += 1
         if args not in _VALUES:
             _VALUES[args] = rate_objective(*args)
         return _VALUES[args]
 
     with monkeypatch.context() as patch:
-        patch.setattr(module, "rate_objective", counted)
+        if module is sqgt.capacity:
+            patch.setattr(module, "_objective_table", counted_table)
+        else:
+            patch.setattr(module, "rate_objective", counted_objective)
         try:
             pt, quant, bits = search(d, q, Q, grid_step=step, budget=budget, refine=refine)
             result = pt, str(quant), bits
         except Exception as exc:  # the error class and message are the outcome
             result = type(exc).__name__, str(exc)
-    return result, len(calls)
+    return result, evaluated[0]
 
 
 @pytest.mark.parametrize("case", GRID, ids=lambda case: "-".join(map(str, case)))

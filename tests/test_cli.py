@@ -1,5 +1,7 @@
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -296,3 +298,12 @@ def test_capacity_cli(capsys):
                "--no-refine") == 0
     out = capsys.readouterr().out
     assert "alpha" in out and "quantizer" in out
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # only simulate with threads > 1 needs concurrent.futures, and with it logging
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    probe = "import sys, sqgt.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
