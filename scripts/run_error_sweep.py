@@ -22,7 +22,8 @@ def main() -> int:
     ap.add_argument("--outdir", default="results")
     ap.add_argument("--seeds", type=int, nargs="+", default=[101])
     ap.add_argument("--trials", type=int, default=400)
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=int, default=None,
+                    help="worker cap; the output bytes do not depend on it")
     ap.add_argument("--damping", type=float, default=0.5)
     args = ap.parse_args()
 

@@ -232,7 +232,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="run an error-rate sweep to CSV")
     s.add_argument("--config", required=True)
     s.add_argument("--out")
-    s.add_argument("--threads", type=int)
+    s.add_argument("--threads", type=int,
+                   help="worker cap (default SQGT_THREADS, else the cpu count); more than "
+                        "one runs sweep points in forked processes, all reaped before exit")
     s.set_defaults(func=_cmd_simulate)
 
     k = sub.add_parser("capacity", help="search input distributions and quantizers")

@@ -21,7 +21,7 @@ only guarantee the claimed property asymptotically.
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import ceil, comb, inf, log
+from math import ceil, comb, inf, isfinite, log
 
 import numpy as np
 
@@ -151,11 +151,19 @@ def row_success_prob(d: int, levels: int, p0: float) -> float:
     if not 0.0 < p0 < 1.0:
         raise BadDistribution(f"p0 must lie in (0, 1), got {p0}")
     head = (1 - p0) * p0**d
-    tail = sum(
-        comb(d, k) * (p0 * levels / (1 - p0)) ** k * comb(levels, d - k + 1)
-        for k in range(d)
-    )
-    return head + (1 - p0) ** (d + 1) * levels ** -(d + 1) * tail
+    # comb(levels, d - k + 1) is 0 below k = d + 1 - levels, where the power
+    # alone could overflow; skipping those zero terms leaves the sum's bits
+    try:
+        tail = sum(
+            comb(d, k) * (p0 * levels / (1 - p0)) ** k * comb(levels, d - k + 1)
+            for k in range(max(0, d + 1 - levels), d)
+        )
+        prob = head + (1 - p0) ** (d + 1) * levels ** -(d + 1) * tail
+    except OverflowError:
+        prob = inf
+    if not isfinite(prob):
+        raise Overflow(f"row success probability overflows at d={d}, levels={levels}, p0={p0}")
+    return prob
 
 
 def optimize_p0(d: int, levels: int, step: float = 1e-3) -> tuple[float, float]:
@@ -234,8 +242,8 @@ def random_disjunct(
         raise BadDistribution(
             f"p0 + levels*p1 must equal 1, got {p0} + {levels}*{p1}"
         )
-    pi = row_success_prob(d, levels, p0)
     if m is None:
+        pi = row_success_prob(d, levels, p0)
         if e > 0:
             rows = (2 * (d + 1) / pi + delta) * log(n / d) + 4 * e / pi
         else:

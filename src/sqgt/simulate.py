@@ -4,7 +4,8 @@ A sweep point is one (q, noise) pair: it builds a code from a seed derived
 from (master seed, point index), plants a uniform defective subset per
 trial, encodes, adds noise, BP-decodes the whole batch of trials at once,
 and tallies subject-level error rates for both selection rules. Identical
-config and seed give byte-identical CSV output regardless of thread count.
+config and seed give byte-identical CSV output however many worker
+processes run the points.
 
 Rate conventions per trial, with D the planted set and Dhat the decoded
 one: P_FN = |D \\ Dhat| / d, P_FP = |Dhat \\ D| / max(|Dhat|, 1), and
@@ -15,6 +16,7 @@ so all three coincide exactly.
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -211,18 +213,31 @@ def _env_threads() -> int:
 def run_simulation(cfg: SweepConfig, threads: int | None = None) -> list[SimulationRow]:
     """Run every sweep point; rows come back in deterministic sweep order
     (q outer, noise pair inner, then selection method) regardless of the
-    thread count. Thread cap: argument, else SQGT_THREADS, else cpu count."""
+    worker count. Worker cap: argument, else SQGT_THREADS, else cpu count.
+    One worker runs in process; more run as forked processes, all joined
+    before the call returns. Without fork (Windows) every point runs in
+    process."""
     points = [(q, gp, gn) for q in cfg.q_values for (gp, gn) in cfg.gammas]
     if threads is None:
         threads = _env_threads() or (os.cpu_count() or 1)
     threads = max(1, min(threads, len(points)))
+    if threads > 1:
+        import multiprocessing  # only here, like the pool: they load socket and logging
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            threads = 1
     if threads == 1:
         buckets = [_run_point(cfg, *pt) for pt in points]
     else:
-        from concurrent.futures import ThreadPoolExecutor  # only here: it pulls in logging
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            buckets = list(pool.map(lambda pt: _run_point(cfg, *pt), points))
+        # fork, not forkserver or spawn: those leave a fork server or a
+        # resource tracker running after the pool has closed. A fork pool
+        # starts every worker before its manager thread, so none of the
+        # pool's threads exists yet when the workers fork.
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as pool:
+            buckets = list(pool.map(partial(_run_point, cfg), *zip(*points)))
     return [row for bucket in buckets for row in bucket]
 
 

@@ -292,6 +292,27 @@ class TestSimulateCli:
         assert run("simulate", "--config", cfg) == 2
         assert "ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_point_error_is_typed_at_any_worker_count(self, tmp_path, capsys, threads):
+        # the code build of each point refuses d = n; a worker process hands
+        # the same typed error back as the in-process path
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n=3\nd=3\nm=2\neta=1\nq=2,5\ntrials=2\niterations=2\nseed=1\n")
+        assert run("simulate", "--config", cfg, "--threads", threads) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "BadRange: need n > d >= 1, got n=3, d=3\n"
+
+
+def test_construct_overflow_is_typed(tmp_path, capsys):
+    out = tmp_path / "code.sqgt"
+    assert run("construct", "--method", "random-disjunct", "--n", 400, "--d", 200,
+               "--q", 201, "--eta", 1, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(
+        "Overflow: row success probability overflows at d=200, levels=200"
+    )
+    assert not out.exists()
+
 
 def test_capacity_cli(capsys):
     assert run("capacity", "--d", 2, "--q", 3, "--Q", 3, "--grid-step", 0.1,
@@ -301,9 +322,11 @@ def test_capacity_cli(capsys):
 
 
 def test_import_leaves_the_thread_pool_unloaded():
-    # only simulate with threads > 1 needs concurrent.futures, and with it logging
+    # only simulate with threads > 1 needs the process pool, multiprocessing
+    # and logging
     src = str(pathlib.Path(__file__).parent.parent / "src")
-    probe = "import sys, sqgt.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    pool = "{'concurrent.futures', 'logging', 'multiprocessing'}"
+    probe = f"import sys, sqgt.cli; print(sorted({pool} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

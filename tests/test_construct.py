@@ -118,6 +118,33 @@ class TestRowSuccessProb:
             assert 0 < p0 < 1
             assert val >= row_success_prob(d, levels, d / (d + 1)) - 1e-12
 
+    def test_skips_only_zero_terms(self):
+        # the sum starts at k = d + 1 - levels, below which every term is
+        # 0; the result keeps the bits of the full sum over k < d
+        def full_sum(d, levels, p0):
+            head = (1 - p0) * p0**d
+            tail = sum(
+                comb(d, k) * (p0 * levels / (1 - p0)) ** k * comb(levels, d - k + 1)
+                for k in range(d)
+            )
+            return head + (1 - p0) ** (d + 1) * levels ** -(d + 1) * tail
+
+        for d in range(1, 30):
+            for levels in range(1, 9):
+                for p0 in (0.05, 0.5, 0.77, d / (d + 1), 0.99):
+                    expected = full_sum(d, levels, p0).hex()
+                    assert row_success_prob(d, levels, p0).hex() == expected, (d, levels, p0)
+
+    def test_large_d_few_levels_is_finite(self):
+        # the full sum raised OverflowError here, on terms that are all 0
+        head = (1 / 201) * (200 / 201) ** 200
+        assert row_success_prob(200, 1, 200 / 201) == pytest.approx(head, rel=1e-12)
+
+    @pytest.mark.parametrize("d,levels,p0", [(200, 200, 200 / 201), (2000, 3, 0.5)])
+    def test_overflow_is_typed(self, d, levels, p0):
+        with pytest.raises(Overflow, match="row success probability overflows"):
+            row_success_prob(d, levels, p0)
+
     def test_large_d_limit(self):
         for levels in (2, 3, 4):
             finite = ratio_vs_single_level(200, levels)
@@ -140,6 +167,14 @@ class TestRandomDisjunct:
     def test_bad_distribution(self):
         with pytest.raises(BadDistribution):
             random_disjunct(16, 2, 2, 1, p0=0.5, p1=0.5, seed=0)
+
+    def test_explicit_m_skips_the_row_formula(self):
+        # only the formula row count reads the success probability, which
+        # overflows at these parameters
+        with pytest.raises(Overflow):
+            random_disjunct(400, 200, 200, 1, seed=0)
+        C, params = random_disjunct(400, 200, 200, 1, seed=0, m=3)
+        assert C.shape == (3, 400) and params.q == 201
 
     @pytest.mark.parametrize("rows", [
         {"m": -3}, {"m": 0}, {"m_multiplier": -1.0}, {"m_multiplier": 0.0},

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +108,35 @@ def test_csv_matches_golden_bytes(threads):
     # bits that flips a selection shows here
     golden = (pathlib.Path(__file__).parent / "data" / "sweep_golden.csv").read_text()
     assert rows_to_csv(run_simulation(parse_config(GOLDEN), threads=threads)) == golden
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked only where fork exists")
+def test_no_process_outlives_run_simulation():
+    # a fresh interpreter, so that no earlier pool's helpers count: after a
+    # two-worker sweep the process has no child left, running or unreaped
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    probe = (
+        "import os\n"
+        "from sqgt.simulate import parse_config, run_simulation\n"
+        f"rows = run_simulation(parse_config({TINY!r}), threads=2)\n"
+        "assert len(rows) == 8\n"
+        "try:\n"
+        "    print(os.waitpid(-1, os.WNOHANG))\n"
+        "except ChildProcessError:\n"
+        "    print('no children')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "no children\n"
+
+
+def test_small_rows_with_large_d():
+    # the row-count formula overflowed here although the sweep fixes m
+    cfg = parse_config("n=400\nd=200\nm=3\neta=1\nq=2\ntrials=2\niterations=2\nseed=1\n")
+    rows = run_simulation(cfg, threads=1)
+    assert [row.method for row in rows] == ["top-d", "threshold"]
+    assert all(row.m == 3 and row.d == 200 for row in rows)
 
 
 def test_topd_rows_have_equal_rates():
