@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Tabulate capacity lower bounds for ternary inputs and a 3-level output.
+"""Tabulate capacity lower bounds for q-ary inputs and a Q-level output
+(ternary and 3-level by default).
 
 For each defective count d, grid-searches the input distribution and all
-contiguous 3-region quantizers of the sum range and prints the best rate
+contiguous Q-region quantizers of the sum range and prints the best rate
 objective in bits, the maximizing distribution, and its quantizer.
 
     python scripts/capacity_table.py --dmax 6 --grid-step 0.01
+    python scripts/capacity_table.py --q 4 --Q 4 --dmax 4 --grid-step 0.05
 """
 
 import argparse

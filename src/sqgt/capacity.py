@@ -1,9 +1,11 @@
 """Mutual-information machinery for the quantized-adder testing channel.
 
 Computes output distributions of the noiseless channel by convolution,
-the per-split mutual informations and their minimum-rate objective, grid
-search over input distributions and quantizers, and the achievability and
-converse test-count bounds. All entropies are in bits; 0*log(0) is 0.
+the per-split mutual informations, the rate objective (the entropy of the
+quantized d-fold sum over d, which is the minimum over splits of the
+per-split rate), grid search over input distributions and quantizers of at
+least two regions, and the achievability and converse test-count bounds,
+which use every split. All entropies are in bits; 0*log(0) is 0.
 """
 
 from dataclasses import dataclass
@@ -169,13 +171,17 @@ def mutual_information_bruteforce(pt, d: int, i: int, quant: Quantizer) -> float
 
 
 def rate_objective(pt, d: int, quant: Quantizer) -> float:
-    """Minimum over split sizes i of mutual_information / i.
+    """Per-defective information rate mutual_information(pt, d, d, quant) / d,
+    the entropy of the quantized d-fold sum over d; its supremum over
+    (pt, quantizer) is the channel capacity.
 
-    By the chain inequality the minimum sits at i = d, but every split is
-    evaluated anyway; the value is the per-defective information rate whose
-    supremum over (pt, quantizer) is the channel capacity.
+    The paper's objective is the minimum over split sizes i of
+    mutual_information / i. With independent inputs the increments of
+    I_i = mutual_information(pt, d, i, quant) do not decrease in i (the
+    chain rule and Han's inequality), so I_i / i does not increase and the
+    minimum sits at i = d.
     """
-    return min(mutual_information(pt, d, i, quant) / i for i in range(1, d + 1))
+    return mutual_information(pt, d, d, quant) / d
 
 
 def _compositions(total: int, parts: int):
@@ -207,63 +213,45 @@ def _ordered_sums(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _information_table(points, d: int, edges: np.ndarray) -> np.ndarray:
-    """mutual_information(pt, d, i, quant) at split i (axis 0, i = 1..d) for
-    every point (axis 1) and quantizer (axis 2; one row of edges each), bit
-    for bit: the same convolutions, and every sum that mutual_information
-    takes through numpy (region masses, entropy terms) added in the order
-    numpy's reduction would add it."""
-    chains = []
-    for pt in points:
-        pt, chain = np.asarray(pt, dtype=float), [np.array([1.0])]
-        for _ in range(d):
-            chain.append(np.convolve(chain[-1], pt))
-        chains.append(chain)
-    info = np.zeros((d, len(chains), len(edges)))
-    for i in range(1, d + 1):
-        p_open = np.array([chain[i] for chain in chains])
-        p_known = np.array([chain[d - i] for chain in chains])
-        n = p_open.shape[1]
-        # the slice p_open[lo:hi] of every (shift, quantizer, region), coded lo * (n + 1) + hi
-        bounds = np.clip(edges - np.arange(p_known.shape[1])[:, None, None], 0, n)
-        code = bounds[..., :-1] * (n + 1) + bounds[..., 1:]
-        used = np.flatnonzero(np.bincount(code.ravel(), minlength=(n + 1) ** 2))
-        starts, stops = np.divmod(used, n + 1)
-        mass = np.zeros((len(chains), (n + 1) ** 2))
-        for width in np.unique(stops - starts):
-            same = stops - starts == width
-            mass[:, used[same]] = _ordered_sums(p_open, starts[same], int(width))
-        positive = mass > 0
-        terms = np.zeros_like(mass)
-        terms[positive] = mass[positive] * np.log2(mass[positive])
-        # entropy of each (point, shift, quantizer): its positive terms in region order
-        total = np.zeros((len(chains), *code.shape[:2]))
-        for r in range(code.shape[2]):
-            total += terms[:, code[..., r]]
-        if code.shape[2] >= 8:
-            count = positive[:, code].sum(axis=3)
-            for c in np.unique(count[count >= 8]):
-                p, b, k = np.nonzero(count == c)
-                cells = code[b, k]
-                compact = terms[p[:, None], cells][positive[p[:, None], cells]].reshape(len(p), c)
-                total[p, b, k] = _ordered_sums(compact, np.array([0]), int(c))[:, 0]
-        entropy = -total
-        for b in range(p_known.shape[1]):
-            pb = p_known[:, b, None]
-            info[i - 1] = np.where(pb > 0, info[i - 1] + pb * entropy[:, b], info[i - 1])
-    return info
-
-
 def _objective_table(points, d: int, edges: np.ndarray) -> np.ndarray:
     """rate_objective(pt, d, quant) for every point (row) and quantizer
-    (column; one row of edges each), bit for bit: the first minimum over
-    splits of _information_table / i."""
-    info = _information_table(points, d, edges)
-    objective = info[0]
-    for i in range(2, d + 1):
-        rate = info[i - 1] / i
-        objective = np.where(rate < objective, rate, objective)
-    return objective
+    (column; one row of edges each), bit for bit: the same d-fold
+    convolution, and every sum that mutual_information takes through numpy
+    (region masses, entropy terms) added in the order numpy's reduction
+    would add it."""
+    sums = []
+    for pt in points:
+        pt, s = np.asarray(pt, dtype=float), np.array([1.0])
+        for _ in range(d):
+            s = np.convolve(s, pt)
+        sums.append(s)
+    sums = np.array(sums)
+    n = sums.shape[1]
+    # the slice sums[:, lo:hi] of every (quantizer, region), coded lo * (n + 1) + hi
+    code = edges[:, :-1] * (n + 1) + edges[:, 1:]
+    used = np.flatnonzero(np.bincount(code.ravel(), minlength=(n + 1) ** 2))
+    starts, stops = np.divmod(used, n + 1)
+    mass = np.zeros((len(sums), (n + 1) ** 2))
+    for width in np.unique(stops - starts):
+        same = stops - starts == width
+        mass[:, used[same]] = _ordered_sums(sums, starts[same], int(width))
+    positive = mass > 0
+    terms = np.zeros_like(mass)
+    terms[positive] = mass[positive] * np.log2(mass[positive])
+    # entropy of each (point, quantizer): its positive terms in region order
+    total = np.zeros((len(sums), len(code)))
+    for r in range(code.shape[1]):
+        total += terms[:, code[:, r]]
+    if code.shape[1] >= 8:
+        count = positive[:, code].sum(axis=2)
+        for c in np.unique(count[count >= 8]):
+            p, k = np.nonzero(count == c)
+            cells = code[k]
+            compact = terms[p[:, None], cells][positive[p[:, None], cells]].reshape(len(p), c)
+            total[p, k] = _ordered_sums(compact, np.array([0]), int(c))[:, 0]
+    # mutual_information's 0.0 + 1.0 * entropy at the full split (a zero
+    # entropy comes out +0.0), over d
+    return (0.0 - total) / d
 
 
 _CELLS = 1 << 20
@@ -276,16 +264,15 @@ def _scan(best, points, scale: int, d: int, quantizers):
     distribution, weights).
 
     The pairs go to _objective_table in blocks of about _CELLS floats
-    (points x quantizers x shifts x regions, plus each point's slice
-    masses): whole points while they fit, else one point's quantizers in
-    slices. np.argmax is the first maximum of a block, kept only if it
-    beats the best of the blocks before it.
+    (points x quantizers x regions, plus each point's slice masses):
+    whole points while they fit, else one point's quantizers in slices.
+    np.argmax is the first maximum of a block, kept only if it beats the
+    best of the blocks before it.
     """
     top, Q = quantizers[0].top, quantizers[0].Q
-    per_quant = (top // d * (d - 1) + 1) * Q
-    per_point = per_quant * len(quantizers) + (top + 2) ** 2
+    per_point = Q * len(quantizers) + (top + 2) ** 2
     n_points = max(1, _CELLS // per_point)
-    n_quants = len(quantizers) if n_points > 1 else max(1, _CELLS // per_quant)
+    n_quants = len(quantizers) if n_points > 1 else max(1, _CELLS // Q)
     edges = np.array([quant.edges for quant in quantizers])
     points = iter(points)
     while block := list(islice(points, n_points)):
@@ -316,10 +303,11 @@ def capacity_search(
     refine points around the best grid point (offsets -10..10 at a ten
     times finer step, lexicographic), with the quantizers of each point in
     boundary order. The budget bounds the objective evaluations: every
-    quantizer at every grid and refine point.
+    quantizer at every grid and refine point. Q must be at least 2: a
+    one-region quantizer carries no information.
     """
-    if d < 1 or q < 2 or Q < 1:
-        raise BadRange(f"need d >= 1, q >= 2, Q >= 1, got {d}, {q}, {Q}")
+    if d < 1 or q < 2 or Q < 2:
+        raise BadRange(f"need d >= 1, q >= 2, Q >= 2, got {d}, {q}, {Q}")
     top = (q - 1) * d
     if Q > top + 1:
         raise BadPartition(f"cannot split 0..{top} into {Q} nonempty regions")

@@ -54,8 +54,8 @@ class SweepConfig:
             if meth not in _METHODS:
                 raise ConfigError(f"unknown method {meth!r}, choose from {_METHODS}")
         sizes = (self.n, self.d, self.m, self.eta_step, self.trials, self.iterations)
-        if min(sizes) < 1 or self.d > self.n:
-            raise ConfigError("need n >= d >= 1 and m, eta, trials, iterations >= 1")
+        if min(sizes) < 1 or self.d >= self.n:
+            raise ConfigError("need n > d >= 1 and m, eta, trials, iterations >= 1")
         if min(self.q_values, default=0) < 2:
             raise ConfigError(f"q: every alphabet size must be >= 2, got {self.q_values}")
         if not 0.0 <= self.damping < 1.0:

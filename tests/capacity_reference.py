@@ -1,16 +1,28 @@
 """The capacity grid search as it stood before the grid and refine points
-went through one scan.
+went through one scan, on the rate objective as it stood before it was
+evaluated at the full split only: the minimum over every split.
 
-Kept verbatim, for tests only: capacity_search must return the same
-distribution, quantizer and bits, or raise the same error class with the
-same message, after the same number of rate_objective calls.
+Kept verbatim, for tests only, except that the search now refuses a
+one-region quantizer (Q < 2) as capacity_search does: capacity_search must
+return the same distribution, quantizer and bits, or raise the same error
+class with the same message, after the same number of rate_objective calls.
 """
 
 from itertools import combinations, product
 from math import comb, inf
 
-from sqgt.capacity import Quantizer, rate_objective
+from sqgt.capacity import Quantizer, mutual_information
 from sqgt.errors import BadPartition, BadRange, BudgetExceeded
+
+
+def rate_objective(pt, d: int, quant: Quantizer) -> float:
+    """Minimum over split sizes i of mutual_information / i.
+
+    By the chain inequality the minimum sits at i = d, but every split is
+    evaluated anyway; the value is the per-defective information rate whose
+    supremum over (pt, quantizer) is the channel capacity.
+    """
+    return min(mutual_information(pt, d, i, quant) / i for i in range(1, d + 1))
 
 
 def _simplex_grid(q: int, resolution: int):
@@ -43,8 +55,8 @@ def reference_capacity_search(
     the objective evaluations: every quantizer at every grid point and,
     with refine, at the 21^(q-1) refine points around the best one.
     """
-    if d < 1 or q < 2 or Q < 1:
-        raise BadRange(f"need d >= 1, q >= 2, Q >= 1, got {d}, {q}, {Q}")
+    if d < 1 or q < 2 or Q < 2:
+        raise BadRange(f"need d >= 1, q >= 2, Q >= 2, got {d}, {q}, {Q}")
     top = (q - 1) * d
     if Q > top + 1:
         raise BadPartition(f"cannot split 0..{top} into {Q} nonempty regions")

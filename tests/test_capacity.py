@@ -136,13 +136,16 @@ class TestCapacitySearch:
         )
         assert best == pytest.approx(direct, abs=1e-12)
 
-    def test_single_region_zero(self):
-        _, _, best = capacity_search(2, 3, 1, grid_step=0.25, refine=False)
-        assert best == 0.0
+    @pytest.mark.parametrize("Q", [1, 0, -1])
+    def test_single_region_refused(self, Q):
+        # one region carries no information; its computed objective would be
+        # rounding noise
+        with pytest.raises(BadRange, match=f"Q >= 2, got 2, 3, {Q}"):
+            capacity_search(2, 3, Q, grid_step=0.25, refine=False)
 
     def test_monotone_in_regions(self):
         values = [
-            capacity_search(2, 3, Q, grid_step=0.1, refine=False)[2] for Q in (1, 2, 3, 4)
+            capacity_search(2, 3, Q, grid_step=0.1, refine=False)[2] for Q in (2, 3, 4)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -165,6 +168,24 @@ class TestCapacitySearch:
         capacity_search(2, 3, 3, grid_step=0.1, budget=1000, refine=False)
         with pytest.raises(BudgetExceeded):
             capacity_search(2, 3, 3, grid_step=0.1, budget=1000)
+
+
+class TestAnalyticAnchors:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 10])
+    def test_binary_output_gives_one_bit_per_test(self, d):
+        # two regions: at most one bit per test, shared by d defectives
+        _, _, bits = capacity_search(d, 2, 2, grid_step=0.01)
+        assert abs(bits - 1 / d) < 1e-6
+
+    @pytest.mark.parametrize("d, rounded", [(1, 1.0), (2, 0.75), (3, 0.603759), (4, 0.507660)])
+    def test_binary_adder_gives_binomial_entropy(self, d, rounded):
+        # every sum its own region: the uniform input maximizes the entropy
+        # of Bin(d, 1/2) (Shepp & Olkin)
+        pt, quant, bits = capacity_search(d, 2, d + 1, grid_step=0.01)
+        entropy = -sum(comb(d, k) / 2**d * log2(comb(d, k) / 2**d) for k in range(d + 1))
+        assert pt == (0.5, 0.5) and quant == Quantizer.identity(d)
+        assert abs(bits - entropy / d) < 1e-12
+        assert abs(bits - rounded) < 1e-6
 
 
 class TestBounds:

@@ -2,7 +2,9 @@
 distribution, quantizer and bits, or the same error class with the same
 message, after evaluating the same number of (distribution, quantizer)
 pairs: the (point, quantizer) cells of _objective_table's tables against
-the reference's rate_objective calls.
+the reference's rate_objective calls. The reference's rate_objective is the
+minimum over every split, so every result also pins the full-split
+objective against it; Q = 1 pins the refusal of a one-region quantizer.
 
 The reference's rate_objective values are computed once per (distribution,
 d, quantizer) and shared between cases; each call is still counted.
@@ -14,12 +16,12 @@ import pytest
 
 import capacity_reference
 import sqgt.capacity
-from sqgt.capacity import _compositions, _objective_table, capacity_search, rate_objective
+from sqgt.capacity import _compositions, _objective_table, capacity_search
 
-from capacity_reference import reference_capacity_search
+from capacity_reference import reference_capacity_search, rate_objective
 
 BUDGETS = (10_000_000, 200)
-GRID = list(product((1, 2, 3), (2, 3), (1, 2, 3), (1.5, 1.0, 0.5, 0.25, 0.2), (True, False), BUDGETS))
+GRID = list(product((1, 2, 3), (2, 3), (1, 2, 3, 4), (1.5, 1.0, 0.5, 0.25, 0.2), (True, False), BUDGETS))
 _VALUES = {}
 
 
@@ -63,11 +65,9 @@ def test_grid_covers_the_edge_cases(monkeypatch):
     outcomes = {case: _outcome(capacity_search, sqgt.capacity, monkeypatch, *case)[0]
                 for case in GRID}
     kinds = {o[0] for o in outcomes.values() if isinstance(o[0], str)}
-    assert kinds == {"BudgetExceeded", "BadPartition"}
-    # q = 2, Q = 1: every pair ties at 0 bits, so the first grid point wins
-    ties = [o for (_, q, Q, *_), o in outcomes.items()
-            if q == 2 and Q == 1 and not isinstance(o[0], str)]
-    assert ties and all(o[0] == (0.0, 1.0) and o[2] == 0.0 for o in ties)
+    assert kinds == {"BudgetExceeded", "BadPartition", "BadRange"}
+    # Q = 1 is refused, whatever the other arguments
+    assert all(o[0] == "BadRange" for (_, _, Q, *_), o in outcomes.items() if Q == 1)
     # a refine point beats the best grid point
     assert any(
         not isinstance(o[0], str) and o[2] > outcomes[(*case[:4], False, case[5])][2]

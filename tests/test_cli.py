@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+import sqgt.simulate as sim
 from sqgt.cli import main
+from sqgt.errors import BadRange
 from sqgt.fileio import CSV_HEADER, read_matrix, write_matrix
 
 from conftest import GOLDEN_9x24
@@ -293,15 +295,24 @@ class TestSimulateCli:
         assert "ConfigError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_point_error_is_typed_at_any_worker_count(self, tmp_path, capsys, threads):
-        # the code build of each point refuses d = n; a worker process hands
-        # the same typed error back as the in-process path
+    def test_point_error_is_typed_at_any_worker_count(self, tmp_path, capsys, monkeypatch, threads):
+        # the code build of the q = 5 points fails; a worker process (forked,
+        # so it inherits the patch) hands the same typed error back as the
+        # in-process path
+        build = sim._build_code
+
+        def failing_build(cfg, q):
+            if q == 5:
+                raise BadRange(f"no code at q={q}")
+            return build(cfg, q)
+
+        monkeypatch.setattr(sim, "_build_code", failing_build)
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("n=3\nd=3\nm=2\neta=1\nq=2,5\ntrials=2\niterations=2\nseed=1\n")
+        cfg.write_text("n=6\nd=2\nm=4\neta=1\nq=2,5\ntrials=2\niterations=2\nseed=1\n")
         assert run("simulate", "--config", cfg, "--threads", threads) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "BadRange: need n > d >= 1, got n=3, d=3\n"
+        assert captured.err == "BadRange: no code at q=5\n"
 
 
 def test_construct_overflow_is_typed(tmp_path, capsys):
@@ -319,6 +330,13 @@ def test_capacity_cli(capsys):
                "--no-refine") == 0
     out = capsys.readouterr().out
     assert "alpha" in out and "quantizer" in out
+
+
+def test_capacity_cli_refuses_one_region(capsys):
+    assert run("capacity", "--d", 2, "--q", 3, "--Q", 1) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "BadRange: need d >= 1, q >= 2, Q >= 2, got 2, 3, 1\n"
 
 
 def test_import_leaves_the_thread_pool_unloaded():

@@ -1,11 +1,11 @@
 """The array evaluator behind capacity_search against the scalar path.
 
-Every cell of _information_table must equal mutual_information, and every
-cell of _objective_table rate_objective, bit for bit; and
+Every cell of _objective_table must equal rate_objective bit for bit; and
 _scan, which reads the table block by block, must keep the same first
 strict maximum as a scan calling rate_objective pair by pair. The search
-must also stay within its block cap in memory, and the README's capacity
-table must print the same bytes as before the array evaluator.
+must also stay within its block cap in memory, and the capacity tables
+must print the same bytes as before the array evaluator and the full-split
+objective.
 """
 
 import runpy
@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import sqgt.capacity
-from sqgt.capacity import (Quantizer, _compositions, _information_table, _objective_table, _scan,
-                           capacity_search, mutual_information, rate_objective)
+from sqgt.capacity import (Quantizer, _compositions, _objective_table, _scan, capacity_search,
+                           rate_objective)
 from sqgt.rng import make_rng
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,16 +51,10 @@ def test_every_cell_equals_the_scalar_path(shape):
     if len(quants) > MAX_QUANTIZERS:
         keep = sorted(rng.choice(len(quants), MAX_QUANTIZERS, replace=False).tolist())
         quants = [quants[k] for k in keep]
-    # the grid holds points with zero entries, so some shifts have pb == 0
+    # the grid holds points with zero entries, so some sums have mass 0
     points = [tuple(w / resolution for w in c) for c in _compositions(resolution, q)]
     points += [tuple(rng.dirichlet(np.full(q, a))) for a in (0.2, 0.5, 1.0, 2.0, 5.0)]
     assert any(0.0 in pt for pt in points)
-    info = _information_table(points, d, _edges(quants))
-    assert info.shape == (d, len(points), len(quants))
-    for i in range(1, d + 1):
-        got = [[float(v).hex() for v in row] for row in info[i - 1]]
-        want = [[float(mutual_information(pt, d, i, quant)).hex() for quant in quants] for pt in points]
-        assert got == want, i
     got = [[float(v).hex() for v in row] for row in _objective_table(points, d, _edges(quants))]
     want = [[float(rate_objective(pt, d, quant)).hex() for quant in quants] for pt in points]
     assert got == want
@@ -94,21 +88,24 @@ def test_blocks_keep_the_first_strict_maximum(monkeypatch, cells, case):
 
 
 def test_memory_stays_within_the_block_cap():
-    # 45 points x 11 440 quantizers x 9 shifts x 8 regions: one block would
-    # hold about 135 MB of arrays, one point per block about 22 MB
+    # 45 points x 11 440 quantizers x 8 regions: one block peaks at about
+    # 15.5 MB traced, blocks of 11 points (about 2^20 floats) at under 9 MB
     tracemalloc.start()
     try:
         pt, quant, bits = capacity_search(2, 9, 8, grid_step=0.5, refine=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20, peak
+    assert peak < 12 * 2**20, peak
     assert (pt, str(quant), bits) == (
         (0.0,) * 7 + (0.5, 0.5), "{0}{1}{2}{3}{4}{5,6,7,8,9,10,11,12,13,14}{15}{16}", 0.75)
 
 
 def test_capacity_table_matches_golden(monkeypatch, capsys):
-    golden = ROOT / "tests" / "data" / "capacity_table_q3_Q3_dmax6_step0.02.txt"
-    monkeypatch.setattr("sys.argv", ["capacity_table.py", "--dmax", "6", "--grid-step", "0.02"])
-    assert runpy.run_path(str(ROOT / "scripts" / "capacity_table.py"))["main"]() == 0
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
+    main = runpy.run_path(str(ROOT / "scripts" / "capacity_table.py"))["main"]
+    for q, Q, dmax, step in [(3, 3, 6, "0.02"), (4, 4, 4, "0.05")]:
+        golden = ROOT / "tests" / "data" / f"capacity_table_q{q}_Q{Q}_dmax{dmax}_step{step}.txt"
+        monkeypatch.setattr("sys.argv", ["capacity_table.py", "--q", str(q), "--Q", str(Q),
+                                         "--dmax", str(dmax), "--grid-step", step])
+        assert main() == 0
+        assert capsys.readouterr().out.encode() == golden.read_bytes(), golden.name

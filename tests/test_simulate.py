@@ -59,14 +59,15 @@ def test_parse_config_errors(broken):
 @pytest.mark.parametrize(
     "change,message",
     [
-        ({"trials": 0}, "need n >= d >= 1"),
-        ({"trials": -1}, "need n >= d >= 1"),
-        ({"d": 13}, "need n >= d >= 1"),
+        ({"trials": 0}, "need n > d >= 1"),
+        ({"trials": -1}, "need n > d >= 1"),
+        ({"d": 13}, "need n > d >= 1"),
         ({"methods": ("best",)}, "unknown method 'best'"),
         ({"q_values": (3, 1)}, "q: every alphabet size must be >= 2, got (3, 1)"),
         ({"q_values": ()}, "q: every alphabet size must be >= 2, got ()"),
         ({"damping": 1.0}, "damping must lie in [0, 1)"),
         ({"bp_tol": float("nan")}, "bp_tol must be positive and finite"),
+        ({"d": 12}, "need n > d >= 1"),
     ],
 )
 def test_sweep_config_checks_itself(change, message):
