@@ -191,41 +191,13 @@ def _compositions(total: int, parts: int):
         yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
 
 
-def _ordered_sums(x: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """x[:, s:s + width].sum(axis=1) for every s in starts, as a (rows,
-    starts) array added in numpy's own order for a contiguous slice of that
-    width: in sequence from 0.0 below 8 entries, in 8 interleaved partial
-    sums up to 128, and as two halves (a multiple of 8 first) above."""
-    if width > 128:
-        half = width // 2 - width // 2 % 8
-        return _ordered_sums(x, starts, half) + _ordered_sums(x, starts + half, width - half)
-    out = np.zeros((len(x), len(starts)))
-    tail = 0
-    if width >= 8:
-        lanes = x[:, starts[:, None] + np.arange(8)]
-        tail = width - width % 8
-        for j in range(8, tail, 8):
-            lanes += x[:, starts[:, None] + (j + np.arange(8))]
-        lane = lanes.transpose(2, 0, 1)
-        out += ((lane[0] + lane[1]) + (lane[2] + lane[3])) + ((lane[4] + lane[5]) + (lane[6] + lane[7]))
-    for j in range(tail, width):
-        out += x[:, starts + j]
-    return out
-
-
 def _objective_table(points, d: int, edges: np.ndarray) -> np.ndarray:
     """rate_objective(pt, d, quant) for every point (row) and quantizer
     (column; one row of edges each), bit for bit: the same d-fold
     convolution, and every sum that mutual_information takes through numpy
-    (region masses, entropy terms) added in the order numpy's reduction
-    would add it."""
-    sums = []
-    for pt in points:
-        pt, s = np.asarray(pt, dtype=float), np.array([1.0])
-        for _ in range(d):
-            s = np.convolve(s, pt)
-        sums.append(s)
-    sums = np.array(sums)
+    (region masses, entropy terms) taken by numpy over the rows of a
+    C-contiguous array, which it adds in the order it adds a 1-D slice."""
+    sums = np.array([_convolve_power(np.asarray(pt, dtype=float), d) for pt in points])
     n = sums.shape[1]
     # the slice sums[:, lo:hi] of every (quantizer, region), coded lo * (n + 1) + hi
     code = edges[:, :-1] * (n + 1) + edges[:, 1:]
@@ -234,11 +206,14 @@ def _objective_table(points, d: int, edges: np.ndarray) -> np.ndarray:
     mass = np.zeros((len(sums), (n + 1) ** 2))
     for width in np.unique(stops - starts):
         same = stops - starts == width
-        mass[:, used[same]] = _ordered_sums(sums, starts[same], int(width))
+        # the gather comes back strided, and numpy sums a strided axis in another order
+        slices = np.ascontiguousarray(sums[:, starts[same, None] + np.arange(width)])
+        mass[:, used[same]] = slices.sum(axis=2)
     positive = mass > 0
     terms = np.zeros_like(mass)
     terms[positive] = mass[positive] * np.log2(mass[positive])
-    # entropy of each (point, quantizer): its positive terms in region order
+    # entropy of each (point, quantizer): its positive terms in region order,
+    # added in sequence as numpy adds fewer than 8 entries
     total = np.zeros((len(sums), len(code)))
     for r in range(code.shape[1]):
         total += terms[:, code[:, r]]
@@ -248,7 +223,7 @@ def _objective_table(points, d: int, edges: np.ndarray) -> np.ndarray:
             p, k = np.nonzero(count == c)
             cells = code[k]
             compact = terms[p[:, None], cells][positive[p[:, None], cells]].reshape(len(p), c)
-            total[p, k] = _ordered_sums(compact, np.array([0]), int(c))[:, 0]
+            total[p, k] = compact.sum(axis=1)
     # mutual_information's 0.0 + 1.0 * entropy at the full split (a zero
     # entropy comes out +0.0), over d
     return (0.0 - total) / d
@@ -314,18 +289,19 @@ def capacity_search(
     resolution = round(1.0 / grid_step) if grid_step > 0 and 1.0 / grid_step < inf else 0
     if resolution < 1:
         raise BadRange(f"grid_step must be positive with round(1/grid_step) >= 1, got {grid_step}")
+    fine = 10
+    n_grid = comb(resolution + q - 1, q - 1)
+    n_points = n_grid + ((2 * fine + 1) ** (q - 1) if refine else 0)
+    n_quants = comb(top, Q - 1)
+    if n_points * n_quants > budget:
+        raise BudgetExceeded(
+            f"{n_points} grid and refine points x {n_quants} quantizers "
+            f"exceed budget {budget}"
+        )
     quantizers = [
         Quantizer((0,) + cuts + (top + 1,))
         for cuts in combinations(range(1, top + 1), Q - 1)
     ]
-    fine = 10
-    n_grid = comb(resolution + q - 1, q - 1)
-    n_points = n_grid + ((2 * fine + 1) ** (q - 1) if refine else 0)
-    if n_points * len(quantizers) > budget:
-        raise BudgetExceeded(
-            f"{n_points} grid and refine points x {len(quantizers)} quantizers "
-            f"exceed budget {budget}"
-        )
     best = _scan((-1.0, None, None, None), _compositions(resolution, q), resolution, d, quantizers)
     if refine:
         scale = resolution * fine

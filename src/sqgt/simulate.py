@@ -22,7 +22,7 @@ import numpy as np
 
 from .construct import random_disjunct
 from .decode import BpConfig, bp_decode_batch, select_threshold, select_topd, Marginals
-from .errors import ConfigError
+from .errors import BadRange, ConfigError
 from .fileio import CSV_HEADER
 from .model import CodeParams, NoiseModel, apply_noise, syndrome
 from .rng import derive_seed, make_rng
@@ -58,6 +58,11 @@ class SweepConfig:
             raise ConfigError("need n > d >= 1 and m, eta, trials, iterations >= 1")
         if min(self.q_values, default=0) < 2:
             raise ConfigError(f"q: every alphabet size must be >= 2, got {self.q_values}")
+        for gamma_p, gamma_n in self.gammas:
+            try:
+                NoiseModel(gamma_p, gamma_n)
+            except BadRange as err:
+                raise ConfigError(f"gammas: {err}") from None
         if not 0.0 <= self.damping < 1.0:
             raise ConfigError(f"damping must lie in [0, 1), got {self.damping}")
         if self.bp_tol is not None and not 0.0 < self.bp_tol < math.inf:

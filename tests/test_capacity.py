@@ -3,6 +3,7 @@ from math import comb, log2
 import numpy as np
 import pytest
 
+import sqgt.capacity
 from sqgt.capacity import (
     Quantizer,
     capacity_search,
@@ -152,6 +153,24 @@ class TestCapacitySearch:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             capacity_search(2, 3, 3, grid_step=0.001, budget=100)
+
+    def test_budget_is_checked_before_the_quantizers_are_built(self, monkeypatch):
+        built = []
+
+        class CountedQuantizer(Quantizer):
+            def __post_init__(self):
+                built.append(self.edges)
+                super().__post_init__()
+
+        monkeypatch.setattr(sqgt.capacity, "Quantizer", CountedQuantizer)
+        capacity_search(2, 3, 3, grid_step=0.5, refine=False)
+        assert len(built) == comb(4, 2)
+        built.clear()
+        # 447 grid and refine points x C(60, 3) quantizers
+        with pytest.raises(BudgetExceeded, match="^447 grid and refine points x 34220 quantizers "
+                                                 "exceed budget 10000000$"):
+            capacity_search(30, 3, 4, grid_step=0.5)
+        assert built == []
 
     @pytest.mark.parametrize("step", [0.0, 2.0, 5.0, -0.1, float("nan"), float("inf"), 5e-324])
     def test_bad_grid_step(self, step):

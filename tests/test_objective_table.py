@@ -24,11 +24,13 @@ from sqgt.rng import make_rng
 ROOT = Path(__file__).resolve().parent.parent
 
 # (d, q, Q, grid resolution; not a power of 2, so sums round): regions of
-# 8+ and 17+ entries (3,5,2) (1,9,2) (4,5,2) (3,7,2); Q >= 8 (2,5,8)
+# 8+ and 17+ entries (3,5,2) (1,9,2) (4,5,2) (3,7,2); wider than 128
+# entries, where numpy sums in halves, (2,70,2) (1,200,3); Q >= 8 (2,5,8)
 # (2,6,9) (3,4,8); Q = 1 (2,3,1) (1,2,1)
 SHAPES = [
     (1, 2, 1, 7), (2, 3, 1, 5), (2, 3, 3, 10), (3, 3, 3, 7), (2, 4, 2, 5),
     (3, 5, 2, 3), (1, 9, 2, 3), (4, 5, 2, 3), (3, 7, 2, 3),
+    (2, 70, 2, 1), (1, 200, 3, 1),
     (2, 5, 8, 3), (2, 6, 9, 3), (3, 4, 8, 3),
 ]
 MAX_QUANTIZERS = 40

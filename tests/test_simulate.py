@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from sqgt.cli import main
 from sqgt.errors import ConfigError
 from sqgt.fileio import CSV_HEADER
 from sqgt.simulate import SweepConfig, parse_config, rows_to_csv, run_simulation
@@ -22,6 +23,8 @@ trials=20
 iterations=10
 seed=99
 """
+
+BAD_NOISE = ["2:0", "-0.1:0", "nan:0", "0.6:0.6"]
 
 
 def test_parse_config_round_trip():
@@ -49,6 +52,7 @@ def test_parse_config_round_trip():
         TINY + "bp_tol=nan\n",
         TINY + "bp_tol=inf\n",
         TINY.replace("q=3,5", "q=1,5"),
+        *(TINY.replace("gammas=0:0,0.05:0.05", f"gammas=0:0,{pair}") for pair in BAD_NOISE),
     ],
 )
 def test_parse_config_errors(broken):
@@ -68,6 +72,7 @@ def test_parse_config_errors(broken):
         ({"damping": 1.0}, "damping must lie in [0, 1)"),
         ({"bp_tol": float("nan")}, "bp_tol must be positive and finite"),
         ({"d": 12}, "need n > d >= 1"),
+        ({"gammas": ((0.0, 0.0), (0.6, 0.6))}, "gammas: need gamma_p, gamma_n >= 0"),
     ],
 )
 def test_sweep_config_checks_itself(change, message):
@@ -76,6 +81,17 @@ def test_sweep_config_checks_itself(change, message):
     with pytest.raises(ConfigError) as err:
         SweepConfig(**fields)
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("pair", BAD_NOISE)
+def test_simulate_cli_refuses_a_bad_noise_pair(tmp_path, capsys, pair):
+    # the pair follows a good one: it is refused before any sweep point runs
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(TINY.replace("gammas=0:0,0.05:0.05", f"gammas=0:0,{pair}"))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ConfigError: gammas: need gamma_p, gamma_n >= 0")
 
 
 def test_csv_deterministic_and_well_formed():
