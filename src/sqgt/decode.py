@@ -7,7 +7,6 @@ two selection rules to obtain a defective set.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import inf
 from numbers import Integral
 
@@ -25,6 +24,7 @@ from .construct import ConcatSpec, LindstromSpec
 from .model import (
     CodeParams,
     NoiseModel,
+    _integers,
     channel_matrix,
     check_matrix,
     quantize_sums,
@@ -52,10 +52,10 @@ _VAR_FLOOR = 1e-12  # keeps variable messages interior so loopy over-confidence
 
 
 def _check_results(Z, m: int, Q: int | None, batch: bool = False) -> np.ndarray:
-    """Z as int64 after checking that it holds the results of m tests, one
-    row per trial when batch is set, each in 0..Q-1 unless Q is None;
-    BadRange otherwise."""
-    Z = np.asarray(Z, dtype=np.int64)
+    """Z as int64 after checking that it holds the integer results of m
+    tests, one row per trial when batch is set, each in 0..Q-1 unless Q is
+    None; BadRange otherwise."""
+    Z = _integers(Z, "results")
     if Z.ndim != 1 + batch or Z.shape[-1] != m:
         want = f"(trials, m={m})" if batch else f"(m={m},)"
         raise BadRange(f"results must have shape {want}, got {Z.shape}")
@@ -251,26 +251,50 @@ class Marginals:
     iterations: int
 
 
-@dataclass(frozen=True, eq=False)
-class _Factor:
-    """One test's neighbor chain on its gcd-reduced partial-sum lattice.
+_CELLS = 1 << 14  # P rows x trials of one block; larger blocks fall out of cache
 
-    Lattice point j stands for the partial sum g*j, where g is the gcd of
-    the test's coefficients and 8. The factor's 2k messages are sums of
-    products of its prefix and back arrays; `gather` lays those products out
-    so that a few reductions add every message in numpy's order (see
-    _sum_plan).
+
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """The messages of a block's factors that share one lattice gcd g.
+
+    Each message is a sum of products of prefix and back rows; `gather`
+    lays those products out so that a few reductions add every message in
+    numpy's order (see _sum_plan). The sums come out as the msg0 of every
+    edge in `edges`, then the msg1 of every edge in `edges`.
     """
 
-    lo: int  # edges lo..lo+k-1 belong to this factor, in neighbor order
-    coeffs: tuple[int, ...]  # neighbor coefficients divided by g
-    top: tuple[int, ...]  # top[a]: largest lattice point of the neighbors < a
-    weight: np.ndarray  # (R, T) likelihood of each lattice point per trial
+    edges: slice | np.ndarray
     gather: tuple[np.ndarray, np.ndarray]  # (leaves, slots) rows of P and of B
     blocks: int  # stride-8 blocks of the longest leaf
     width: int  # lattice points per block, 8 // g
     splits: tuple[tuple[np.ndarray, np.ndarray], ...]  # node pairs added, per tree level
     roots: np.ndarray | None  # the node of each message, when some row was split
+
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """Consecutive tests' neighbor chains on their gcd-reduced partial-sum
+    lattices, laid out side by side.
+
+    Lattice point j of a test stands for the partial sum g*j, where g is
+    the gcd of the test's coefficients and 8, and R is its largest lattice
+    point plus one. The test's prefix and back arrays for its neighbor a
+    are rows base + a*R .. base + a*R + R - 1 of the block's P and B, and
+    row `rows` of both stays zero: gather's padding. Each forward and each
+    backward step holds one neighbor of every test that has one at that
+    step; a step's rows, and the edges those rows take their variable
+    message from, are slices or ints where one test runs the step and
+    index arrays otherwise.
+    """
+
+    rows: int
+    starts: slice | np.ndarray  # each test's P[0][0], set to 1
+    last: slice | np.ndarray  # each test's B[k-1], where weight goes
+    weight: np.ndarray  # likelihood of each lattice point per trial, test-major
+    forward: tuple[tuple, ...]  # (src, dst, dst + c, edge) per step
+    backward: tuple[tuple, ...]  # (src, src + c, dst, edge) per step
+    groups: tuple[_Group, ...]
 
 
 def _sum_plan(rows: list[tuple[int, int, int]], g: int, sentinel: int):
@@ -331,71 +355,152 @@ def _sum_plan(rows: list[tuple[int, int, int]], g: int, sentinel: int):
     return (gp, gb), blocks, width, splits, np.array([node(r) for r in roots]) if splits else None
 
 
-def _factors(C: np.ndarray, Z: np.ndarray, trans: np.ndarray, eta: np.ndarray) -> list[_Factor]:
-    factors = []
-    lo = 0
-    for t in range(C.shape[0]):
-        c = C[t][C[t] > 0]
-        if not c.size:
+def _within(count: np.ndarray) -> np.ndarray:
+    """0..c-1 for each c in count, one run after another."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+
+
+def _index(rows: np.ndarray) -> slice | np.ndarray:
+    """Increasing rows, as a slice when they are contiguous."""
+    if len(rows) and rows[-1] - rows[0] + 1 == len(rows):
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
+def _steps(block, step, first, count, shifts, edge, blocks: int) -> list[tuple[tuple, ...]]:
+    """The steps of every block, in step order, from records of rows
+    first..first+count-1 that take their variable message from one edge.
+
+    A step is its rows, those rows moved by each of the record's shifts,
+    and the edge of each row. Where one record makes up the step, these
+    are slices and an int; otherwise index arrays, records in order.
+    """
+    out: list[list[tuple]] = [[] for _ in range(blocks)]
+    order = np.lexsort((step, block))
+    block, step, first, count, edge = (x[order] for x in (block, step, first, count, edge))
+    shifts = [s[order] for s in shifts]
+    ends = (np.flatnonzero(np.diff(block) | np.diff(step)) + 1).tolist()
+    if len(order):
+        ends.append(len(order))
+    for i, j in zip([0, *ends], ends):
+        if j - i == 1:
+            f, n = int(first[i]), int(count[i])
+            moved = (slice(f + int(s[i]), f + int(s[i]) + n) for s in shifts)
+            out[block[i]].append((slice(f, f + n), *moved, int(edge[i])))
             continue
-        k = c.size
-        g = int(np.gcd(np.gcd.reduce(c), 8))
-        coeffs = [int(x) // g for x in c]
-        R = sum(coeffs) + 1
-        sums = g * np.arange(R)
-        valid = sums < eta[-1]
-        weight = np.zeros((R, Z.shape[0]))
-        buckets = np.searchsorted(eta, sums[valid], side="right") - 1
-        weight[valid] = trans[buckets][:, Z[:, t]]
-        # msg0 of neighbor a sums P[a, j] * B[a, j] over all R points,
-        # msg1 sums P[a, j] * B[a, j + c_a] over the first R - c_a
-        rows = [(a * R, a * R, R) for a in range(k)]
-        rows += [(a * R, a * R + ca, R - ca) for a, ca in enumerate(coeffs)]
-        top = tuple(accumulate(coeffs, initial=0))
-        factors.append(_Factor(lo, tuple(coeffs), top, weight, *_sum_plan(rows, g, k * R)))
-        lo += k
-    return factors
+        rec = np.repeat(np.arange(i, j), count[i:j])
+        rows = first[rec] + _within(count[i:j])
+        out[block[i]].append((_index(rows), *(_index(rows + s[rec]) for s in shifts), edge[rec]))
+    return [tuple(steps) for steps in out]
 
 
-def _factor_update(f: _Factor, V: np.ndarray, F_new: np.ndarray) -> None:
-    """Write the 2k messages of one factor into F_new[:, lo:lo+k]."""
-    k = len(f.coeffs)
-    R, T = f.weight.shape
-    hi = f.lo + k
-    v0, v1 = V[0, f.lo : hi], V[1, f.lo : hi]
-    # forward-backward over the neighbor chain: P[a] (rows a*R .. a*R+R-1)
-    # is the partial-sum distribution of neighbors < a, B[a] the expected
-    # likelihood over neighbors > a as a function of the partial sum. P[a]
-    # is zero beyond top[a] and B[a] is only read up to top[a+1], so both
-    # are computed that far. Row k*R stays zero: gather's padding.
-    P = np.zeros((k * R + 1, T))
-    P[0] = 1.0
-    for b in range(k - 1):
-        c, h, p = f.coeffs[b], f.top[b] + 1, b * R
-        np.multiply(P[p : p + h], v0[b], out=P[p + R : p + R + h])
-        P[p + R + c : p + R + c + h] += P[p : p + h] * v1[b]
-    B = np.zeros((k * R + 1, T))
-    B[(k - 1) * R : k * R] = f.weight
-    for b in range(k - 1, 0, -1):
-        c, h, p = f.coeffs[b], f.top[b] + 1, b * R
-        np.multiply(B[p : p + h], v0[b], out=B[p - R : p - R + h])
-        B[p - R : p - R + h] += B[p + c : p + c + h] * v1[b]
-    Y = P.take(f.gather[0], axis=0)
-    Y *= B.take(f.gather[1], axis=0)
-    slot = f.blocks * f.width
-    if f.blocks:
-        # stride-8 accumulators, then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-        # over the lanes kept
-        lanes = np.add.reduce(Y[:, :slot].reshape(len(Y), f.blocks, f.width, T), axis=1)
-        while lanes.shape[1] > 1:
-            lanes = lanes[:, 0::2] + lanes[:, 1::2]
-        Y[:, slot] = lanes[:, 0]
-    sums = np.add.reduce(Y[:, slot:], axis=1)
-    for left, right in f.splits:
-        sums = np.concatenate((sums, sums[left] + sums[right]))
-    if f.roots is not None:
-        sums = sums[f.roots]
-    F_new[:, f.lo : hi] = sums.reshape(2, k, T)
+def _blocks(C: np.ndarray, Z: np.ndarray, trans: np.ndarray, eta: np.ndarray) -> list[_Block]:
+    """The tests with a neighbor, in order, cut into blocks of at most
+    _CELLS P cells each; a test larger than that makes a block alone."""
+    T = Z.shape[0]
+    efac, evar = np.nonzero(C > 0)
+    if not len(efac):
+        return []
+    tests, lo, k = np.unique(efac, return_index=True, return_counts=True)
+    fac = np.repeat(np.arange(len(tests)), k)  # test of each edge
+    a = _within(k)  # neighbor of each edge within its test
+    g = np.gcd(np.gcd.reduceat(C[efac, evar], lo), 8)
+    c = C[efac, evar] // g[fac]
+    top = np.cumsum(c) - c
+    top -= top[lo][fac]  # largest lattice point of the neighbors before
+    R = np.add.reduceat(c, lo) + 1
+    # the lattice points of every test in turn, and their likelihood per
+    # trial: zero at the sentinel and above, through an extra zero row
+    pt = np.repeat(np.arange(len(tests)), R)
+    point = _within(R)
+    buckets = np.searchsorted(eta, g[pt] * point, side="right") - 1
+    trans = np.vstack((trans, np.zeros(trans.shape[1])))
+    weight = np.empty((len(pt), T))
+    ends = np.cumsum(R).tolist()
+    for t, p0, p1 in zip(tests.tolist(), [0, *ends], ends):
+        weight[p0:p1] = trans[buckets[p0:p1]][:, Z[:, t]]
+
+    size = k * R
+    cuts, cells = [0], 0
+    for i, s in enumerate((size * T).tolist()):
+        if cells and cells + s > _CELLS:
+            cuts.append(i)
+            cells = 0
+        cells += s
+    cuts.append(len(tests))
+    blk = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))  # block of each test
+    base = np.cumsum(size) - size
+    base -= base[cuts[:-1]][blk]  # row of each test's P[0] in its block
+    Re = R[fac]
+    first = base[fac] + a * Re  # row 0 of each edge's P[a] and B[a]
+    fw = np.flatnonzero(a < k[fac] - 1)  # edges whose P[a] gives P[a+1]
+    bw = np.flatnonzero(a > 0)  # edges whose B[a] gives B[a-1]
+    nb = len(cuts) - 1
+    forward = _steps(blk[fac[fw]], a[fw], first[fw], top[fw] + 1, (Re[fw], Re[fw] + c[fw]), fw, nb)
+    backward = _steps(blk[fac[bw]], k[fac[bw]] - 1 - a[bw], first[bw], top[bw] + 1, (c[bw], -Re[bw]), bw, nb)
+    last = (base + (k - 1) * R)[pt] + point
+    out = []
+    for b, (f0, f1) in enumerate(zip(cuts, cuts[1:])):
+        rows = int(base[f1 - 1] + size[f1 - 1])
+        e0, e1 = int(lo[f0]), int(lo[f1 - 1] + k[f1 - 1])
+        p0, p1 = pt.searchsorted(f0), pt.searchsorted(f1)
+        groups = []
+        for gv in sorted(set(g[f0:f1].tolist())):
+            on = np.flatnonzero(g[fac[e0:e1]] == gv) + e0
+            # msg0 of neighbor a sums P[a, j] * B[a, j] over all R points,
+            # msg1 sums P[a, j] * B[a, j + c_a] over the first R - c_a
+            p, r, ca = first[on], Re[on], c[on]
+            msgs = np.concatenate(([p, p, r], [p, p + ca, r - ca]), axis=1).T.tolist()
+            groups.append(_Group(_index(on), *_sum_plan(msgs, gv, rows)))
+        out.append(_Block(rows, _index(base[f0:f1]), _index(last[p0:p1]), weight[p0:p1],
+                          forward[b], backward[b], tuple(groups)))
+    return out
+
+
+def _block_update(blk: _Block, V: np.ndarray, F_new: np.ndarray) -> None:
+    """Write the messages of every test in one block into F_new."""
+    T = V.shape[2]
+    v0, v1 = V
+    # forward-backward over the neighbor chains: P[a] is the partial-sum
+    # distribution of neighbors < a, B[a] the expected likelihood over
+    # neighbors > a as a function of the partial sum. P[a] is zero beyond
+    # top[a] and B[a] is only read up to top[a+1], so both are computed
+    # that far. A step on slices writes in place; one on index arrays
+    # cannot.
+    P = np.zeros((blk.rows + 1, T))
+    P[blk.starts] = 1.0
+    for src, dst, shifted, e in blk.forward:
+        prev = P[src]
+        if type(dst) is slice:
+            np.multiply(prev, v0[e], out=P[dst])
+        else:
+            P[dst] = prev * v0[e]
+        P[shifted] += prev * v1[e]
+    B = np.zeros((blk.rows + 1, T))
+    B[blk.last] = blk.weight
+    for src, shifted, dst, e in blk.backward:
+        if type(dst) is slice:
+            np.multiply(B[src], v0[e], out=B[dst])
+            B[dst] += B[shifted] * v1[e]
+        else:
+            B[dst] = B[src] * v0[e] + B[shifted] * v1[e]
+    for grp in blk.groups:
+        Y = P.take(grp.gather[0], axis=0)
+        Y *= B.take(grp.gather[1], axis=0)
+        slot = grp.blocks * grp.width
+        if grp.blocks:
+            # stride-8 accumulators, then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+            # over the lanes kept
+            lanes = np.add.reduce(Y[:, :slot].reshape(len(Y), grp.blocks, grp.width, T), axis=1)
+            while lanes.shape[1] > 1:
+                lanes = lanes[:, 0::2] + lanes[:, 1::2]
+            Y[:, slot] = lanes[:, 0]
+        sums = np.add.reduce(Y[:, slot:], axis=1)
+        for left, right in grp.splits:
+            sums = np.concatenate((sums, sums[left] + sums[right]))
+        if grp.roots is not None:
+            sums = sums[grp.roots]
+        F_new[:, grp.edges] = sums.reshape(2, -1, T)
 
 
 def bp_decode_batch(
@@ -417,14 +522,19 @@ def bp_decode_batch(
 
     The layout is sum-major: messages are (2, edges, trials) and a factor's
     dynamic-programming arrays are (neighbors, R, trials), so every numpy
-    call runs over all trials at once. Partial sums live on the lattice of
-    multiples of g' = gcd(the factor's coefficients, 8), R = S/g' + 1 points
-    for a coefficient sum S; the others are unreachable. The marginals are
-    bit-identical to those of the earlier trial-major kernel, which summed
-    each message as one contiguous row of S + 1 entries: the factor sums
-    reproduce numpy's order of additions for such a row, and the variable
-    sums add in edge order, because a pinned sweep flips a top-d pick under
-    any other order.
+    call runs over all trials at once. Factors also run in blocks: the
+    arrays of consecutive factors lie side by side, up to a cap of _CELLS
+    rows x trials per block, and each forward or backward step, and each
+    message reduction, covers every factor of a block in one numpy call.
+    One or two trials put the whole code in one block; hundreds give about
+    one factor per block, which keeps the arrays in cache. Partial sums
+    live on the lattice of multiples of g' = gcd(the factor's coefficients,
+    8), R = S/g' + 1 points for a coefficient sum S; the others are
+    unreachable. The marginals are bit-identical to those of the earlier
+    trial-major kernel, which summed each message as one contiguous row of
+    S + 1 entries: the factor sums reproduce numpy's order of additions for
+    such a row, and the variable sums add in edge order, because a pinned
+    sweep flips a top-d pick under any other order.
 
     Returns Marginals with p1 of shape (trials, n).
     """
@@ -448,7 +558,7 @@ def bp_decode_batch(
     T = Z.shape[0]
     log_prior = np.log(np.array([1.0 - p_prior, p_prior]))[:, None, None]
 
-    factors = _factors(C, Z, channel_matrix(params.Q, noise), np.asarray(params.eta, dtype=np.int64))
+    blocks = _blocks(C, Z, channel_matrix(params.Q, noise), np.asarray(params.eta, dtype=np.int64))
     evar = np.nonzero(C > 0)[1]  # variable of each edge, factor-major
     E = len(evar)
     # slots[j, v] is the j-th edge of variable v in edge order, or the
@@ -465,8 +575,8 @@ def bp_decode_batch(
     for _ in range(cfg.max_iters):
         iterations += 1
         F_new = np.empty_like(F)
-        for f in factors:
-            _factor_update(f, V, F_new)
+        for blk in blocks:
+            _block_update(blk, V, F_new)
         norm = F_new[0] + F_new[1]
         if np.any(norm == 0.0):
             raise NumericalUnderflow("a factor message lost all probability mass")
@@ -510,8 +620,7 @@ def bp_decode(
     cfg: BpConfig = BpConfig(),
 ) -> Marginals:
     """Sum-product decoding of a single result vector; see bp_decode_batch."""
-    z = np.asarray(z, dtype=np.int64)
-    out = bp_decode_batch(C, params, z[None, :], noise, d=d, cfg=cfg)
+    out = bp_decode_batch(C, params, np.asarray(z)[None], noise, d=d, cfg=cfg)
     return Marginals(p1=out.p1[0], iterations=out.iterations)
 
 

@@ -133,9 +133,28 @@ class NoiseModel:
 NOISELESS = NoiseModel(0.0, 0.0)
 
 
+def _integers(x, what: str) -> np.ndarray:
+    """x as an int64 array. An entry that is not an integer raises
+    BadRange, where a cast would truncate it; integral floats such as 1.0
+    pass."""
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind in "biu":
+            return arr.astype(np.int64)
+        if arr.dtype.kind == "c":
+            raise TypeError  # a cast would drop the imaginary part
+        f = arr.astype(np.float64)
+    except (TypeError, ValueError):
+        raise BadRange(f"{what} must be integers") from None
+    bad = ~(np.isfinite(f) & (f == np.trunc(f)) & (np.abs(f) < 2.0**63))
+    if bad.any():
+        raise BadRange(f"{what} must be integers, got {float(f[bad][0])}")
+    return f.astype(np.int64)
+
+
 def check_matrix(C, q: int | None = None) -> np.ndarray:
     """Coerce to an (m, n) int64 matrix, checking the entry range."""
-    arr = np.asarray(C, dtype=np.int64)
+    arr = _integers(C, "matrix entries")
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise BadRange(f"expected a 2-D matrix with m, n >= 1, got shape {arr.shape}")
     if arr.min() < 0:

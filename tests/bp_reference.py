@@ -1,13 +1,19 @@
-"""The belief-propagation loop as it stood before the sum-major kernel.
+"""Two earlier belief-propagation kernels, kept verbatim for tests only.
 
-Kept verbatim, for tests only: the current kernel must reproduce its
-marginals bit for bit, so every test that compares the two uses
+reference_bp_decode_batch is the trial-major loop that stood before the
+sum-major kernel; factor_bp_decode_batch is the sum-major kernel as it
+stood before factors ran in blocks, one factor at a time (fast at many
+trials, unlike the trial-major loop). The current kernel must reproduce
+their marginals bit for bit, so every test that compares them uses
 np.array_equal, not a tolerance.
 """
 
+from dataclasses import dataclass
+from itertools import accumulate
+
 import numpy as np
 
-from sqgt.decode import BpConfig, Marginals
+from sqgt.decode import BpConfig, Marginals, _check_results, _sum_plan
 from sqgt.errors import BadRange, NumericalUnderflow
 from sqgt.model import CodeParams, NoiseModel, channel_matrix, check_matrix, validate_params
 
@@ -158,3 +164,199 @@ def reference_bp_decode_batch(
     marg = np.exp(marg_log)
     marg /= marg.sum(axis=2, keepdims=True)
     return Marginals(p1=marg[:, :, 1], iterations=iterations)
+
+
+# ---------------------------------------------------------------------------
+# the sum-major kernel, one factor at a time
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _Factor:
+    """One test's neighbor chain on its gcd-reduced partial-sum lattice.
+
+    Lattice point j stands for the partial sum g*j, where g is the gcd of
+    the test's coefficients and 8. The factor's 2k messages are sums of
+    products of its prefix and back arrays; `gather` lays those products out
+    so that a few reductions add every message in numpy's order (see
+    _sum_plan).
+    """
+
+    lo: int  # edges lo..lo+k-1 belong to this factor, in neighbor order
+    coeffs: tuple[int, ...]  # neighbor coefficients divided by g
+    top: tuple[int, ...]  # top[a]: largest lattice point of the neighbors < a
+    weight: np.ndarray  # (R, T) likelihood of each lattice point per trial
+    gather: tuple[np.ndarray, np.ndarray]  # (leaves, slots) rows of P and of B
+    blocks: int  # stride-8 blocks of the longest leaf
+    width: int  # lattice points per block, 8 // g
+    splits: tuple[tuple[np.ndarray, np.ndarray], ...]  # node pairs added, per tree level
+    roots: np.ndarray | None  # the node of each message, when some row was split
+
+
+def _factors(C: np.ndarray, Z: np.ndarray, trans: np.ndarray, eta: np.ndarray) -> list[_Factor]:
+    factors = []
+    lo = 0
+    for t in range(C.shape[0]):
+        c = C[t][C[t] > 0]
+        if not c.size:
+            continue
+        k = c.size
+        g = int(np.gcd(np.gcd.reduce(c), 8))
+        coeffs = [int(x) // g for x in c]
+        R = sum(coeffs) + 1
+        sums = g * np.arange(R)
+        valid = sums < eta[-1]
+        weight = np.zeros((R, Z.shape[0]))
+        buckets = np.searchsorted(eta, sums[valid], side="right") - 1
+        weight[valid] = trans[buckets][:, Z[:, t]]
+        # msg0 of neighbor a sums P[a, j] * B[a, j] over all R points,
+        # msg1 sums P[a, j] * B[a, j + c_a] over the first R - c_a
+        rows = [(a * R, a * R, R) for a in range(k)]
+        rows += [(a * R, a * R + ca, R - ca) for a, ca in enumerate(coeffs)]
+        top = tuple(accumulate(coeffs, initial=0))
+        factors.append(_Factor(lo, tuple(coeffs), top, weight, *_sum_plan(rows, g, k * R)))
+        lo += k
+    return factors
+
+
+def _factor_update(f: _Factor, V: np.ndarray, F_new: np.ndarray) -> None:
+    """Write the 2k messages of one factor into F_new[:, lo:lo+k]."""
+    k = len(f.coeffs)
+    R, T = f.weight.shape
+    hi = f.lo + k
+    v0, v1 = V[0, f.lo : hi], V[1, f.lo : hi]
+    # forward-backward over the neighbor chain: P[a] (rows a*R .. a*R+R-1)
+    # is the partial-sum distribution of neighbors < a, B[a] the expected
+    # likelihood over neighbors > a as a function of the partial sum. P[a]
+    # is zero beyond top[a] and B[a] is only read up to top[a+1], so both
+    # are computed that far. Row k*R stays zero: gather's padding.
+    P = np.zeros((k * R + 1, T))
+    P[0] = 1.0
+    for b in range(k - 1):
+        c, h, p = f.coeffs[b], f.top[b] + 1, b * R
+        np.multiply(P[p : p + h], v0[b], out=P[p + R : p + R + h])
+        P[p + R + c : p + R + c + h] += P[p : p + h] * v1[b]
+    B = np.zeros((k * R + 1, T))
+    B[(k - 1) * R : k * R] = f.weight
+    for b in range(k - 1, 0, -1):
+        c, h, p = f.coeffs[b], f.top[b] + 1, b * R
+        np.multiply(B[p : p + h], v0[b], out=B[p - R : p - R + h])
+        B[p - R : p - R + h] += B[p + c : p + c + h] * v1[b]
+    Y = P.take(f.gather[0], axis=0)
+    Y *= B.take(f.gather[1], axis=0)
+    slot = f.blocks * f.width
+    if f.blocks:
+        # stride-8 accumulators, then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+        # over the lanes kept
+        lanes = np.add.reduce(Y[:, :slot].reshape(len(Y), f.blocks, f.width, T), axis=1)
+        while lanes.shape[1] > 1:
+            lanes = lanes[:, 0::2] + lanes[:, 1::2]
+        Y[:, slot] = lanes[:, 0]
+    sums = np.add.reduce(Y[:, slot:], axis=1)
+    for left, right in f.splits:
+        sums = np.concatenate((sums, sums[left] + sums[right]))
+    if f.roots is not None:
+        sums = sums[f.roots]
+    F_new[:, f.lo : hi] = sums.reshape(2, k, T)
+
+
+def factor_bp_decode_batch(
+    C,
+    params: CodeParams,
+    Z,
+    noise: NoiseModel = NoiseModel(),
+    d: int | None = None,
+    cfg: BpConfig = BpConfig(),
+) -> Marginals:
+    """Sum-product decoding of many result vectors against one code.
+
+    Z has one row per trial. Tests are factor nodes and subjects variable
+    nodes; a factor's likelihood depends on the weighted sum of its
+    neighbors' indicators, so its outgoing messages are computed by exact
+    dynamic programming over that partial-sum distribution rather than by
+    enumerating neighbor configurations. Messages are renormalized every
+    update; variable-side products run in log domain.
+
+    The layout is sum-major: messages are (2, edges, trials) and a factor's
+    dynamic-programming arrays are (neighbors, R, trials), so every numpy
+    call runs over all trials at once. Partial sums live on the lattice of
+    multiples of g' = gcd(the factor's coefficients, 8), R = S/g' + 1 points
+    for a coefficient sum S; the others are unreachable. The marginals are
+    bit-identical to those of the earlier trial-major kernel, which summed
+    each message as one contiguous row of S + 1 entries: the factor sums
+    reproduce numpy's order of additions for such a row, and the variable
+    sums add in edge order, because a pinned sweep flips a top-d pick under
+    any other order.
+
+    Returns Marginals with p1 of shape (trials, n).
+    """
+    validate_params(params)
+    C = check_matrix(C, params.q)
+    m, n = C.shape
+    Z = _check_results(Z, m, params.Q, batch=True)
+    trials = Z.shape[0]
+    if d is None:
+        d = params.u
+    p_prior = cfg.prior if cfg.prior is not None else d / n
+    if not 0.0 < p_prior < 1.0:
+        raise BadRange(f"defect prior must lie in (0, 1), got {p_prior}")
+    if trials == 0:
+        return Marginals(p1=np.empty((0, n)), iterations=0)
+    if trials == 1:
+        # numpy adds along an outer axis in sequence only while the trial
+        # axis inside it is longer than 1; with one trial it would sum the
+        # message rows pairwise instead
+        Z = np.repeat(Z, 2, axis=0)
+    T = Z.shape[0]
+    log_prior = np.log(np.array([1.0 - p_prior, p_prior]))[:, None, None]
+
+    factors = _factors(C, Z, channel_matrix(params.Q, noise), np.asarray(params.eta, dtype=np.int64))
+    evar = np.nonzero(C > 0)[1]  # variable of each edge, factor-major
+    E = len(evar)
+    # slots[j, v] is the j-th edge of variable v in edge order, or the
+    # sentinel E whose log message is zero
+    degree = np.bincount(evar, minlength=n)
+    slots = np.full((int(degree.max(initial=0)), n), E)
+    order = np.argsort(evar, kind="stable")
+    slots[np.arange(E) - np.repeat(np.cumsum(degree) - degree, degree), evar[order]] = order
+
+    V = np.full((2, E, T), 0.5)
+    F = np.full((2, E, T), 0.5)
+    logF = np.zeros((2, E + 1, T))
+    iterations = 0
+    for _ in range(cfg.max_iters):
+        iterations += 1
+        F_new = np.empty_like(F)
+        for f in factors:
+            _factor_update(f, V, F_new)
+        norm = F_new[0] + F_new[1]
+        if np.any(norm == 0.0):
+            raise NumericalUnderflow("a factor message lost all probability mass")
+        F_new /= norm
+        if cfg.damping:
+            F *= cfg.damping
+            F_new *= 1.0 - cfg.damping
+            F_new += F
+        F = F_new
+
+        np.log(np.maximum(F, _MSG_FLOOR, out=logF[:, :E]), out=logF[:, :E])
+        SV = logF[:, slots].sum(axis=1)  # (2, n, T) sums of incoming logs per variable
+        V_new = SV[:, evar]
+        V_new += log_prior
+        V_new -= logF[:, :E]
+        V_new -= np.maximum(V_new[0], V_new[1])
+        np.exp(V_new, out=V_new)
+        V_new /= V_new[0] + V_new[1]
+        np.clip(V_new, _VAR_FLOOR, None, out=V_new)
+        V_new /= V_new[0] + V_new[1]
+        if cfg.tol is not None:
+            V -= V_new
+            delta = np.abs(V, out=V).max() if E else 0.0
+        V = V_new
+        if cfg.tol is not None and delta < cfg.tol:
+            break
+
+    marg_log = log_prior + SV
+    marg_log -= np.maximum(marg_log[0], marg_log[1])
+    marg = np.exp(marg_log)
+    marg /= marg[0] + marg[1]
+    return Marginals(p1=marg[1, :, :trials].T.copy(), iterations=iterations)

@@ -1,0 +1,143 @@
+"""The block kernel against the one-test-at-a-time kernel it replaced, bit
+for bit, over block layouts from one block per code to one test per block.
+
+bp_decode_batch cuts its tests into blocks of at most decode._CELLS
+P cells (rows x trials), so the trial count picks the layout: the whole
+code at one or two trials, several tests per block in between, about one
+test per block at 400 trials.
+"""
+
+import numpy as np
+import pytest
+
+import sqgt.decode as decode
+from sqgt.construct import random_disjunct
+from sqgt.decode import BpConfig, bp_decode, bp_decode_batch
+from sqgt.model import CodeParams, NoiseModel, apply_noise, channel_matrix, syndrome
+from sqgt.rng import derive_seed, make_rng
+from sqgt.simulate import SweepConfig, _build_code
+
+from bp_reference import factor_bp_decode_batch, reference_bp_decode_batch
+
+NOISE = NoiseModel(0.04, 0.04)
+CFG = BpConfig(max_iters=3, damping=0.5)
+SWEEP = SweepConfig(
+    n=100, d=15, m=50, eta_step=2, q_values=(2, 5, 11), gammas=((0.04, 0.04),),
+    trials=1, iterations=1, methods=("top-d",), seed=101,
+)
+# several tests per block: a test of these codes has 4..434 rows
+MIDDLE = decode._CELLS // 1024
+
+
+def _code(name):
+    if name == "oneshot":
+        return random_disjunct(100, 15, 3, 2, q=7, m=50, seed=derive_seed(101, "oneshot-code"))
+    return _build_code(SWEEP, int(name[1:]))
+
+
+def _results(C, params, trials, seed=5, d=15):
+    rng = make_rng(seed)
+    Z = np.empty((trials, C.shape[0]), dtype=np.int64)
+    for row in range(trials):
+        planted = sorted(int(x) + 1 for x in rng.choice(C.shape[1], d, replace=False))
+        Z[row] = apply_noise(syndrome(C, planted, params.eta), params.Q, NOISE, rng)
+    return Z
+
+
+def _layout(C, params, Z):
+    """Tests per block, as bp_decode_batch cuts them for these results."""
+    Z = np.repeat(Z, 2, axis=0) if len(Z) == 1 else Z
+    trans = channel_matrix(params.Q, NOISE)
+    blocks = decode._blocks(C, Z, trans, np.asarray(params.eta))
+    return [np.arange(blk.rows)[blk.starts].size for blk in blocks]
+
+
+@pytest.mark.parametrize("name", ["q2", "q5", "q11", "oneshot"])
+@pytest.mark.parametrize("trials", [1, 2, MIDDLE, 400])
+def test_blocks_match_one_test_at_a_time(name, trials):
+    C, params = _code(name)
+    Z = _results(C, params, trials)
+    layout = _layout(C, params, Z)
+    tests = int(C.any(axis=1).sum())
+    assert sum(layout) == tests
+    if trials <= 2:
+        assert layout == [tests]
+    elif trials == MIDDLE:
+        assert 1 < len(layout) < tests and max(layout) > 1
+    else:
+        assert len(layout) > 0.9 * tests
+    want = factor_bp_decode_batch(C, params, Z, NOISE, d=15, cfg=CFG)
+    got = bp_decode_batch(C, params, Z, NOISE, d=15, cfg=CFG)
+    assert np.array_equal(got.p1, want.p1)
+    assert got.iterations == want.iterations
+
+
+def test_single_decode_matches_one_test_at_a_time():
+    C, params = _code("oneshot")
+    cfg = BpConfig(max_iters=20, damping=0.5)
+    for seed in range(2):
+        z = _results(C, params, 1, seed=seed)
+        want = factor_bp_decode_batch(C, params, z, NOISE, d=15, cfg=cfg)
+        assert np.array_equal(bp_decode(C, params, z[0], NOISE, d=15, cfg=cfg).p1, want.p1[0])
+
+
+def test_block_boundary_between_tests(monkeypatch):
+    C, params = random_disjunct(12, 2, 3, 2, q=7, m=10, seed=3)
+    Z = _results(C, params, 2, d=2)
+    rows = decode._blocks(C, Z, channel_matrix(params.Q, NOISE), np.asarray(params.eta))[0].rows
+    # about a third of the code per block
+    monkeypatch.setattr(decode, "_CELLS", rows * 2 // 3)
+    layout = _layout(C, params, Z)
+    assert len(layout) >= 3 and max(layout) > 1
+    got = bp_decode_batch(C, params, Z, NOISE, d=2, cfg=CFG)
+    for reference in (factor_bp_decode_batch, reference_bp_decode_batch):
+        assert np.array_equal(got.p1, reference(C, params, Z, NOISE, d=2, cfg=CFG).p1)
+
+
+def _degenerate(kind):
+    if kind == "no-edges":
+        return np.zeros((4, 6), dtype=np.int64)
+    if kind == "zero-rows":
+        C = np.zeros((7, 6), dtype=np.int64)
+        C[[0, 3, 6]] = [[1, 2, 0, 1, 0, 0], [0, 1, 1, 0, 2, 0], [2, 0, 0, 0, 1, 1]]
+        C[5, 4] = 2  # a test with one neighbor
+        return C
+    if kind == "gcds":
+        # one block, one group per g = 1, 2, 4, 8 (10 and 6 reduce to 2)
+        return np.array([
+            [1, 3, 0, 2, 0, 0],
+            [0, 2, 6, 0, 4, 0],
+            [4, 0, 4, 0, 0, 12],
+            [8, 0, 0, 16, 8, 0],
+            [0, 10, 0, 0, 6, 0],
+        ])
+    # sums of more than 128 and more than 256 entries next to short ones of
+    # the same g, so split trees of heights 0, 1 and 2 sit side by side
+    return np.array([
+        [1, 3, 0, 2, 0, 0],
+        [60, 0, 50, 0, 40, 0],
+        [0, 100, 100, 90, 0, 0],
+        [0, 2, 0, 0, 4, 2],
+        [5, 0, 0, 7, 0, 120],
+    ])
+
+
+@pytest.mark.parametrize("kind", ["no-edges", "zero-rows", "gcds", "long-sums"])
+@pytest.mark.parametrize("trials", [1, 3])
+def test_degenerate_layouts_in_one_block(kind, trials):
+    C = _degenerate(kind)
+    q = int(C.max()) + 1 if C.any() else 2
+    params = CodeParams.equidistant(q, 3, 1, 2)
+    Z = _results(C, params, trials, seed=trials, d=2)
+    layout = _layout(C, params, Z)
+    assert layout == ([int(C.any(axis=1).sum())] if C.any() else [])
+    if kind == "gcds":
+        [blk] = decode._blocks(C, Z, channel_matrix(params.Q, NOISE), np.asarray(params.eta))
+        assert [g.width for g in blk.groups] == [8, 4, 2, 1]
+    if kind == "long-sums":
+        [blk] = decode._blocks(C, Z, channel_matrix(params.Q, NOISE), np.asarray(params.eta))
+        assert max(len(g.splits) for g in blk.groups) == 2
+    cfg = BpConfig(max_iters=4, prior=0.3)
+    got = bp_decode_batch(C, params, Z, NOISE, cfg=cfg)
+    for reference in (factor_bp_decode_batch, reference_bp_decode_batch):
+        assert np.array_equal(got.p1, reference(C, params, Z, NOISE, cfg=cfg).p1), reference

@@ -274,6 +274,32 @@ def test_every_decoder_checks_results(name):
             decode(z)
 
 
+@pytest.mark.parametrize("name", ["disjunct", "concat", "lindstrom", "ml", "bp"])
+def test_every_decoder_refuses_non_integer_results(name):
+    decode, C, params = _decoder(name)
+    z = syndrome(C, [1], params.eta)
+    assert decode(z.astype(float)) == (1,)  # integral floats are integers
+    assert decode(z.tolist()) == (1,)
+    for value in (0.9, z[1] + 0.2, float("nan"), float("inf")):
+        bad = z.astype(float)
+        bad[1] = value
+        with pytest.raises(BadRange):
+            decode(bad)
+    with pytest.raises(BadRange):
+        decode(list(z[:-1]) + [None])
+
+
+@pytest.mark.parametrize("decode", [decode_disjunct, decode_ml, bp_decode])
+def test_non_integer_matrix_refused(decode):
+    params = CodeParams.equidistant(2, 1, 1, 2)
+    z = syndrome(BASE_9x12, [1], params.eta)
+    for value in (0.5, float("nan")):
+        C = BASE_9x12.astype(float)
+        C[0, 0] = value
+        with pytest.raises(BadRange):
+            decode(C, params, z)
+
+
 class TestDecodeMl:
     def test_noiseless_unique_recovery(self, base_7x8):
         C, params = bose_chowla_code(6, 2, q=3, eta_step=1)

@@ -16,6 +16,7 @@ from sqgt.model import (
     NoiseModel,
     apply_noise,
     channel_matrix,
+    check_matrix,
     includes,
     quantize_sums,
     sq_sum,
@@ -57,6 +58,20 @@ class TestValidateParams:
         p = CodeParams.equidistant(7, 2, 1, 2)
         validate_params(p)
         assert p.Q == 7 and p.eta[-1] == 14
+
+
+class TestCheckMatrix:
+    def test_integral_floats_pass(self):
+        C = check_matrix([[1.0, 0.0], [2.0, 3.0]], 4)
+        assert C.dtype == np.int64 and C.tolist() == [[1, 0], [2, 3]]
+
+    @pytest.mark.parametrize("C", [
+        [[0.5, 1]], [[1.0, -0.5]], [[np.nan, 1]], [[np.inf, 0]], [[1e300, 0]],
+        [[1, 2], [3]], [["a", 1]], [[1j, 0]], [[None, 1]],
+    ])
+    def test_non_integers_refused(self, C):
+        with pytest.raises(BadRange):
+            check_matrix(C)
 
 
 class TestSqSum:
