@@ -51,12 +51,10 @@ def _thresholds(args) -> tuple[int, ...]:
     raise BadRange("this method needs --thresholds with the full eta vector")
 
 
-def _code_params(args, q: int, Q: int, eta, ranged: bool) -> CodeParams:
+def _code_params(args, q: int, Q: int, eta) -> CodeParams:
     """The code file's alphabet and thresholds with the defective range
-    (1:d), or (l:u) with u defaulting to d when ranged, and --e. The
-    library entry points validate them."""
-    l, u = (args.l, args.u or args.d) if ranged else (1, args.d)
-    return CodeParams(q=q, Q=Q, eta=eta, l=l, u=u, e=args.e)
+    (--l:--d) and --e. The library entry points validate them."""
+    return CodeParams(q=q, Q=Q, eta=eta, l=args.l, u=args.d, e=args.e)
 
 
 def _cmd_construct(args) -> int:
@@ -97,15 +95,17 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     C, q, Q, eta = read_matrix(args.code)
     if args.property == "sq-disjunct":
-        witness = ver.is_sq_disjunct(C, _code_params(args, q, Q, eta, ranged=False), args.budget)
+        witness = ver.is_sq_disjunct(C, _code_params(args, q, Q, eta), args.budget)
     elif args.property == "sq-separable":
-        witness = ver.is_sq_separable(C, _code_params(args, q, Q, eta, ranged=True), args.budget)
+        witness = ver.is_sq_separable(C, _code_params(args, q, Q, eta), args.budget)
     elif args.property == "bin-disjunct":
+        if args.l != 1:
+            raise BadRange(f"disjunct codes cover ranges (1:d); need l == 1, got l={args.l}")
         witness = ver.is_binary_disjunct_cgt(C, args.d, args.e, budget=args.budget)
     elif args.property == "bin-sep-cgt":
-        witness = ver.is_binary_separable_cgt(C, args.d, args.e, budget=args.budget)
+        witness = ver.is_binary_separable_cgt(C, args.d, args.e, args.budget, min_size=args.l)
     else:
-        witness = ver.is_binary_separable_qgt(C, args.d, args.e, budget=args.budget)
+        witness = ver.is_binary_separable_qgt(C, args.d, args.e, args.budget, min_size=args.l)
     if witness is None:
         print("PASS")
         return 0
@@ -128,15 +128,15 @@ def _cmd_decode(args) -> int:
     z = np.array(_int_list(args.syndrome, "--syndrome"), dtype=np.int64)
     noise = NoiseModel(args.gamma_p, args.gamma_n)
     if args.algorithm == "disjunct":
-        found = dec.decode_disjunct(C, _code_params(args, q, Q, eta, ranged=False), z)
+        found = dec.decode_disjunct(C, _code_params(args, q, Q, eta), z)
     elif args.algorithm == "concat":
         found = dec.decode_concat(con.concat_spec(C, q, eta, args.d, args.e), z)
     elif args.algorithm == "lindstrom":
         found = dec.decode_lindstrom(con.lindstrom_spec(C, q, eta), z)
     elif args.algorithm == "ml":
-        found = dec.decode_ml(C, _code_params(args, q, Q, eta, ranged=True), z, noise)
+        found = dec.decode_ml(C, _code_params(args, q, Q, eta), z, noise)
     else:  # bp
-        params = _code_params(args, q, Q, eta, ranged=False)
+        params = _code_params(args, q, Q, eta)
         cfg = dec.BpConfig(max_iters=args.iterations, damping=args.damping, tol=args.bp_tol)
         marg = dec.bp_decode(C, params, z, noise, d=args.d, cfg=cfg)
         if args.select == "top-d":
@@ -201,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--d", type=int, required=True)
     v.add_argument("--e", type=int, default=0)
     v.add_argument("--l", type=int, default=1)
-    v.add_argument("--u", type=int)
     v.add_argument("--budget", type=int, default=ver.DEFAULT_BUDGET)
     v.set_defaults(func=_cmd_verify)
 
@@ -220,7 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--d", type=int, default=1)
     d.add_argument("--e", type=int, default=0)
     d.add_argument("--l", type=int, default=1)
-    d.add_argument("--u", type=int)
     d.add_argument("--gamma-p", type=float, default=0.0)
     d.add_argument("--gamma-n", type=float, default=0.0)
     d.add_argument("--iterations", type=int, default=20)
@@ -233,8 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--out")
     s.add_argument("--threads", type=int,
-                   help="worker cap (default SQGT_THREADS, else the cpu count); more than "
-                        "one runs sweep points in forked processes, all reaped before exit")
+                   help="worker cap, at least 1 (default the cpu count); more than one "
+                        "runs sweep points in forked processes, all reaped before exit")
     s.set_defaults(func=_cmd_simulate)
 
     k = sub.add_parser("capacity", help="search input distributions and quantizers")

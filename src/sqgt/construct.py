@@ -211,7 +211,6 @@ def random_disjunct(
     eta_step: int,
     e: int = 0,
     p0: float | None = None,
-    p1: float | None = None,
     delta: float = 1.0,
     seed: int = 0,
     q: int | None = None,
@@ -236,12 +235,8 @@ def random_disjunct(
         )
     if p0 is None:
         p0 = d / (d + 1)
-    if p1 is None:
-        p1 = (1 - p0) / levels
-    if not (0 < p0 < 1) or p1 < 0 or abs(p0 + levels * p1 - 1.0) > 1e-12:
-        raise BadDistribution(
-            f"p0 + levels*p1 must equal 1, got {p0} + {levels}*{p1}"
-        )
+    if not 0 < p0 < 1:
+        raise BadDistribution(f"p0 must lie in (0, 1), got {p0}")
     if m is None:
         pi = row_success_prob(d, levels, p0)
         if e > 0:
@@ -250,7 +245,7 @@ def random_disjunct(
             rows = ((d + 1) / pi + delta) * log(n / d)
         m = max(1, ceil(rows * m_multiplier))
     rng = make_rng(seed)
-    symbols = rng.choice(levels + 1, size=(m, n), p=[p0] + [p1] * levels)
+    symbols = rng.choice(levels + 1, size=(m, n), p=[p0] + [(1 - p0) / levels] * levels)
     C = symbols.astype(np.int64) * eta_step
     params = CodeParams.equidistant(q, eta_step, 1, d, e)
     return C, params

@@ -28,9 +28,10 @@ from .model import (
     channel_matrix,
     check_matrix,
     quantize_sums,
+    syndrome,
     validate_params,
 )
-from .verify import _check_set_budget, _subset_chunks, _syndrome_table
+from .verify import _check_set_budget, _subset_chunks, _syndrome_table, _within
 
 __all__ = [
     "decode_disjunct",
@@ -89,7 +90,6 @@ def decode_concat(spec: ConcatSpec, z) -> tuple[int, ...]:
     """
     m, nb = spec.base.shape
     z = _check_results(z, m, spec.params.Q)
-    eta = np.asarray(spec.params.eta, dtype=np.int64)
     found: list[int] = []
     y = z.copy()
     for j in range(spec.blocks, 0, -1):
@@ -102,7 +102,7 @@ def decode_concat(spec: ConcatSpec, z) -> tuple[int, ...]:
             raise NoConsistentSet(
                 f"block {j} decodes to {len(local)} subjects, more than d={spec.d}"
             )
-        encoded = quantize_sums(block[:, [i - 1 for i in local]].sum(axis=1), eta)
+        encoded = syndrome(block, local, spec.params.eta)
         misses = int((encoded != yj).sum())
         if misses > spec.e:
             raise NoConsistentSet(
@@ -355,11 +355,6 @@ def _sum_plan(rows: list[tuple[int, int, int]], g: int, sentinel: int):
     return (gp, gb), blocks, width, splits, np.array([node(r) for r in roots]) if splits else None
 
 
-def _within(count: np.ndarray) -> np.ndarray:
-    """0..c-1 for each c in count, one run after another."""
-    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-
-
 def _index(rows: np.ndarray) -> slice | np.ndarray:
     """Increasing rows, as a slice when they are contiguous."""
     if len(rows) and rows[-1] - rows[0] + 1 == len(rows):
@@ -566,7 +561,7 @@ def bp_decode_batch(
     degree = np.bincount(evar, minlength=n)
     slots = np.full((int(degree.max(initial=0)), n), E)
     order = np.argsort(evar, kind="stable")
-    slots[np.arange(E) - np.repeat(np.cumsum(degree) - degree, degree), evar[order]] = order
+    slots[_within(degree), evar[order]] = order
 
     V = np.full((2, E, T), 0.5)
     F = np.full((2, E, T), 0.5)
@@ -620,7 +615,10 @@ def bp_decode(
     cfg: BpConfig = BpConfig(),
 ) -> Marginals:
     """Sum-product decoding of a single result vector; see bp_decode_batch."""
-    out = bp_decode_batch(C, params, np.asarray(z)[None], noise, d=d, cfg=cfg)
+    validate_params(params)
+    C = check_matrix(C, params.q)
+    z = _check_results(z, C.shape[0], params.Q)
+    out = bp_decode_batch(C, params, z[None], noise, d=d, cfg=cfg)
     return Marginals(p1=out.p1[0], iterations=out.iterations)
 
 

@@ -192,7 +192,7 @@ def sq_sum(vectors, eta, m: int | None = None) -> np.ndarray:
     the bucket r with eta_r <= sum_j x_j(k) < eta_{r+1}. For equidistant
     thresholds this equals floor(sum / eta_step).
     """
-    vecs = [np.asarray(v, dtype=np.int64) for v in vectors]
+    vecs = [_integers(v, "codeword entries") for v in vectors]
     if not vecs:
         if m is None:
             raise LengthMismatch("empty codeword set needs an explicit length m")
@@ -207,7 +207,7 @@ def sq_sum(vectors, eta, m: int | None = None) -> np.ndarray:
 
 def syndrome(C, subjects, eta) -> np.ndarray:
     """Syndrome of a set of subjects (1-based indices) under matrix C."""
-    C = np.asarray(C, dtype=np.int64)
+    C = check_matrix(C)
     idx = sorted(set(int(s) for s in subjects))
     if idx and (idx[0] < 1 or idx[-1] > C.shape[1]):
         raise BadRange(f"subject indices must lie in 1..{C.shape[1]}, got {idx}")
@@ -232,7 +232,7 @@ def apply_noise(y, Q: int, noise: NoiseModel, seed) -> np.ndarray:
     with probability gamma_n, except that 0 never moves down and Q-1 never
     moves up. The output always stays inside 0..Q-1.
     """
-    y = np.asarray(y, dtype=np.int64)
+    y = _integers(y, "syndrome values")
     if y.size and (y.min() < 0 or y.max() > Q - 1):
         raise BadRange(f"syndrome values must lie in 0..{Q - 1}")
     u = make_rng(seed).random(y.shape)

@@ -17,6 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -202,36 +203,25 @@ def _run_point(cfg: SweepConfig, q: int, gp: float, gn: float) -> list[Simulatio
     return rows
 
 
-def _env_threads() -> int:
-    """SQGT_THREADS as an integer >= 0 (0 when unset); ConfigError otherwise."""
-    raw = os.environ.get("SQGT_THREADS", "0")
-    refusal = f"SQGT_THREADS must be an integer >= 0, got {raw!r}"
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(refusal) from None
-    if threads < 0:
-        raise ConfigError(refusal)
-    return threads
-
-
 def run_simulation(cfg: SweepConfig, threads: int | None = None) -> list[SimulationRow]:
     """Run every sweep point; rows come back in deterministic sweep order
     (q outer, noise pair inner, then selection method) regardless of the
-    worker count. Worker cap: argument, else SQGT_THREADS, else cpu count.
-    One worker runs in process; more run as forked processes, all joined
-    before the call returns. Without fork (Windows) every point runs in
-    process."""
-    points = [(q, gp, gn) for q in cfg.q_values for (gp, gn) in cfg.gammas]
+    worker count. threads caps the workers: None means the cpu count, and
+    anything but an integer >= 1 raises ConfigError. One worker runs in
+    process; more run as forked processes, all joined before the call
+    returns. Without fork (Windows) every point runs in process."""
     if threads is None:
-        threads = _env_threads() or (os.cpu_count() or 1)
-    threads = max(1, min(threads, len(points)))
+        threads = os.cpu_count() or 1
+    elif isinstance(threads, bool) or not isinstance(threads, Integral) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
+    points = [(q, gp, gn) for q in cfg.q_values for (gp, gn) in cfg.gammas]
+    threads = min(threads, len(points))
     if threads > 1:
         import multiprocessing  # only here, like the pool: they load socket and logging
 
         if "fork" not in multiprocessing.get_all_start_methods():
             threads = 1
-    if threads == 1:
+    if threads <= 1:  # also no points at all
         buckets = [_run_point(cfg, *pt) for pt in points]
     else:
         from concurrent.futures import ProcessPoolExecutor

@@ -94,6 +94,17 @@ def _subset_chunks(n: int, k: int, chunk: int):
         yield np.column_stack((rest[r - first[top]], top))
 
 
+def _within(count: np.ndarray) -> np.ndarray:
+    """0..c-1 for each c in count, one run after another."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+
+
+def _row_keys(A: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array as opaque byte strings, one np.void each."""
+    A = np.ascontiguousarray(A)
+    return A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
+
+
 def _distinct_rows(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of C, transposed, and how often each occurs.
 
@@ -104,9 +115,7 @@ def _distinct_rows(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     compared as opaque byte strings: one sort, where np.unique(axis=0) is
     about ten times slower.
     """
-    C = np.ascontiguousarray(C)
-    keys = C.view(np.dtype((np.void, C.itemsize * C.shape[1]))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    _, first, counts = np.unique(_row_keys(C), return_index=True, return_counts=True)
     return np.ascontiguousarray(C[first].T), counts.astype(np.int64)
 
 
@@ -188,9 +197,7 @@ def _bucket_scan(syn: np.ndarray, coords: np.ndarray):
     """
     N = syn.shape[0]
     if coords.size:
-        part = np.ascontiguousarray(syn[:, coords])
-        keys = part.view(np.dtype((np.void, part.itemsize * part.shape[1]))).ravel()
-        bucket = np.unique(keys, return_inverse=True)[1].ravel()
+        bucket = np.unique(_row_keys(syn[:, coords]), return_inverse=True)[1].ravel()
     else:
         bucket = np.zeros(N, dtype=np.int64)
     order = np.argsort(bucket, kind="stable")
@@ -244,10 +251,8 @@ def _first_close_pair(syn: np.ndarray, weight: np.ndarray, e: int, pair_budget: 
         I, J = [], []
         for order, lo, count in scans:
             c = count[j0:j1]
-            total = int(c.sum())
-            if total:
-                skip = np.repeat(np.cumsum(c) - c, c)
-                I.append(order[np.repeat(lo[j0:j1], c) + np.arange(total) - skip])
+            if c.any():
+                I.append(order[np.repeat(lo[j0:j1], c) + _within(c)])
                 J.append(np.repeat(np.arange(j0, j1), c))
         if I:
             I, J = np.concatenate(I), np.concatenate(J)

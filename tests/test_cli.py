@@ -51,6 +51,40 @@ class TestConstructVerifyRoundTrip:
         assert run("verify", "--code", out, "--property", "sq-disjunct", "--d", 2) == 0
         capsys.readouterr()
 
+    def test_binary_separable_checks_read_the_lower_end(self, tmp_path, capsys):
+        # the q = 2 Bose-Chowla code separates the 2-sets only: {3} and
+        # {1,2} share a syndrome, so (1:2) fails and (2:2) passes
+        out = tmp_path / "bc.sqgt"
+        assert run("construct", "--method", "bose-chowla", "--n", 13, "--d", 2, "--q", 2,
+                   "--eta", 1, "--out", out) == 0
+        capsys.readouterr()
+        for prop in ("bin-sep-cgt", "bin-sep-qgt"):
+            assert run("verify", "--code", out, "--property", prop, "--d", 2) == 1
+            assert capsys.readouterr().out.startswith("WITNESS sq-separable: {3} vs {1,2}")
+        assert run("verify", "--code", out, "--property", "bin-sep-qgt", "--d", 2, "--l", 2) == 0
+        assert capsys.readouterr().out == "PASS\n"
+
+    @pytest.mark.parametrize("prop", ["bin-disjunct", "sq-disjunct"])
+    def test_disjunct_checks_refuse_a_lower_end(self, capsys, prop):
+        assert run("verify", "--code", BASE, "--property", prop, "--d", 2, "--l", 2) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("BadRange:")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--code", BASE, "--property", "sq-separable", "--d", 2),
+        ("decode", "--code", BASE, "--syndrome", "1,0,1,0,0,0,0,0,1", "--algorithm", "ml",
+         "--d", 2),
+    ])
+    def test_no_upper_bound_option(self, capsys, argv):
+        # u is --d; there is no second option for it
+        with pytest.raises(SystemExit) as exit_:
+            run(*argv, "--u", 2)
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --u 2" in captured.err
+
     def test_witness_exits_one(self, tmp_path, capsys):
         out = tmp_path / "dup.sqgt"
         from sqgt.fileio import write_matrix
@@ -271,22 +305,14 @@ class TestSimulateCli:
         assert run("simulate", "--config", cfg, "--out", out) == 0
         assert out.read_text() == text
 
-    def test_threads_env(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_worker_cap_below_one_refused(self, tmp_path, capsys, threads):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(self.CONFIG)
-        monkeypatch.setenv("SQGT_THREADS", "2")
-        assert run("simulate", "--config", cfg) == 0
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
-    def test_bad_threads_env(self, tmp_path, capsys, monkeypatch, value):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(self.CONFIG)
-        monkeypatch.setenv("SQGT_THREADS", value)
-        assert run("simulate", "--config", cfg) == 2
-        assert capsys.readouterr().err.startswith(
-            f"ConfigError: SQGT_THREADS must be an integer >= 0, got {value!r}"
-        )
+        assert run("simulate", "--config", cfg, "--threads", threads) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ConfigError: threads must be an integer >= 1, got {threads}\n"
 
     def test_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

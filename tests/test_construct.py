@@ -165,8 +165,15 @@ class TestRandomDisjunct:
         assert C.shape[0] == int(np.ceil((4 / pi + 1.0) * log(32) + 8 / pi))
 
     def test_bad_distribution(self):
-        with pytest.raises(BadDistribution):
-            random_disjunct(16, 2, 2, 1, p0=0.5, p1=0.5, seed=0)
+        for p0 in (0.0, 1.0, 1.5, -0.2, float("nan")):
+            with pytest.raises(BadDistribution):
+                random_disjunct(16, 2, 2, 1, p0=p0, seed=0)
+
+    def test_level_probability_follows_p0(self):
+        # every nonzero level gets (1 - p0) / levels; there is no second
+        # parameter for it
+        with pytest.raises(TypeError):
+            random_disjunct(16, 2, 2, 1, p0=0.5, p1=0.25, seed=0)
 
     def test_explicit_m_skips_the_row_formula(self):
         # only the formula row count reads the success probability, which

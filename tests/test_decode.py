@@ -289,6 +289,13 @@ def test_every_decoder_refuses_non_integer_results(name):
         decode(list(z[:-1]) + [None])
 
 
+def test_bp_decode_names_the_single_vector_shape():
+    params = CodeParams.equidistant(2, 1, 1, 2)
+    for z in (3, [[0] * 9]):
+        with pytest.raises(BadRange, match=r"results must have shape \(m=9,\), got"):
+            bp_decode(BASE_9x12, params, z)
+
+
 @pytest.mark.parametrize("decode", [decode_disjunct, decode_ml, bp_decode])
 def test_non_integer_matrix_refused(decode):
     params = CodeParams.equidistant(2, 1, 1, 2)

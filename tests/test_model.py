@@ -99,6 +99,16 @@ class TestSqSum:
         with pytest.raises(LengthMismatch):
             sq_sum([(1, 2), (1,)], (0, 1, 9))
 
+    def test_non_integer_codewords_refused(self):
+        assert sq_sum([[1.0], [0.0]], (0, 1, 3)).tolist() == [1]
+        with pytest.raises(BadRange, match="codeword entries must be integers, got 0.5"):
+            sq_sum([[0.5], [0.6]], (0, 1, 3))
+
+    def test_syndrome_refuses_a_non_integer_matrix(self):
+        assert syndrome([[1.0, 1.0]], [1, 2], (0, 1, 3)).tolist() == [1]
+        with pytest.raises(BadRange, match="matrix entries must be integers, got 0.5"):
+            syndrome([[0.5, 1.7]], [1, 2], (0, 1, 3))
+
     @given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1, max_size=5), st.integers(1, 3))
     def test_equidistant_matches_floor_formula(self, vecs, step):
         Q = (3 * len(vecs)) // step + 1
@@ -218,6 +228,12 @@ class TestApplyNoise:
         y = rng.integers(0, 4, size=2000)
         out = apply_noise(y, 4, NoiseModel(0.4, 0.5), 3)
         assert out.min() >= 0 and out.max() <= 3
+
+    def test_non_integer_syndrome_refused(self):
+        assert apply_noise([1.0, 2.0], 3, NOISELESS, 0).tolist() == [1, 2]
+        for y in ([0.9, 1.2], [1, float("nan")]):
+            with pytest.raises(BadRange, match="syndrome values must be integers"):
+                apply_noise(y, 3, NOISELESS, 0)
 
     def test_deterministic_per_seed(self):
         y = np.arange(5) % 3

@@ -119,6 +119,12 @@ seed=101
 """
 
 
+@pytest.mark.parametrize("threads", [0, -3, 1.0, "2", True])
+def test_worker_cap_must_be_a_positive_integer(threads):
+    with pytest.raises(ConfigError, match="threads must be an integer >= 1"):
+        run_simulation(parse_config(TINY), threads=threads)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_csv_matches_golden_bytes(threads):
     # generated with the trial-major BP kernel; any change in the marginals'
