@@ -124,6 +124,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    if args.algorithm != "ml" and args.l != 1:
+        raise BadRange(f"only the ml decoder takes a range (l:d); need l == 1, got l={args.l}")
     C, q, Q, eta = read_matrix(args.code)
     z = np.array(_int_list(args.syndrome, "--syndrome"), dtype=np.int64)
     noise = NoiseModel(args.gamma_p, args.gamma_n)

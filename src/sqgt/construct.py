@@ -650,6 +650,9 @@ def _default_chain(subset: frozenset[int]) -> list[frozenset[int]]:
     return chain
 
 
+LINDSTROM_CELLS = 10**7  # m x n cap of a full recursive code: kappa <= 10 at q <= 17
+
+
 def lindstrom(
     kappa: int,
     q: int,
@@ -665,11 +668,19 @@ def lindstrom(
     through a shrinking gate set. chains optionally overrides the gate sets
     for selected blocks (1-based block index to list of element iterables);
     the default drops the largest element at each step. Truncation to n
-    columns drops from the right.
+    columns drops from the right. The full code is built first, so BadKappa
+    is raised before any block when it would exceed LINDSTROM_CELLS cells.
     """
     if kappa < 1:
         raise BadKappa(f"need kappa >= 1, got {kappa}")
     q2 = _floor_log2_ratio(_step_levels(q, eta_step), 1)
+    # the full code has m = 2^kappa - 1 rows and m*q2 + kappa*2^(kappa-1)
+    # columns (q2 + |S| per block S). The count grows with kappa, and m
+    # alone passes the cap at k, so a larger kappa is counted as k and
+    # 2^kappa is never formed.
+    k = min(kappa, LINDSTROM_CELLS.bit_length() + 1)
+    if (2**k - 1) * ((2**k - 1) * q2 + k * 2 ** (k - 1)) > LINDSTROM_CELLS:
+        raise BadKappa(f"kappa={kappa} builds more than {LINDSTROM_CELLS} matrix cells")
     m = 2**kappa - 1
     subsets = ordered_subsets(kappa)
 

@@ -480,17 +480,19 @@ def _block_update(blk: _Block, V: np.ndarray, F_new: np.ndarray) -> None:
         else:
             B[dst] = B[src] * v0[e] + B[shifted] * v1[e]
     for grp in blk.groups:
-        Y = P.take(grp.gather[0], axis=0)
-        Y *= B.take(grp.gather[1], axis=0)
+        # (columns, leaves, trials), so that numpy adds along the columns in
+        # sequence: the leaves x trials inside them are never fewer than two
+        Y = P.take(grp.gather[0].T, axis=0)
+        Y *= B.take(grp.gather[1].T, axis=0)
         slot = grp.blocks * grp.width
         if grp.blocks:
             # stride-8 accumulators, then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
             # over the lanes kept
-            lanes = np.add.reduce(Y[:, :slot].reshape(len(Y), grp.blocks, grp.width, T), axis=1)
-            while lanes.shape[1] > 1:
-                lanes = lanes[:, 0::2] + lanes[:, 1::2]
-            Y[:, slot] = lanes[:, 0]
-        sums = np.add.reduce(Y[:, slot:], axis=1)
+            lanes = np.add.reduce(Y[:slot].reshape(grp.blocks, grp.width, -1, T), axis=0)
+            while len(lanes) > 1:
+                lanes = lanes[0::2] + lanes[1::2]
+            Y[slot] = lanes[0]
+        sums = np.add.reduce(Y[slot:], axis=0)
         for left, right in grp.splits:
             sums = np.concatenate((sums, sums[left] + sums[right]))
         if grp.roots is not None:
@@ -519,9 +521,9 @@ def bp_decode_batch(
     dynamic-programming arrays are (neighbors, R, trials), so every numpy
     call runs over all trials at once. Factors also run in blocks: the
     arrays of consecutive factors lie side by side, up to a cap of _CELLS
-    rows x trials per block, and each forward or backward step, and each
-    message reduction, covers every factor of a block in one numpy call.
-    One or two trials put the whole code in one block; hundreds give about
+    rows x trials per block; each forward or backward step, and each add
+    of the message sums, covers every factor of a block in one numpy call.
+    A single trial puts the whole code in one block; hundreds give about
     one factor per block, which keeps the arrays in cache. Partial sums
     live on the lattice of multiples of g' = gcd(the factor's coefficients,
     8), R = S/g' + 1 points for a coefficient sum S; the others are
@@ -537,20 +539,14 @@ def bp_decode_batch(
     C = check_matrix(C, params.q)
     m, n = C.shape
     Z = _check_results(Z, m, params.Q, batch=True)
-    trials = Z.shape[0]
+    T = Z.shape[0]
     if d is None:
         d = params.u
     p_prior = cfg.prior if cfg.prior is not None else d / n
     if not 0.0 < p_prior < 1.0:
         raise BadRange(f"defect prior must lie in (0, 1), got {p_prior}")
-    if trials == 0:
+    if T == 0:
         return Marginals(p1=np.empty((0, n)), iterations=0)
-    if trials == 1:
-        # numpy adds along an outer axis in sequence only while the trial
-        # axis inside it is longer than 1; with one trial it would sum the
-        # message rows pairwise instead
-        Z = np.repeat(Z, 2, axis=0)
-    T = Z.shape[0]
     log_prior = np.log(np.array([1.0 - p_prior, p_prior]))[:, None, None]
 
     blocks = _blocks(C, Z, channel_matrix(params.Q, noise), np.asarray(params.eta, dtype=np.int64))
@@ -603,7 +599,7 @@ def bp_decode_batch(
     marg_log -= np.maximum(marg_log[0], marg_log[1])
     marg = np.exp(marg_log)
     marg /= marg[0] + marg[1]
-    return Marginals(p1=marg[1, :, :trials].T.copy(), iterations=iterations)
+    return Marginals(p1=marg[1].T.copy(), iterations=iterations)
 
 
 def bp_decode(

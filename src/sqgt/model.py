@@ -206,9 +206,16 @@ def sq_sum(vectors, eta, m: int | None = None) -> np.ndarray:
 
 
 def syndrome(C, subjects, eta) -> np.ndarray:
-    """Syndrome of a set of subjects (1-based indices) under matrix C."""
+    """Syndrome of a set of subjects (1-based indices) under matrix C. An
+    index that is not an integer, or is a boolean, raises BadRange."""
     C = check_matrix(C)
-    idx = sorted(set(int(s) for s in subjects))
+    subjects = list(subjects)
+    if any(isinstance(s, (bool, np.bool_)) for s in subjects):
+        raise BadRange("subject indices must be integers, not booleans")
+    idx = _integers(subjects, "subject indices")
+    if idx.ndim != 1:
+        raise BadRange(f"subject indices must be a flat list, got shape {idx.shape}")
+    idx = sorted(set(idx.tolist()))
     if idx and (idx[0] < 1 or idx[-1] > C.shape[1]):
         raise BadRange(f"subject indices must lie in 1..{C.shape[1]}, got {idx}")
     if not idx:

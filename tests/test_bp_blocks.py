@@ -30,6 +30,18 @@ MIDDLE = decode._CELLS // 1024
 
 
 def _code(name):
+    if name == "g8":
+        # entries 8..64 in steps of 8, so that the long factor sums add eight
+        # or more stride-8 lanes of one lattice point each; the first three
+        # rows, divided by 8, add tails of up to seven entries. Quantizer
+        # steps of three lattice points spread the mass over many sums.
+        rng = make_rng(3)
+        C = np.zeros((30, 100), dtype=np.int64)
+        for t in range(30):
+            cols = rng.choice(100, 5, replace=False)
+            C[t, cols] = 8 * rng.integers(1, 9, size=5)
+        C[:3] //= 8
+        return C, CodeParams.equidistant(65, 24, 1, 15)
     if name == "oneshot":
         return random_disjunct(100, 15, 3, 2, q=7, m=50, seed=derive_seed(101, "oneshot-code"))
     return _build_code(SWEEP, int(name[1:]))
@@ -46,13 +58,12 @@ def _results(C, params, trials, seed=5, d=15):
 
 def _layout(C, params, Z):
     """Tests per block, as bp_decode_batch cuts them for these results."""
-    Z = np.repeat(Z, 2, axis=0) if len(Z) == 1 else Z
     trans = channel_matrix(params.Q, NOISE)
     blocks = decode._blocks(C, Z, trans, np.asarray(params.eta))
     return [np.arange(blk.rows)[blk.starts].size for blk in blocks]
 
 
-@pytest.mark.parametrize("name", ["q2", "q5", "q11", "oneshot"])
+@pytest.mark.parametrize("name", ["q2", "q5", "q11", "oneshot", "g8"])
 @pytest.mark.parametrize("trials", [1, 2, MIDDLE, 400])
 def test_blocks_match_one_test_at_a_time(name, trials):
     C, params = _code(name)

@@ -71,6 +71,21 @@ class TestConstructVerifyRoundTrip:
         assert captured.out == ""
         assert captured.err.startswith("BadRange:")
 
+    @pytest.mark.parametrize("algorithm, found", [
+        ("disjunct", "3\n"), ("bp", "1,3\n"), ("concat", None), ("lindstrom", None),
+    ])
+    def test_decoders_but_ml_refuse_a_lower_end(self, capsys, algorithm, found):
+        # the syndrome of {3}; the base is no concatenated or recursive code
+        argv = ("decode", "--code", BASE, "--syndrome", "0,0,0,0,1,1,0,0,1",
+                "--algorithm", algorithm, "--d", 2)
+        if found:
+            assert run(*argv) == 0
+            assert capsys.readouterr().out == found
+        assert run(*argv, "--l", 2) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("BadRange:")
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--code", BASE, "--property", "sq-separable", "--d", 2),
         ("decode", "--code", BASE, "--syndrome", "1,0,1,0,0,0,0,0,1", "--algorithm", "ml",
@@ -225,6 +240,7 @@ class TestBadValues:
         BINARY + ("--delta", "inf"),
         BINARY + ("--delta", -100),
     )] + [
+        (("--method", "lindstrom", "--kappa", 40, "--q", 3, "--eta", 1), "BadKappa"),
         (BINARY[:-1] + ("0,2,0,5", "--alpha", 2), "ThresholdNotIncreasing"),
         (BINARY[:-1] + ("0,2,-4,5", "--alpha", 2), "ThresholdNotIncreasing"),
     ]

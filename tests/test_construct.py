@@ -6,6 +6,7 @@ from math import comb, log
 import numpy as np
 import pytest
 
+import sqgt.construct as construct
 from sqgt.construct import (
     binary_row_success_bound,
     bose_chowla,
@@ -458,6 +459,18 @@ class TestLindstrom:
     def test_bad_kappa(self):
         with pytest.raises(BadKappa):
             lindstrom(0, 3, 2)
+
+    def test_cell_cap(self, monkeypatch):
+        # refused before any block is built, so kappa = 40 returns at once
+        for kappa, q in ((11, 2), (40, 3), (10**9, 3)):
+            with pytest.raises(BadKappa, match=f"kappa={kappa} builds more than"):
+                lindstrom(kappa, q, 1)
+        # the cap is on the full code's cells, 7 x 26 here, whatever n is
+        monkeypatch.setattr(construct, "LINDSTROM_CELLS", 7 * 26)
+        assert lindstrom(3, 9, 2)[0].shape == (7, 26)
+        monkeypatch.setattr(construct, "LINDSTROM_CELLS", 7 * 26 - 1)
+        with pytest.raises(BadKappa):
+            lindstrom(3, 9, 2, n=5)
 
     @pytest.mark.parametrize("step", [0, -1])
     def test_bad_step(self, step):

@@ -109,6 +109,17 @@ class TestSqSum:
         with pytest.raises(BadRange, match="matrix entries must be integers, got 0.5"):
             syndrome([[0.5, 1.7]], [1, 2], (0, 1, 3))
 
+    @pytest.mark.parametrize("subjects", [
+        [1.5], [2, 2.5], [True], [np.True_, 2], np.array([True]), [[1, 2]],
+    ])
+    def test_syndrome_refuses_non_integer_subjects(self, subjects):
+        # a cast would take 1.5 and True for subject 1
+        with pytest.raises(BadRange, match="subject indices must be"):
+            syndrome([[1, 2, 4]], subjects, tuple(range(9)))
+
+    def test_syndrome_takes_integral_subjects(self):
+        assert syndrome([[1, 2, 4]], [3.0, np.int64(1), 3], tuple(range(9))).tolist() == [5]
+
     @given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1, max_size=5), st.integers(1, 3))
     def test_equidistant_matches_floor_formula(self, vecs, step):
         Q = (3 * len(vecs)) // step + 1
