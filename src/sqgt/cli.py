@@ -10,8 +10,6 @@ and exits with status 1.
 import argparse
 import sys
 
-import numpy as np
-
 from . import capacity as cap
 from . import construct as con
 from . import decode as dec
@@ -45,25 +43,31 @@ def _int_list(raw: str, option: str) -> list[int]:
     return out
 
 
+def _needed(value, option: str):
+    if value is None:
+        raise BadRange(f"this method needs {option}")
+    return value
+
+
 def _thresholds(args) -> tuple[int, ...]:
-    if args.thresholds:
-        return tuple(_int_list(args.thresholds, "--thresholds"))
-    raise BadRange("this method needs --thresholds with the full eta vector")
+    raw = _needed(args.thresholds or None, "--thresholds with the full eta vector")
+    return tuple(_int_list(raw, "--thresholds"))
 
 
 def _code_params(args, q: int, Q: int, eta) -> CodeParams:
     """The code file's alphabet and thresholds with the defective range
-    (--l:--d) and --e. The library entry points validate them."""
+    (--l:--d) and --e; CodeParams checks the bracket as it is built."""
     return CodeParams(q=q, Q=Q, eta=eta, l=args.l, u=args.d, e=args.e)
 
 
 def _cmd_construct(args) -> int:
-    seed = args.seed
+    if args.method in ("scale-disjunct", "scale-separable", "concat-disjunct", "concat-separable"):
+        base, *_ = read_matrix(_needed(args.base, "--base"))
+    elif args.method != "lindstrom":
+        _needed(args.n, "--n")
     if args.method == "scale-disjunct":
-        base, *_ = read_matrix(args.base)
         C, params = con.scale_disjunct(base, args.d, args.e, args.q, _thresholds(args))
     elif args.method == "scale-separable":
-        base, *_ = read_matrix(args.base)
         C, params = con.scale_separable(
             base, args.d, args.e, args.q, _thresholds(args), base_kind=args.base_kind
         )
@@ -71,10 +75,9 @@ def _cmd_construct(args) -> int:
         levels = args.levels if args.levels else con._step_levels(args.q, args.eta)
         C, params = con.random_disjunct(
             args.n, args.d, levels, args.eta, e=args.e, p0=args.p0, delta=args.delta,
-            seed=seed, q=args.q, m=args.m, m_multiplier=args.m_multiplier,
+            seed=args.seed, q=args.q, m=args.m, m_multiplier=args.m_multiplier,
         )
     elif args.method in ("concat-disjunct", "concat-separable"):
-        base, *_ = read_matrix(args.base)
         C, spec = con.concat_disjunct(base, args.d, args.e, args.q, args.eta)
         params = spec.params
     elif args.method == "bose-chowla":
@@ -82,7 +85,7 @@ def _cmd_construct(args) -> int:
     elif args.method == "random-binary":
         C, params = con.random_binary_separable(
             args.n, args.d, _thresholds(args), args.alpha, e=args.e, delta=args.delta,
-            seed=seed, m=args.m, m_multiplier=args.m_multiplier,
+            seed=args.seed, m=args.m, m_multiplier=args.m_multiplier,
         )
     else:  # lindstrom
         C, spec = con.lindstrom(args.kappa, args.q, args.eta, n=args.n)
@@ -127,7 +130,7 @@ def _cmd_decode(args) -> int:
     if args.algorithm != "ml" and args.l != 1:
         raise BadRange(f"only the ml decoder takes a range (l:d); need l == 1, got l={args.l}")
     C, q, Q, eta = read_matrix(args.code)
-    z = np.array(_int_list(args.syndrome, "--syndrome"), dtype=np.int64)
+    z = _int_list(args.syndrome, "--syndrome")
     noise = NoiseModel(args.gamma_p, args.gamma_n)
     if args.algorithm == "disjunct":
         found = dec.decode_disjunct(C, _code_params(args, q, Q, eta), z)
@@ -138,9 +141,8 @@ def _cmd_decode(args) -> int:
     elif args.algorithm == "ml":
         found = dec.decode_ml(C, _code_params(args, q, Q, eta), z, noise)
     else:  # bp
-        params = _code_params(args, q, Q, eta)
         cfg = dec.BpConfig(max_iters=args.iterations, damping=args.damping, tol=args.bp_tol)
-        marg = dec.bp_decode(C, params, z, noise, d=args.d, cfg=cfg)
+        marg = dec.bp_decode(C, _code_params(args, q, Q, eta), z, noise, d=args.d, cfg=cfg)
         if args.select == "top-d":
             found = dec.select_topd(marg, args.d)
         else:

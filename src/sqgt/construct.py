@@ -35,7 +35,7 @@ from .errors import (
     NotPrime,
     Overflow,
 )
-from .model import CodeParams, _check_thresholds, check_matrix, validate_params
+from .model import CodeParams, _check_thresholds, check_matrix
 from .rng import make_rng
 from .verify import _colex_array
 
@@ -93,6 +93,19 @@ def _step_levels(q: int, eta_step: int) -> int:
     return levels
 
 
+MAX_CELLS = 10**7  # m x n cap of a sampled or recursive code: kappa <= 10 at q <= 17
+MAX_FIELD = 2**20  # L^d cap of bose_chowla, whose field walk is linear in L^d
+
+
+def _rows_per_block(rows, n: int, blocks: int = 1) -> int:
+    """Rows per block, rounded up and at least one, of `blocks` blocks that
+    hold `rows` rows in all; rows may be a formula's float, inf included.
+    BadRange when the blocks would pass MAX_CELLS cells of n columns."""
+    if not rows <= MAX_CELLS // (blocks * n) * blocks:
+        raise BadRange(f"{rows:.6g} rows x n={n} columns exceed {MAX_CELLS} matrix cells")
+    return -(-max(blocks, ceil(rows)) // blocks)
+
+
 def _check_rows(m: int | None, m_multiplier: float, delta: float) -> None:
     """Refuse an explicit row count below 1, a multiplier that is not a
     positive finite number and a delta that is not a finite number >= 0."""
@@ -121,10 +134,9 @@ def scale_separable(base, d: int, e: int, q: int, eta, base_kind: str = "cgt") -
                 f"q-1={q - 1} must be a multiple of the step {step} for a qgt base"
             )
     base = check_matrix(base, 2)
-    if q - 1 < eta[1]:
+    if len(eta) > 1 and q - 1 < eta[1]:  # CodeParams refuses fewer thresholds
         raise AlphabetTooSmall(f"need q-1 >= eta_1, got q-1={q - 1}, eta_1={eta[1]}")
     params = CodeParams(q=q, Q=len(eta) - 1, eta=eta, l=1, u=d, e=e)
-    validate_params(params)
     return (q - 1) * base, params
 
 
@@ -243,11 +255,12 @@ def random_disjunct(
             rows = (2 * (d + 1) / pi + delta) * log(n / d) + 4 * e / pi
         else:
             rows = ((d + 1) / pi + delta) * log(n / d)
-        m = max(1, ceil(rows * m_multiplier))
+        m = rows * m_multiplier
+    params = CodeParams.equidistant(q, eta_step, 1, d, e)
+    m = _rows_per_block(m, n)
     rng = make_rng(seed)
     symbols = rng.choice(levels + 1, size=(m, n), p=[p0] + [(1 - p0) / levels] * levels)
     C = symbols.astype(np.int64) * eta_step
-    params = CodeParams.equidistant(q, eta_step, 1, d, e)
     return C, params
 
 
@@ -265,12 +278,10 @@ def reduce_alphabet(C, eta_step: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConcatSpec:
-    """Metadata for a code built as [s_1*B, s_2*B, ..., s_K*B]."""
+    """Metadata for a code built as [s_1*B, ..., s_K*B]; d and e are params.u, params.e."""
 
     base: np.ndarray
     scales: tuple[int, ...]
-    d: int
-    e: int
     params: CodeParams
 
     @property
@@ -312,7 +323,7 @@ def concat_spec(C, q: int, eta, d: int, e: int) -> ConcatSpec:
     if base.max() > 1 or not np.array_equal(np.hstack([s * base for s in scales]), C):
         raise InconsistentSpec("code is not a scaled-block concatenation for these parameters")
     params = CodeParams.equidistant(q, step, 1, d, e)
-    return ConcatSpec(base=base, scales=scales, d=d, e=e, params=params)
+    return ConcatSpec(base=base, scales=scales, params=params)
 
 
 def concat_disjunct(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.ndarray, ConcatSpec]:
@@ -427,6 +438,8 @@ def bose_chowla(L: int, d: int) -> tuple[int, ...]:
         raise NotPrime(f"{L} is not prime")
     if L**d - 1 > 2**62:
         raise Overflow(f"L^d = {L}^{d} exceeds the safe integer range")
+    if L**d > MAX_FIELD:
+        raise Overflow(f"L^d = {L}^{d} = {L**d} exceeds the field walk cap {MAX_FIELD}")
     f = _find_irreducible(L, d)
     order = L**d - 1
     prime_parts = _prime_factors(order)
@@ -564,15 +577,14 @@ def random_binary_separable(
             rows = r * ((4 * d / rho + delta) * log(n / d) + 4 * e / rho)
         else:
             rows = r * (2 * d / rho + delta) * log(n / d)
-        m = max(r, ceil(rows * m_multiplier))
-    per_block = -(-m // r)  # ceil
+        m = rows * m_multiplier
+    params = CodeParams(q=2, Q=len(eta) - 1, eta=eta, l=eta[alpha], u=d, e=e)
+    per_block = _rows_per_block(m, n, blocks=r)
     rng = make_rng(seed)
     blocks = [
         (rng.random((per_block, n)) < p).astype(np.int64) for p in densities
     ]
     C = np.vstack(blocks)
-    params = CodeParams(q=2, Q=len(eta) - 1, eta=eta, l=eta[alpha], u=d, e=e)
-    validate_params(params)
     return C, params
 
 
@@ -650,9 +662,6 @@ def _default_chain(subset: frozenset[int]) -> list[frozenset[int]]:
     return chain
 
 
-LINDSTROM_CELLS = 10**7  # m x n cap of a full recursive code: kappa <= 10 at q <= 17
-
-
 def lindstrom(
     kappa: int,
     q: int,
@@ -669,7 +678,7 @@ def lindstrom(
     for selected blocks (1-based block index to list of element iterables);
     the default drops the largest element at each step. Truncation to n
     columns drops from the right. The full code is built first, so BadKappa
-    is raised before any block when it would exceed LINDSTROM_CELLS cells.
+    is raised before any block when it would exceed MAX_CELLS cells.
     """
     if kappa < 1:
         raise BadKappa(f"need kappa >= 1, got {kappa}")
@@ -678,9 +687,9 @@ def lindstrom(
     # columns (q2 + |S| per block S). The count grows with kappa, and m
     # alone passes the cap at k, so a larger kappa is counted as k and
     # 2^kappa is never formed.
-    k = min(kappa, LINDSTROM_CELLS.bit_length() + 1)
-    if (2**k - 1) * ((2**k - 1) * q2 + k * 2 ** (k - 1)) > LINDSTROM_CELLS:
-        raise BadKappa(f"kappa={kappa} builds more than {LINDSTROM_CELLS} matrix cells")
+    k = min(kappa, MAX_CELLS.bit_length() + 1)
+    if (2**k - 1) * ((2**k - 1) * q2 + k * 2 ** (k - 1)) > MAX_CELLS:
+        raise BadKappa(f"kappa={kappa} builds more than {MAX_CELLS} matrix cells")
     m = 2**kappa - 1
     subsets = ordered_subsets(kappa)
 

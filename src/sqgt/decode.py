@@ -29,7 +29,6 @@ from .model import (
     check_matrix,
     quantize_sums,
     syndrome,
-    validate_params,
 )
 from .verify import _check_set_budget, _subset_chunks, _syndrome_table, _within
 
@@ -69,7 +68,6 @@ def decode_disjunct(C, params: CodeParams, z) -> tuple[int, ...]:
     """Counting decoder for SQ-disjunct codes; exact when z carries at most
     e substitution errors. Subject i is declared defective iff its
     single-column syndrome exceeds z on at most e coordinates."""
-    validate_params(params)
     C = check_matrix(C, params.q)
     z = _check_results(z, C.shape[0], params.Q)
     single = quantize_sums(C, np.asarray(params.eta, dtype=np.int64))
@@ -98,16 +96,16 @@ def decode_concat(spec: ConcatSpec, z) -> tuple[int, ...]:
         y = y - yj
         block = spec.block_matrix(j)
         local = decode_disjunct(block, spec.params, yj)
-        if len(local) > spec.d:
+        if len(local) > spec.params.u:
             raise NoConsistentSet(
-                f"block {j} decodes to {len(local)} subjects, more than d={spec.d}"
+                f"block {j} decodes to {len(local)} subjects, more than d={spec.params.u}"
             )
         encoded = syndrome(block, local, spec.params.eta)
         misses = int((encoded != yj).sum())
-        if misses > spec.e:
+        if misses > spec.params.e:
             raise NoConsistentSet(
                 f"block {j} decodes to a set whose syndrome misses the block "
-                f"syndrome in {misses} coordinates, more than e={spec.e}"
+                f"syndrome in {misses} coordinates, more than e={spec.params.e}"
             )
         found.extend((j - 1) * nb + i for i in local)
     return tuple(sorted(found))
@@ -188,7 +186,6 @@ def decode_ml(
     ascending, colexicographic within one size). The sets are enumerated
     and encoded as in the SQ-separable verifier, one chunk at a time.
     """
-    validate_params(params)
     C = check_matrix(C, params.q)
     m, n = C.shape
     z = _check_results(z, m, params.Q)
@@ -239,8 +236,8 @@ class BpConfig:
             raise BadRange(f"damping must lie in [0, 1), got {self.damping}")
         if self.prior is not None and not 0.0 < self.prior < 1.0:
             raise BadRange(f"prior must lie in (0, 1), got {self.prior}")
-        if self.tol is not None and not self.tol > 0.0:
-            raise BadRange(f"tol must be positive, got {self.tol}")
+        if self.tol is not None and not 0.0 < self.tol < inf:
+            raise BadRange(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,7 +532,6 @@ def bp_decode_batch(
 
     Returns Marginals with p1 of shape (trials, n).
     """
-    validate_params(params)
     C = check_matrix(C, params.q)
     m, n = C.shape
     Z = _check_results(Z, m, params.Q, batch=True)
@@ -611,7 +607,6 @@ def bp_decode(
     cfg: BpConfig = BpConfig(),
 ) -> Marginals:
     """Sum-product decoding of a single result vector; see bp_decode_batch."""
-    validate_params(params)
     C = check_matrix(C, params.q)
     z = _check_results(z, C.shape[0], params.Q)
     out = bp_decode_batch(C, params, z[None], noise, d=d, cfg=cfg)

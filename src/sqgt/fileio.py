@@ -80,10 +80,10 @@ def parse_matrix(text: str) -> tuple[np.ndarray, int, int, tuple[int, ...]]:
         if len(parts) != n:
             raise ParseError(f"line {lineno}: row {i + 1} has {len(parts)} entries, expected {n}")
         try:
-            rows.append([int(x) for x in parts])
-        except ValueError:
+            rows.append(np.array([int(x) for x in parts], dtype=np.int64))
+        except (ValueError, OverflowError):  # not an integer, or beyond int64
             raise ParseError(f"line {lineno}: bad integer in row {i + 1}") from None
-    C = np.array(rows, dtype=np.int64)
+    C = np.array(rows)
     if C.min() < 0 or C.max() > q - 1:
         raise ParseError(f"matrix entries must lie in 0..{q - 1}")
     return C, q, Q, eta

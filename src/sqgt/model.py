@@ -44,7 +44,8 @@ class CodeParams:
     q is the test-matrix alphabet size (entries in 0..q-1), Q the output
     alphabet size, eta the Q+1 thresholds eta_0..eta_Q including the
     sentinel, l..u the range of defective counts the code must resolve, and
-    e the number of correctable errors in the result vector.
+    e the number of correctable errors in the result vector. A bracket is
+    checked when it is built: validate_params raises on an invalid one.
     """
 
     q: int
@@ -53,6 +54,9 @@ class CodeParams:
     l: int = 1
     u: int = 1
     e: int = 0
+
+    def __post_init__(self):
+        validate_params(self)
 
     @classmethod
     def equidistant(cls, q: int, eta_step: int, l: int, u: int, e: int = 0) -> "CodeParams":
@@ -74,7 +78,7 @@ class CodeParams:
 
 def _check_thresholds(eta) -> None:
     """Raise ThresholdNotIncreasing unless eta starts at 0 and strictly
-    increases."""
+    increases, and BadRange unless it fits in int64."""
     if eta[0] != 0:
         raise ThresholdNotIncreasing(f"eta_0 must be 0, got {eta[0]}")
     for r in range(len(eta) - 1):
@@ -83,6 +87,8 @@ def _check_thresholds(eta) -> None:
                 f"thresholds must strictly increase, "
                 f"eta_{r}={eta[r]} vs eta_{r + 1}={eta[r + 1]}"
             )
+    if eta[-1] >= 2**63:
+        raise BadRange(f"thresholds must lie below 2^63, got eta_{len(eta) - 1}={eta[-1]}")
 
 
 def _check_alphabets(q: int, Q: int) -> None:

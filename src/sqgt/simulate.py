@@ -21,7 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .construct import random_disjunct
+from .construct import _rows_per_block, random_disjunct
 from .decode import BpConfig, bp_decode_batch, select_threshold, select_topd, Marginals
 from .errors import BadRange, ConfigError
 from .fileio import CSV_HEADER
@@ -154,9 +154,9 @@ def _build_code(cfg: SweepConfig, q: int) -> tuple[np.ndarray, CodeParams]:
             cfg.n, cfg.d, levels, cfg.eta_step, q=q, m=cfg.m, seed=code_seed
         )
     # the multi-level alphabet is empty (q-1 below the step): fall back to a
-    # plain Bernoulli binary matrix at the classical density
+    # plain Bernoulli binary matrix at the classical density, under the same cap
     rng = make_rng(code_seed)
-    C = (rng.random((cfg.m, cfg.n)) < 1.0 / (cfg.d + 1)).astype(np.int64)
+    C = (rng.random((_rows_per_block(cfg.m, cfg.n), cfg.n)) < 1.0 / (cfg.d + 1)).astype(np.int64)
     return C, CodeParams.equidistant(q, cfg.eta_step, 1, cfg.d)
 
 

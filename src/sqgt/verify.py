@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from .errors import BadRange, ExplosionGuard, NotBinary, TooFewColumns
-from .model import CodeParams, check_matrix, quantize_sums, validate_params
+from .model import CodeParams, check_matrix, quantize_sums
 
 __all__ = [
     "Witness",
@@ -128,7 +128,6 @@ def is_sq_disjunct(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witne
     automatically distinct across pivots of one subset, so only the counts
     are checked here.
     """
-    validate_params(params)
     if params.l != 1:
         raise BadRange("SQ-disjunct codes cover defective ranges (1:d); need l == 1")
     C = check_matrix(C, params.q)
@@ -169,7 +168,7 @@ def is_sq_disjunct(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witne
 def _check_set_budget(n: int, lo: int, hi: int, budget: int) -> None:
     """Raise ExplosionGuard when range(n) has more than budget subsets
     with sizes lo..hi."""
-    total = sum(comb(n, s) for s in range(lo, hi + 1))
+    total = sum(comb(n, s) for s in range(lo, min(hi, n) + 1))
     if total > budget:
         raise ExplosionGuard(f"{total} candidate sets exceed budget {budget}")
 
@@ -271,7 +270,6 @@ def is_sq_separable(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witn
     Every pair of distinct subject sets with sizes in l..u must produce
     syndromes differing in at least 2e+1 coordinates.
     """
-    validate_params(params)
     C = check_matrix(C, params.q)
     m, n = C.shape
     if params.u > n:

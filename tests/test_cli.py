@@ -367,6 +367,75 @@ def test_construct_overflow_is_typed(tmp_path, capsys):
     assert not out.exists()
 
 
+class TestRefusedInputs:
+    GOLDEN = str(DATA / "golden_9x24.sqgt")
+    SYNDROME = "3,0,1,4,0,0,0,3,1"  # of {2,20}
+
+    @pytest.mark.parametrize("method, e", [("random-disjunct", -1), ("concat-disjunct", -2)])
+    def test_negative_error_budget_writes_nothing(self, tmp_path, capsys, method, e):
+        out = tmp_path / "r.sqgt"
+        argv = ("--method", method, "--base", BASE, "--n", 20, "--d", 2, "--q", 7, "--eta", 1)
+        assert run("construct", *argv, "--e", e, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"BadRange: error budget must be >= 0, got e={e}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (("--method", "bose-chowla", "--n", 100, "--d", 5, "--q", 3), "Overflow"),
+        (("--method", "random-binary", "--n", 1000, "--d", 100, "--thresholds", "0,2,3,101"),
+         "BadRange"),
+        (("--method", "random-disjunct", "--n", 400, "--d", 200, "--q", 2), "BadRange"),
+        (("--method", "random-disjunct", "--n", 20, "--d", 2, "--q", 3,
+          "--m-multiplier", 1e308), "BadRange"),
+    ])
+    def test_caps(self, tmp_path, capsys, argv, error):
+        out = tmp_path / "r.sqgt"
+        assert run("construct", *argv, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"{error}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (("--method", "random-disjunct", "--q", 3), "--n"),
+        (("--method", "bose-chowla", "--q", 3), "--n"),
+        (("--method", "random-binary", "--thresholds", "0,2,3,5"), "--n"),
+        (("--method", "scale-disjunct", "--thresholds", "0,1,3"), "--base"),
+        (("--method", "concat-separable", "--q", 7), "--base"),
+    ])
+    def test_missing_option(self, capsys, argv, option):
+        assert run("construct", *argv, "--out", os.devnull) == 2
+        assert capsys.readouterr().err == f"BadRange: this method needs {option}\n"
+
+    def test_too_few_thresholds(self, capsys):
+        argv = ("--method", "scale-disjunct", "--base", BASE, "--thresholds", "0")
+        assert run("construct", *argv, "--out", os.devnull) == 2
+        assert capsys.readouterr().err.startswith("BadRange: alphabet sizes must be >= 2")
+
+    def test_infinite_bp_tol(self, capsys):
+        argv = ("decode", "--code", self.GOLDEN, "--syndrome", self.SYNDROME,
+                "--algorithm", "bp", "--d", 2)
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == "2,20\n"
+        assert run(*argv, "--bp-tol", "inf") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "BadRange: tol must be positive and finite, got inf\n"
+
+    def test_bad_bp_config_is_reported_before_the_bracket(self, capsys):
+        argv = ("decode", "--code", self.GOLDEN, "--syndrome", self.SYNDROME,
+                "--algorithm", "bp", "--d", 2, "--e", -1)
+        assert run(*argv, "--iterations", 0) == 2
+        assert capsys.readouterr().err.startswith("BadRange: max_iters must be")
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("BadRange: error budget must be >= 0")
+
+    def test_syndrome_beyond_int64(self, capsys):
+        argv = ("decode", "--code", self.GOLDEN, "--syndrome", "9" * 20 + ",0,1,4,0,0,0,3,1",
+                "--algorithm", "disjunct", "--d", 2)
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("BadRange: results must be integers")
+
+
 def test_capacity_cli(capsys):
     assert run("capacity", "--d", 2, "--q", 3, "--Q", 3, "--grid-step", 0.1,
                "--no-refine") == 0

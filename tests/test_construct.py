@@ -259,7 +259,7 @@ class TestConcat:
         scales = spec.scales
         assert all(a < b for a, b in zip(scales, scales[1:]))
         # smallest entry of the last block dominates d times the earlier max
-        assert scales[-1] > spec.d * scales[-2] * int(base_9x12.max())
+        assert scales[-1] > spec.params.u * scales[-2] * int(base_9x12.max())
 
     def test_alphabet_too_small(self, base_9x12):
         with pytest.raises(AlphabetTooSmall):
@@ -466,9 +466,9 @@ class TestLindstrom:
             with pytest.raises(BadKappa, match=f"kappa={kappa} builds more than"):
                 lindstrom(kappa, q, 1)
         # the cap is on the full code's cells, 7 x 26 here, whatever n is
-        monkeypatch.setattr(construct, "LINDSTROM_CELLS", 7 * 26)
+        monkeypatch.setattr(construct, "MAX_CELLS", 7 * 26)
         assert lindstrom(3, 9, 2)[0].shape == (7, 26)
-        monkeypatch.setattr(construct, "LINDSTROM_CELLS", 7 * 26 - 1)
+        monkeypatch.setattr(construct, "MAX_CELLS", 7 * 26 - 1)
         with pytest.raises(BadKappa):
             lindstrom(3, 9, 2, n=5)
 
@@ -555,3 +555,66 @@ class TestSpecBuilders:
     def test_builder_rejects(self, build, error, match):
         with pytest.raises(error, match=match):
             build()
+
+
+class TestRefusedBeforeWork:
+    """Each refusal here comes before any row is sampled or any field
+    element is walked."""
+
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def refuse(seed):
+            raise AssertionError("a refused code sampled its rows")
+
+        monkeypatch.setattr(construct, "make_rng", refuse)
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_disjunct(20, 2, 2, 1, e=-1),
+        lambda: random_disjunct(20, 2, 2, 1, e=-1, m=5),
+        lambda: random_binary_separable(12, 3, (0, 2, 4, 5), 1, e=-1),
+        lambda: concat_disjunct(GOLDEN_9x24[:, :12] // 2, 2, -2, 7, 2),
+        lambda: concat_spec(GOLDEN_9x24, 7, CodeParams.equidistant(7, 2, 1, 2).eta, 2, -1),
+        lambda: scale_disjunct(GOLDEN_9x24[:, :12] // 2, 2, -1, 3, (0, 2, 3, 5, 7)),
+    ])
+    def test_negative_error_budget(self, no_sampling, build):
+        with pytest.raises(BadRange, match="error budget must be >= 0"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_disjunct(400, 200, 1, 1),  # 75 934 x 400 by the formula
+        lambda: random_disjunct(20, 2, 2, 1, m_multiplier=1e308),  # an infinite row count
+        lambda: random_disjunct(10, 2, 2, 1, m=10**6 + 1),
+        lambda: random_binary_separable(1000, 100, (0, 2, 3, 101), 1),  # 140 056 134 x 1 000
+        lambda: random_binary_separable(12, 3, (0, 2, 4, 5), 1, m_multiplier=1e308),
+    ])
+    def test_cell_cap(self, no_sampling, build):
+        with pytest.raises(BadRange, match=f"exceed {construct.MAX_CELLS} matrix cells"):
+            build()
+
+    def test_cell_cap_counts_the_rows_sampled(self, monkeypatch):
+        # the formula's 27.7 rows round up to 28 at n = 10
+        m = random_disjunct(10, 2, 2, 1)[0].shape[0]
+        monkeypatch.setattr(construct, "MAX_CELLS", 10 * m)
+        assert random_disjunct(10, 2, 2, 1)[0].shape == (m, 10)
+        assert random_disjunct(10, 2, 2, 1, m=m)[0].shape == (m, 10)
+        monkeypatch.setattr(construct, "MAX_CELLS", 10 * m - 1)
+        for rows in ({}, {"m": m}):
+            with pytest.raises(BadRange):
+                random_disjunct(10, 2, 2, 1, **rows)
+        # two blocks of ceil(m / 2) rows: m = 7 samples 8 rows, 512 cells at n = 64
+        monkeypatch.setattr(construct, "MAX_CELLS", 512)
+        assert random_binary_separable(64, 4, (0, 2, 5), 1, m=7)[0].shape == (8, 64)
+        monkeypatch.setattr(construct, "MAX_CELLS", 511)
+        with pytest.raises(BadRange):
+            random_binary_separable(64, 4, (0, 2, 5), 1, m=7)
+
+    def test_field_cap(self, monkeypatch):
+        with pytest.raises(Overflow, match=r"L\^d = 101\^5 = 10510100501 exceeds the field walk cap"):
+            bose_chowla(101, 5)
+        with pytest.raises(Overflow):
+            bose_chowla_code(100, 5, 3, 1)
+        monkeypatch.setattr(construct, "MAX_FIELD", 9)
+        assert len(bose_chowla(3, 2)) == 3
+        monkeypatch.setattr(construct, "MAX_FIELD", 8)
+        with pytest.raises(Overflow):
+            bose_chowla(3, 2)

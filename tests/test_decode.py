@@ -73,8 +73,8 @@ class TestDecodeDisjunct:
 
     @pytest.mark.parametrize("eta", [(0, 2, 2, 5), (0, 3, 1, 9), (1, 2, 3, 5)])
     def test_thresholds_must_increase(self, base_9x12, eta):
-        params = CodeParams(q=3, Q=3, eta=eta, l=1, u=2)
         with pytest.raises(ThresholdNotIncreasing):
+            params = CodeParams(q=3, Q=3, eta=eta, l=1, u=2)
             decode_disjunct(2 * base_9x12, params, np.zeros(9, dtype=int))
 
 
@@ -121,7 +121,7 @@ class TestDecodeConcat:
             planted = sorted(int(x) + 1 for x in rng.choice(24, size, replace=False))
             y = syndrome(C, planted, eta).astype(np.int64)
             for j in range(spec.blocks, 0, -1):
-                f = (spec.d**j - 1) // (spec.d - 1)
+                f = (spec.params.u**j - 1) // (spec.params.u - 1)
                 yj = f * (y // f)
                 y = y - yj
                 block = spec.block_matrix(j)
@@ -434,9 +434,10 @@ class TestBp:
         marg = bp_decode_batch(C, params, np.empty((0, 12), dtype=int), NOISELESS, d=2)
         assert marg.p1.shape == (0, 10) and marg.iterations == 0
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
     def test_bad_tol(self, tol):
-        with pytest.raises(BadRange):
+        # an infinite tol would stop every decode after one iteration
+        with pytest.raises(BadRange, match="tol must be positive and finite"):
             BpConfig(tol=tol)
 
     @pytest.mark.parametrize("max_iters", [2.5, True, "3", 0])

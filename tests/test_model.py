@@ -50,6 +50,22 @@ class TestValidateParams:
         with pytest.raises(BadRange):
             validate_params(CodeParams(q=1, Q=4, eta=(0, 2, 3, 5, 7), l=1, u=1))
 
+    @pytest.mark.parametrize("fields, error", [
+        (dict(q=3, Q=4, eta=(0, 2, 3, 5, 7), l=2, u=1), BadRange),
+        (dict(q=3, Q=4, eta=(0, 2, 3, 5, 7), l=1, u=3, e=-1), BadRange),
+        (dict(q=3, Q=4, eta=(0, 2, 3, 5, 7), l=0, u=3), BadRange),
+        (dict(q=3, Q=4, eta=(0, 2, 3, 5), l=1, u=3), ThresholdNotIncreasing),
+        (dict(q=3, Q=2, eta=(0, 2, 5), l=1, u=3), SentinelTooSmall),
+    ])
+    def test_refused_as_it_is_built(self, fields, error):
+        with pytest.raises(error):
+            CodeParams(**fields)
+
+    @pytest.mark.parametrize("l, u, e", [(3, 2, 0), (1, 2, -1), (0, 2, 0)])
+    def test_equidistant_builder_refuses_a_bad_range(self, l, u, e):
+        with pytest.raises(BadRange):
+            CodeParams.equidistant(5, 1, l, u, e)
+
     def test_equidistant_flag(self):
         assert CodeParams.equidistant(7, 2, 1, 2).is_equidistant
         assert not CodeParams(q=3, Q=4, eta=(0, 2, 3, 5, 7), l=1, u=3).is_equidistant

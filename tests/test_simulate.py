@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+import sqgt.construct as construct
 from sqgt.cli import main
-from sqgt.errors import ConfigError
+from sqgt.errors import BadRange, ConfigError
 from sqgt.fileio import CSV_HEADER
 from sqgt.simulate import SweepConfig, parse_config, rows_to_csv, run_simulation
 
@@ -160,6 +161,16 @@ def test_small_rows_with_large_d():
     rows = run_simulation(cfg, threads=1)
     assert [row.method for row in rows] == ["top-d", "threshold"]
     assert all(row.m == 3 and row.d == 200 for row in rows)
+
+
+@pytest.mark.parametrize("q", [2, 5])  # the Bernoulli fallback, the multi-level code
+def test_sweep_codes_share_the_cell_cap(monkeypatch, q):
+    cfg = parse_config(f"n=12\nd=2\nm=12\neta=2\nq={q}\ntrials=2\niterations=2\nseed=1\n")
+    monkeypatch.setattr(construct, "MAX_CELLS", 12 * 12)
+    assert len(run_simulation(cfg, threads=1)) == 2
+    monkeypatch.setattr(construct, "MAX_CELLS", 12 * 12 - 1)
+    with pytest.raises(BadRange, match="rows x n=12 columns exceed 143 matrix cells"):
+        run_simulation(cfg, threads=1)
 
 
 def test_topd_rows_have_equal_rates():

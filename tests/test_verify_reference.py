@@ -1,5 +1,6 @@
 """The verifiers against the brute-force loops they replaced: same verdict,
-same canonical witness string, or the same error class."""
+same canonical witness string, or the same error class. A case whose
+bracket CodeParams refuses ends in that error before either verifier runs."""
 
 import numpy as np
 import pytest
@@ -16,21 +17,21 @@ PAIRS = (
 )
 
 
-def _outcome(check, C, params, budget):
+def _outcome(check, C, bracket, budget):
     try:
-        return str(check(C, params, budget))
+        return str(check(C, CodeParams(**bracket), budget))
     except Exception as exc:  # the error class is part of the outcome
         return type(exc).__name__
 
 
 def _case(seed: int):
     """A random code, often with repeated rows and sometimes with fewer
-    distinct rows than 2e+1, and bracket parameters around it."""
+    distinct rows than 2e+1, and the fields of a bracket around it."""
     rng = make_rng(seed)
     q = int(rng.integers(2, 6))
     n = int(rng.integers(2, 9))
     u = int(rng.integers(1, min(n, 3) + 1))
-    l = int(rng.integers(0, u + 1))  # l = 0 is refused with BadRange
+    l = int(rng.integers(0, u + 1))  # CodeParams refuses l = 0 with BadRange
     e = int(rng.integers(0, 3))
     distinct = int(rng.integers(1, 7))
     C = rng.integers(0, q, size=(distinct, n))
@@ -41,26 +42,26 @@ def _case(seed: int):
         C[:, -1] = C[:, 0]  # a repeated column forces a witness
     step = int(rng.integers(1, 4))
     Q = max(2, (q - 1) * u // step + 1)
-    params = CodeParams(q, Q, tuple(r * step for r in range(Q + 1)), l, u, e)
+    bracket = dict(q=q, Q=Q, eta=tuple(r * step for r in range(Q + 1)), l=l, u=u, e=e)
     budget = 40 if seed % 7 == 0 else 10_000_000
-    return C, params, budget
+    return C, bracket, budget
 
 
 @pytest.mark.parametrize("seed", range(240))
 def test_matches_reference(seed):
-    C, params, budget = _case(seed)
+    C, bracket, budget = _case(seed)
     for check, reference in PAIRS:
-        assert _outcome(check, C, params, budget) == _outcome(reference, C, params, budget)
+        assert _outcome(check, C, bracket, budget) == _outcome(reference, C, bracket, budget)
 
 
 def test_grid_covers_the_edge_cases():
     cases = [_case(seed) for seed in range(240)]
     distinct = [len(np.unique(C, axis=0)) for C, _, _ in cases]
     assert any(d < C.shape[0] for d, (C, _, _) in zip(distinct, cases))
-    assert any(d < 2 * p.e + 1 <= C.shape[0] for d, (C, p, _) in zip(distinct, cases))
-    assert {p.e for _, p, _ in cases} == {0, 1, 2}
-    assert {p.q for _, p, _ in cases} == {2, 3, 4, 5}
-    assert any(p.l == 0 for _, p, _ in cases)
+    assert any(d < 2 * p["e"] + 1 <= C.shape[0] for d, (C, p, _) in zip(distinct, cases))
+    assert {p["e"] for _, p, _ in cases} == {0, 1, 2}
+    assert {p["q"] for _, p, _ in cases} == {2, 3, 4, 5}
+    assert any(p["l"] == 0 for _, p, _ in cases)
     outcomes = {_outcome(is_sq_separable, C, p, b).split(":")[0] for C, p, b in cases}
     assert {"None", "sq-separable", "BadRange", "ExplosionGuard"} <= outcomes
 
