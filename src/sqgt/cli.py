@@ -54,12 +54,6 @@ def _thresholds(args) -> tuple[int, ...]:
     return tuple(_int_list(raw, "--thresholds"))
 
 
-def _code_params(args, q: int, Q: int, eta) -> CodeParams:
-    """The code file's alphabet and thresholds with the defective range
-    (--l:--d) and --e; CodeParams checks the bracket as it is built."""
-    return CodeParams(q=q, Q=Q, eta=eta, l=args.l, u=args.d, e=args.e)
-
-
 def _cmd_construct(args) -> int:
     if args.method in ("scale-disjunct", "scale-separable", "concat-disjunct", "concat-separable"):
         base, *_ = read_matrix(_needed(args.base, "--base"))
@@ -97,10 +91,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     C, q, Q, eta = read_matrix(args.code)
-    if args.property == "sq-disjunct":
-        witness = ver.is_sq_disjunct(C, _code_params(args, q, Q, eta), args.budget)
-    elif args.property == "sq-separable":
-        witness = ver.is_sq_separable(C, _code_params(args, q, Q, eta), args.budget)
+    if args.property in ("sq-disjunct", "sq-separable"):
+        check = ver.is_sq_disjunct if args.property == "sq-disjunct" else ver.is_sq_separable
+        witness = check(C, CodeParams(q, Q, eta, args.l, args.d, args.e), args.budget)
     elif args.property == "bin-disjunct":
         if args.l != 1:
             raise BadRange(f"disjunct codes cover ranges (1:d); need l == 1, got l={args.l}")
@@ -132,17 +125,19 @@ def _cmd_decode(args) -> int:
     C, q, Q, eta = read_matrix(args.code)
     z = _int_list(args.syndrome, "--syndrome")
     noise = NoiseModel(args.gamma_p, args.gamma_n)
+    cfg = dec.BpConfig(max_iters=args.iterations, damping=args.damping, tol=args.bp_tol)
+    # the file's bracket with the defective range (--l:--d) and --e, for every decoder
+    params = CodeParams(q, Q, eta, args.l, args.d, args.e)
     if args.algorithm == "disjunct":
-        found = dec.decode_disjunct(C, _code_params(args, q, Q, eta), z)
+        found = dec.decode_disjunct(C, params, z)
     elif args.algorithm == "concat":
-        found = dec.decode_concat(con.concat_spec(C, q, eta, args.d, args.e), z)
+        found = dec.decode_concat(con.concat_spec(C, params), z)
     elif args.algorithm == "lindstrom":
-        found = dec.decode_lindstrom(con.lindstrom_spec(C, q, eta), z)
+        found = dec.decode_lindstrom(con.lindstrom_spec(C, params), z)
     elif args.algorithm == "ml":
-        found = dec.decode_ml(C, _code_params(args, q, Q, eta), z, noise)
+        found = dec.decode_ml(C, params, z, noise)
     else:  # bp
-        cfg = dec.BpConfig(max_iters=args.iterations, damping=args.damping, tol=args.bp_tol)
-        marg = dec.bp_decode(C, _code_params(args, q, Q, eta), z, noise, d=args.d, cfg=cfg)
+        marg = dec.bp_decode(C, params, z, noise, d=args.d, cfg=cfg)
         if args.select == "top-d":
             found = dec.select_topd(marg, args.d)
         else:

@@ -8,11 +8,11 @@ assume the equidistant model and take a scalar threshold step.
 
 The decoder metadata of the concatenated and recursive codes (ConcatSpec,
 LindstromSpec) has one builder each, concat_spec and lindstrom_spec. They
-derive it from the scaled matrix, q and the thresholds (plus d and e for a
-concatenation) and check the matrix against it. The constructors and the
-command line both go through them, so a code read back from a file decodes
-exactly like the code just built. concat_separable is an alias of
-concat_disjunct: the concatenation does not depend on the base's property.
+read the structure off the scaled matrix under the code's own bracket,
+which they keep as given. The constructors and the command line both go
+through them, so a code read back from a file decodes exactly like the
+code just built. concat_separable is an alias of concat_disjunct: the
+concatenation does not depend on the base's property.
 
 Probabilistic constructors take an explicit seed and an optional row-count
 override or multiplier; their row-count formulas use natural logarithms and
@@ -294,10 +294,8 @@ class ConcatSpec:
 
 
 def _concat_scales(d: int, q: int, eta_step: int) -> tuple[int, ...]:
-    """Block scales eta_step * (1 + d + ... + d^(j-1)) up to q-1; at d = 1
-    that is every multiple of the step."""
-    if d < 1:
-        raise BadRange(f"need d >= 1, got {d}")
+    """Block scales eta_step * (1 + d + ... + d^(j-1)) up to q-1, for d >= 1;
+    at d = 1 that is every multiple of the step."""
     budget = _step_levels(q, eta_step)
     multipliers = []
     g = 1  # 1 + d + ... + d^(j-1)
@@ -307,22 +305,20 @@ def _concat_scales(d: int, q: int, eta_step: int) -> tuple[int, ...]:
     return tuple(eta_step * g for g in multipliers)
 
 
-def concat_spec(C, q: int, eta, d: int, e: int) -> ConcatSpec:
+def concat_spec(C, params: CodeParams) -> ConcatSpec:
     """Block structure of a scaled-block concatenation, read off its matrix.
 
-    The scales follow from q, d and the threshold step; the base is the
-    first block divided by its scale. InconsistentSpec is raised unless C is
-    exactly [s_1*B, ..., s_K*B] for a binary B.
+    The scales follow from the bracket's q, d = u and threshold step; the
+    base is the first block divided by its scale. InconsistentSpec is raised
+    unless C is exactly [s_1*B, ..., s_K*B] for a binary B.
     """
-    C = check_matrix(C, q)
-    step = _equidistant_step(eta)
-    scales = _concat_scales(d, q, step)
+    C = check_matrix(C, params.q)
+    scales = _concat_scales(params.u, params.q, _equidistant_step(params.eta))
     if C.shape[1] % len(scales):
         raise InconsistentSpec(f"n={C.shape[1]} is not divisible by the {len(scales)} blocks")
     base = C[:, : C.shape[1] // len(scales)] // scales[0]
     if base.max() > 1 or not np.array_equal(np.hstack([s * base for s in scales]), C):
         raise InconsistentSpec("code is not a scaled-block concatenation for these parameters")
-    params = CodeParams.equidistant(q, step, 1, d, e)
     return ConcatSpec(base=base, scales=scales, params=params)
 
 
@@ -331,11 +327,19 @@ def concat_disjunct(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.nda
 
     Block j is scaled by eta*(d^j - 1)/(d - 1); the result is SQ-separable
     for 1..d defectives and decodes block by block with the disjunct
-    counting decoder.
+    counting decoder. The bracket's Q cap bounds the scales, and BadRange
+    is raised before any block when the code would pass MAX_CELLS cells.
     """
     base = check_matrix(base, 2)
-    C = np.hstack([s * base for s in _concat_scales(d, q, eta_step)])
-    return C, concat_spec(C, q, CodeParams.equidistant(q, eta_step, 1, d, e).eta, d, e)
+    if d < 1:
+        raise BadRange(f"need d >= 1, got {d}")
+    _step_levels(q, eta_step)  # its AlphabetTooSmall comes before the bracket's BadRange
+    params = CodeParams.equidistant(q, eta_step, 1, d, e)
+    scales = _concat_scales(d, q, eta_step)
+    if base.size * len(scales) > MAX_CELLS:
+        raise BadRange(f"{len(scales)} blocks x {base.size} base cells exceed {MAX_CELLS} matrix cells")
+    C = np.hstack([s * base for s in scales])
+    return C, concat_spec(C, params)
 
 
 # The same concatenation applied to a binary d-separable base code.
@@ -626,30 +630,30 @@ class LindstromSpec:
         return slice(start, start + self.widths[i - 1])
 
 
-def lindstrom_spec(C, q: int, eta) -> LindstromSpec:
+def lindstrom_spec(C, params: CodeParams) -> LindstromSpec:
     """Block structure of a (possibly truncated) recursive code, read off
     its scaled matrix.
 
-    kappa follows from m = 2^kappa - 1, the bit-column count from q and the
-    threshold step, and the block widths from n. InconsistentSpec is raised
-    when C cannot be such a code; the decoder checks each block's columns.
+    kappa follows from m = 2^kappa - 1, the bit-column count from the
+    bracket's q and threshold step, and the block widths from n.
+    InconsistentSpec is raised when C cannot be such a code; the decoder
+    checks each block's columns.
     """
-    C = check_matrix(C, q)
-    step = _equidistant_step(eta)
+    C = check_matrix(C, params.q)
+    step = _equidistant_step(params.eta)
     m, n = C.shape
     kappa = m.bit_length()
     if m != 2**kappa - 1:
         raise InconsistentSpec(f"m={m} is not 2^kappa - 1 for any kappa")
     if np.any(C % step):
         raise InconsistentSpec("entries are not multiples of the threshold step")
-    q2 = _floor_log2_ratio(_step_levels(q, step), 1)
+    q2 = _floor_log2_ratio(_step_levels(params.q, step), 1)
     subsets = tuple(ordered_subsets(kappa))
     full_widths = [q2 + len(S) for S in subsets]
     if n > sum(full_widths):
         raise InconsistentSpec(f"n={n} exceeds the construction size {sum(full_widths)}")
     starts = accumulate(full_widths, initial=0)
     widths = tuple(min(w, max(0, n - s)) for w, s in zip(full_widths, starts))
-    params = CodeParams.equidistant(q, step, 1, n, 0)
     return LindstromSpec(q2=q2, subsets=subsets, widths=widths, matrix=C // step, params=params)
 
 
@@ -727,4 +731,4 @@ def lindstrom(
     if not 1 <= n <= total:
         raise BadRange(f"n must lie in 1..{total}, got {n}")
     C = eta_step * full[:, :n]
-    return C, lindstrom_spec(C, q, CodeParams.equidistant(q, eta_step, 1, n, 0).eta)
+    return C, lindstrom_spec(C, CodeParams.equidistant(q, eta_step, 1, n, 0))

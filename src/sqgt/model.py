@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 
+MAX_Q = 2**20  # Q cap of CodeParams.equidistant, which builds Q + 1 thresholds
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Bracket parameters [q; Q; eta; (l:u); e] governing a code.
@@ -60,10 +63,13 @@ class CodeParams:
 
     @classmethod
     def equidistant(cls, q: int, eta_step: int, l: int, u: int, e: int = 0) -> "CodeParams":
-        """Uniform-quantizer parameters with the smallest valid sentinel."""
+        """Uniform-quantizer parameters with the smallest valid sentinel;
+        BadRange for a Q above MAX_Q, before its thresholds are built."""
         if eta_step < 1:
             raise BadRange(f"eta step must be >= 1, got {eta_step}")
         Q = max(2, (q - 1) * u // eta_step + 1)
+        if Q > MAX_Q:
+            raise BadRange(f"Q={Q} exceeds the output alphabet cap {MAX_Q}")
         return cls(q=q, Q=Q, eta=tuple(r * eta_step for r in range(Q + 1)), l=l, u=u, e=e)
 
     @property

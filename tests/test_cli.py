@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import sqgt.simulate as sim
-from sqgt.cli import main
+from sqgt.cli import DECODE_ALGORITHMS, main
 from sqgt.errors import BadRange
 from sqgt.fileio import CSV_HEADER, read_matrix, write_matrix
+from sqgt.model import CodeParams
 
 from conftest import GOLDEN_9x24
 
@@ -388,6 +389,8 @@ class TestRefusedInputs:
         (("--method", "random-disjunct", "--n", 400, "--d", 200, "--q", 2), "BadRange"),
         (("--method", "random-disjunct", "--n", 20, "--d", 2, "--q", 3,
           "--m-multiplier", 1e308), "BadRange"),
+        (("--method", "random-disjunct", "--n", 20, "--q", 4000001, "--m", 5), "BadRange"),
+        (("--method", "concat-disjunct", "--base", BASE, "--d", 1, "--q", 10**6), "BadRange"),
     ])
     def test_caps(self, tmp_path, capsys, argv, error):
         out = tmp_path / "r.sqgt"
@@ -428,6 +431,41 @@ class TestRefusedInputs:
         assert capsys.readouterr().err.startswith("BadRange: max_iters must be")
         assert run(*argv) == 2
         assert capsys.readouterr().err.startswith("BadRange: error budget must be >= 0")
+
+    @pytest.mark.parametrize("algorithm, row, argv", [
+        ("lindstrom", "1", ()),
+        ("concat", " ".join("0" * 29), ("--d", 2)),  # 29 one-column blocks at d = 2
+    ])
+    def test_decode_keeps_the_file_bracket(self, tmp_path, monkeypatch, capsys, algorithm, row, argv):
+        # the sentinel 2 is below (q-1)*d: a bracket rebuilt from q would
+        # need about 10^9 thresholds
+        code = tmp_path / "big-q.sqgt"
+        n = len(row.split())
+        code.write_text(f"SQGT-CODE v1\nq=1000000000 Q=2 m=1 n={n}\neta=0,1,2\n{row}\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decode rebuilt the bracket")
+
+        monkeypatch.setattr(CodeParams, "equidistant", refuse)
+        assert run("decode", "--code", code, "--syndrome", 1, "--algorithm", algorithm, *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("SentinelTooSmall: sentinel eta_Q=2 must exceed")
+
+    @pytest.mark.parametrize("algorithm", DECODE_ALGORITHMS)
+    @pytest.mark.parametrize("option, value, message", [
+        ("--e", -1, "error budget must be >= 0"),
+        ("--iterations", 0, "max_iters must be"),
+    ])
+    def test_every_decoder_checks_the_bracket_and_bp_options(self, capsys, algorithm, option, value, message):
+        argv = ("decode", "--code", self.GOLDEN, "--syndrome", self.SYNDROME,
+                "--algorithm", algorithm, "--d", 2)
+        assert run(*argv) == (0 if algorithm != "lindstrom" else 2)
+        capsys.readouterr()
+        assert run(*argv, option, value) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"BadRange: {message}")
 
     def test_syndrome_beyond_int64(self, capsys):
         argv = ("decode", "--code", self.GOLDEN, "--syndrome", "9" * 20 + ",0,1,4,0,0,0,3,1",

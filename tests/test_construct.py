@@ -42,7 +42,7 @@ from sqgt.errors import (
 )
 from sqgt.decode import decode_concat, decode_lindstrom
 from sqgt.fileio import format_matrix, parse_matrix, read_matrix
-from sqgt.model import CodeParams, syndrome
+from sqgt.model import MAX_Q, CodeParams, syndrome
 from sqgt.rng import make_rng
 from sqgt.verify import is_sq_disjunct, is_sq_separable
 
@@ -517,14 +517,14 @@ class TestSpecBuilders:
         if case[0] == "concat":
             _, name, d, q, step = case
             C, spec = concat_disjunct(read_matrix(DATA / name)[0], d, 0, q, step)
-            build, decode, sizes = (lambda *a: concat_spec(*a, d, 0)), decode_concat, range(1, d + 1)
+            build, decode, sizes = concat_spec, decode_concat, range(1, d + 1)
         else:
             _, kappa, q, step, n, chains = case
             C, spec = lindstrom(kappa, q, step, n=n, chains=chains)
             build, decode, sizes = lindstrom_spec, decode_lindstrom, range(C.shape[1] + 1)
         p = spec.params
-        C2, q2, _, eta2 = parse_matrix(format_matrix(C, p.q, p.Q, p.eta))
-        built = build(C2, q2, eta2)
+        C2, q2, Q2, eta2 = parse_matrix(format_matrix(C, p.q, p.Q, p.eta))
+        built = build(C2, CodeParams(q2, Q2, eta2, p.l, p.u, p.e))
         for field in dataclasses.fields(spec):
             a, b = getattr(built, field.name), getattr(spec, field.name)
             assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, field.name
@@ -537,24 +537,41 @@ class TestSpecBuilders:
 
     @pytest.mark.parametrize("build,error,match", [
         # one threshold off the step
-        (lambda: lindstrom_spec(lindstrom(3, 9, 2)[0], 9, (0, 2, 5) + tuple(range(6, 60, 2))),
+        (lambda: lindstrom_spec(lindstrom(3, 9, 2)[0], CodeParams(9, 29, (0, 2, 5) + tuple(range(6, 60, 2)))),
          BadThreshold, "eta_2=5"),
-        (lambda: concat_spec(GOLDEN_9x24, 7, (0, 2, 4, 6, 8, 10, 12, 13), 2, 0),
+        (lambda: concat_spec(GOLDEN_9x24, CodeParams(7, 7, (0, 2, 4, 6, 8, 10, 12, 13), u=2)),
          BadThreshold, "eta_7=13"),
         # wrong d: three blocks do not divide n=16, do not rebuild the matrix,
         # or leave one block with a non-binary base
-        (lambda: concat_spec(GOLDEN_7x16, 7, tuple(range(0, 16, 2)), 1, 0), InconsistentSpec, "divisible"),
-        (lambda: concat_spec(GOLDEN_9x24, 7, tuple(range(0, 16, 2)), 1, 0), InconsistentSpec, "concatenation"),
-        (lambda: concat_spec(GOLDEN_9x24, 7, tuple(range(0, 16, 2)), 3, 0), InconsistentSpec, "concatenation"),
+        (lambda: concat_spec(GOLDEN_7x16, CodeParams(7, 7, tuple(range(0, 16, 2)))),
+         InconsistentSpec, "divisible"),
+        (lambda: concat_spec(GOLDEN_9x24, CodeParams(7, 7, tuple(range(0, 16, 2)))),
+         InconsistentSpec, "concatenation"),
+        (lambda: concat_spec(GOLDEN_9x24, CodeParams.equidistant(7, 2, 1, 3)),
+         InconsistentSpec, "concatenation"),
         # m not of the form 2^kappa - 1, n beyond the construction size
-        (lambda: lindstrom_spec(2 * GOLDEN_LINDSTROM_7x26[:6], 9, tuple(range(0, 2 * 28, 2))),
+        (lambda: lindstrom_spec(2 * GOLDEN_LINDSTROM_7x26[:6], CodeParams(9, 27, tuple(range(0, 2 * 28, 2)))),
          InconsistentSpec, "m=6"),
-        (lambda: lindstrom_spec(np.hstack([2 * GOLDEN_LINDSTROM_7x26] * 2), 9, tuple(range(0, 2 * 54, 2))),
+        (lambda: lindstrom_spec(np.hstack([2 * GOLDEN_LINDSTROM_7x26] * 2),
+                                CodeParams(9, 53, tuple(range(0, 2 * 54, 2)))),
          InconsistentSpec, "n=52"),
     ])
     def test_builder_rejects(self, build, error, match):
         with pytest.raises(error, match=match):
             build()
+
+    def test_builders_keep_the_bracket(self, monkeypatch):
+        """Each builder keeps the bracket it is given, here with a larger Q
+        and e than the constructor's, and builds no bracket of its own."""
+        concat = CodeParams(7, 9, tuple(range(0, 20, 2)), u=2, e=1)
+        recursive = CodeParams(9, 30, tuple(range(0, 62, 2)), u=3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spec builder built a bracket")
+
+        monkeypatch.setattr(CodeParams, "equidistant", refuse)
+        assert concat_spec(GOLDEN_9x24, concat).params is concat
+        assert lindstrom_spec(2 * GOLDEN_LINDSTROM_7x26, recursive).params is recursive
 
 
 class TestRefusedBeforeWork:
@@ -573,7 +590,7 @@ class TestRefusedBeforeWork:
         lambda: random_disjunct(20, 2, 2, 1, e=-1, m=5),
         lambda: random_binary_separable(12, 3, (0, 2, 4, 5), 1, e=-1),
         lambda: concat_disjunct(GOLDEN_9x24[:, :12] // 2, 2, -2, 7, 2),
-        lambda: concat_spec(GOLDEN_9x24, 7, CodeParams.equidistant(7, 2, 1, 2).eta, 2, -1),
+        lambda: concat_spec(GOLDEN_9x24, CodeParams.equidistant(7, 2, 1, 2, -1)),
         lambda: scale_disjunct(GOLDEN_9x24[:, :12] // 2, 2, -1, 3, (0, 2, 3, 5, 7)),
     ])
     def test_negative_error_budget(self, no_sampling, build):
@@ -607,6 +624,44 @@ class TestRefusedBeforeWork:
         monkeypatch.setattr(construct, "MAX_CELLS", 511)
         with pytest.raises(BadRange):
             random_binary_separable(64, 4, (0, 2, 5), 1, m=7)
+
+    def test_equidistant_output_alphabet_cap(self, no_sampling):
+        # a 5 x 20 code at q = 4 000 001, whose bracket alone took 1.3 s and 300 MB
+        with pytest.raises(BadRange, match=f"Q=8000001 exceeds the output alphabet cap {MAX_Q}"):
+            random_disjunct(20, 2, 4_000_000, 1, m=5)
+
+    @pytest.fixture
+    def no_blocks(self, monkeypatch):
+        def refuse(blocks):
+            raise AssertionError("a refused concatenation built its blocks")
+
+        monkeypatch.setattr(np, "hstack", refuse)
+
+    @pytest.mark.parametrize("q, match", [
+        (10**6, f"999999 blocks x 108 base cells exceed {construct.MAX_CELLS} matrix cells"),
+        (MAX_Q + 2, "exceeds the output alphabet cap"),  # refused before the scales
+    ])
+    def test_concat_caps(self, no_blocks, base_9x12, q, match):
+        with pytest.raises(BadRange, match=match):
+            concat_disjunct(base_9x12, 1, 0, q, 1)
+
+    def test_concat_cell_cap_counts_every_block(self, monkeypatch, base_9x12):
+        monkeypatch.setattr(construct, "MAX_CELLS", 3 * base_9x12.size)
+        assert concat_disjunct(base_9x12, 1, 0, 7, 2)[0].shape == (9, 36)
+        monkeypatch.setattr(construct, "MAX_CELLS", 3 * base_9x12.size - 1)
+        with pytest.raises(BadRange, match="3 blocks"):
+            concat_disjunct(base_9x12, 1, 0, 7, 2)
+
+    @pytest.mark.parametrize("args, error, match", [
+        ((0, -1, 1, 1), BadRange, "need d >= 1"),
+        ((2, -1, 2, 2), AlphabetTooSmall, "q-1=1"),
+        ((2, 0, 1, 1), AlphabetTooSmall, "q-1=0"),
+        ((2, -1, 7, 0), BadRange, "eta step"),
+        ((2, -1, 7, 2), BadRange, "error budget"),
+    ])
+    def test_concat_checks_its_scales_before_its_bracket(self, no_blocks, base_9x12, args, error, match):
+        with pytest.raises(error, match=match):
+            concat_disjunct(base_9x12, *args)
 
     def test_field_cap(self, monkeypatch):
         with pytest.raises(Overflow, match=r"L\^d = 101\^5 = 10510100501 exceeds the field walk cap"):
