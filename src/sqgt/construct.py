@@ -37,7 +37,6 @@ from .errors import (
 )
 from .model import CodeParams, _check_thresholds, check_matrix
 from .rng import make_rng
-from .verify import _colex_array
 
 __all__ = [
     "ConcatSpec",
@@ -596,13 +595,18 @@ def random_binary_separable(
 # recursive construction for arbitrary defective counts
 # ---------------------------------------------------------------------------
 
-def ordered_subsets(kappa: int) -> list[frozenset[int]]:
-    """Nonempty subsets of {1..kappa} ordered by size, then colexicographically."""
-    return [
-        frozenset(int(x) + 1 for x in row)
-        for size in range(1, kappa + 1)
-        for row in _colex_array(kappa, size)
-    ]
+def ordered_subsets(kappa: int) -> np.ndarray:
+    """Nonempty subsets of {1..kappa} as int64 bit masks (element x is bit
+    x-1), ordered by size, then by value: among sets of one size that is
+    colexicographic order."""
+    return np.array(sorted(range(1, 2**kappa), key=lambda S: (S.bit_count(), S)), dtype=np.int64)
+
+
+def _parity(masks: np.ndarray) -> np.ndarray:
+    """1 where a mask has an odd number of set bits, else 0."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        masks = masks ^ (masks >> shift)
+    return masks & 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -610,12 +614,13 @@ class LindstromSpec:
     """Metadata for the recursive block construction.
 
     q2 is the number of bit columns beyond the first in every block,
-    subsets the ordered block labeling, widths the retained column count
-    per block after truncation, and matrix the unscaled integer code.
+    subsets the block and row labels as bit masks (ordered_subsets), widths
+    the retained column count per block after truncation, and matrix the
+    unscaled integer code.
     """
 
     q2: int
-    subsets: tuple[frozenset[int], ...]
+    subsets: np.ndarray
     widths: tuple[int, ...]
     matrix: np.ndarray
     params: CodeParams
@@ -648,22 +653,13 @@ def lindstrom_spec(C, params: CodeParams) -> LindstromSpec:
     if np.any(C % step):
         raise InconsistentSpec("entries are not multiples of the threshold step")
     q2 = _floor_log2_ratio(_step_levels(params.q, step), 1)
-    subsets = tuple(ordered_subsets(kappa))
-    full_widths = [q2 + len(S) for S in subsets]
+    subsets = ordered_subsets(kappa)
+    full_widths = [q2 + S.bit_count() for S in subsets.tolist()]
     if n > sum(full_widths):
         raise InconsistentSpec(f"n={n} exceeds the construction size {sum(full_widths)}")
     starts = accumulate(full_widths, initial=0)
     widths = tuple(min(w, max(0, n - s)) for w, s in zip(full_widths, starts))
     return LindstromSpec(q2=q2, subsets=subsets, widths=widths, matrix=C // step, params=params)
-
-
-def _default_chain(subset: frozenset[int]) -> list[frozenset[int]]:
-    chain = []
-    cur = sorted(subset)
-    while len(cur) > 1:
-        cur = cur[:-1]  # drop the largest element
-        chain.append(frozenset(cur))
-    return chain
 
 
 def lindstrom(
@@ -675,14 +671,15 @@ def lindstrom(
 ) -> tuple[np.ndarray, LindstromSpec]:
     """Recursive block code identifying any number of defectives up to n.
 
-    One block per nonempty subset of {1..kappa}: the first q2+1 columns of
-    block i carry the value 2^(q2-k+1) on rows whose label has odd overlap
-    with the block label, and each later column thins the previous one
-    through a shrinking gate set. chains optionally overrides the gate sets
-    for selected blocks (1-based block index to list of element iterables);
-    the default drops the largest element at each step. Truncation to n
-    columns drops from the right. The full code is built first, so BadKappa
-    is raised before any block when it would exceed MAX_CELLS cells.
+    One block and one row per nonempty subset of {1..kappa}, labeled by bit
+    mask in ordered_subsets order: the first q2+1 columns of block i carry
+    the value 2^(q2-k+1) on rows whose label has odd overlap with the block
+    label, and each later column thins the previous one through a shrinking
+    gate set. chains optionally overrides the gate sets for selected blocks
+    (1-based block index to list of element iterables); the default drops
+    the largest element at each step. Truncation to n columns drops from
+    the right. The full code is built first, so BadKappa is raised before
+    any block when it would exceed MAX_CELLS cells.
     """
     if kappa < 1:
         raise BadKappa(f"need kappa >= 1, got {kappa}")
@@ -694,35 +691,29 @@ def lindstrom(
     k = min(kappa, MAX_CELLS.bit_length() + 1)
     if (2**k - 1) * ((2**k - 1) * q2 + k * 2 ** (k - 1)) > MAX_CELLS:
         raise BadKappa(f"kappa={kappa} builds more than {MAX_CELLS} matrix cells")
-    m = 2**kappa - 1
-    subsets = ordered_subsets(kappa)
+    labels = ordered_subsets(kappa)
 
     blocks = []
-    for i, S in enumerate(subsets, start=1):
+    for i, S in enumerate(labels.tolist(), start=1):
+        size = S.bit_count()
+        gates, T = [S], S
         if chains and i in chains:
-            chain = [frozenset(int(x) for x in T) for T in chains[i]]
-            expected = [len(S) - k for k in range(1, len(S))]
-            if [len(T) for T in chain] != expected:
-                raise BadRange(
-                    f"chain for block {i} must have set sizes {expected}"
-                )
-            prev = S
-            for T in chain:
-                if not T < prev:
+            given = [frozenset(int(x) for x in elements) for elements in chains[i]]
+            expected = [size - k for k in range(1, size)]
+            if [len(elements) for elements in given] != expected:
+                raise BadRange(f"chain for block {i} must have set sizes {expected}")
+            for elements in given:  # the sizes fall, so nesting is containment
+                if not all(1 <= x <= kappa and (T >> (x - 1)) & 1 for x in elements):
                     raise BadRange(f"chain sets for block {i} must strictly nest")
-                prev = T
-        else:
-            chain = _default_chain(S)
-        width = q2 + len(S)
-        B = np.zeros((m, width), dtype=np.int64)
-        odd = np.array([len(S & Sj) % 2 == 1 for Sj in subsets])
-        for k in range(1, q2 + 2):
-            B[odd, k - 1] = 2 ** (q2 - k + 1)
-        for k in range(q2 + 2, width + 1):
-            T = chain[k - (q2 + 2)]
-            gate = np.array([len(Sj & T) % 2 == 1 for Sj in subsets])
-            B[:, k - 1] = ((B[:, k - 2] > 0) & gate).astype(np.int64)
-        blocks.append(B)
+                T = sum(1 << (x - 1) for x in elements)
+                gates.append(T)
+        else:  # clear the top bit of the previous set
+            while T & (T - 1):  # more than one element
+                T ^= 1 << (T.bit_length() - 1)
+                gates.append(T)
+        # row r of gated column j: odd overlap of label r with each of gates[:j+1]
+        gated = np.bitwise_and.accumulate(_parity(labels[:, None] & gates), axis=1)
+        blocks.append(np.hstack((gated[:, :1] << np.arange(q2, 0, -1), gated)))
 
     full = np.hstack(blocks)
     total = full.shape[1]

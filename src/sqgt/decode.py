@@ -20,7 +20,7 @@ from .errors import (
     NonBinaryResidue,
     NumericalUnderflow,
 )
-from .construct import ConcatSpec, LindstromSpec
+from .construct import ConcatSpec, LindstromSpec, _parity
 from .model import (
     CodeParams,
     NoiseModel,
@@ -120,46 +120,42 @@ def block_equation(spec: LindstromSpec, block: int) -> tuple[tuple[int, ...], tu
     """
     if not 1 <= block <= len(spec.subsets):
         raise BadRange(f"block must lie in 1..{len(spec.subsets)}, got {block}")
-    S = spec.subsets[block - 1]
-    odd = tuple(
-        j + 1 for j, Sj in enumerate(spec.subsets) if Sj <= S and len(Sj) % 2 == 1
-    )
-    even = tuple(
-        j + 1 for j, Sj in enumerate(spec.subsets) if Sj <= S and len(Sj) % 2 == 0
-    )
+    labels = spec.subsets
+    S = int(labels[block - 1])
+    rows = np.nonzero((labels & S) == labels)[0]  # labeled by subsets of S
+    odd = _parity(labels[rows]) == 1
     width = spec.widths[block - 1]
-    full = spec.q2 + len(S)
+    full = spec.q2 + S.bit_count()
     coeffs = tuple(2 ** (full - k) for k in range(1, width + 1))
-    return odd, even, coeffs
+    return tuple((rows[odd] + 1).tolist()), tuple((rows[~odd] + 1).tolist()), coeffs
 
 
 def decode_lindstrom(spec: LindstromSpec, z) -> tuple[int, ...]:
     """Recursive elimination decoder; exact for any defective count 0..n.
 
-    Processes blocks from the last to the first. For each block it combines
-    the rows labeled by odd and even subsets of the block label, subtracts
-    the contribution of already-decoded subjects, and reads the block's
-    indicator bits off the binary representation of the remainder.
+    Processes blocks from the last to the first on the residual results
+    r = z - C w of the subjects decoded so far. For each block it combines
+    the rows labeled by odd and even subsets of the block label and reads
+    the block's indicator bits off the binary representation of the sum.
     """
     C = spec.matrix
     mrows, n = C.shape
     # shape only: the elimination refuses results outside 0..Q-1 with
     # NonBinaryResidue
-    z = _check_results(z, mrows, None)
+    r = _check_results(z, mrows, None)
     w = np.zeros(n, dtype=np.int64)
-    known = np.zeros(n, dtype=bool)
     for i in range(len(spec.subsets), 0, -1):
         if spec.widths[i - 1] == 0:
             continue
         odd, even, coeffs = block_equation(spec, i)
-        vec = C[[r - 1 for r in odd]].sum(axis=0) - C[[r - 1 for r in even]].sum(axis=0)
-        rhs = int(z[[r - 1 for r in odd]].sum() - z[[r - 1 for r in even]].sum())
-        rhs -= int(vec[known] @ w[known])
+        odd, even = [j - 1 for j in odd], [j - 1 for j in even]
         sl = spec.block_slice(i)
-        if tuple(int(c) for c in vec[sl]) != coeffs:
+        vec = C[odd, sl].sum(axis=0) - C[even, sl].sum(axis=0)
+        if tuple(int(c) for c in vec) != coeffs:
             raise InconsistentSpec(
                 f"block {i} columns do not match the construction rules"
             )
+        rhs = int(r[odd].sum() - r[even].sum())
         if rhs < 0:
             raise NonBinaryResidue(f"block {i} leaves a negative remainder {rhs}")
         for offset, c in enumerate(coeffs):
@@ -168,7 +164,7 @@ def decode_lindstrom(spec: LindstromSpec, z) -> tuple[int, ...]:
                 rhs -= c
         if rhs != 0:
             raise NonBinaryResidue(f"block {i} leaves remainder {rhs} after all bits")
-        known[sl] = True
+        r = r - C[:, sl] @ w[sl]
     return tuple(int(i) + 1 for i in np.nonzero(w)[0])
 
 

@@ -38,6 +38,7 @@ __all__ = [
 
 
 MAX_Q = 2**20  # Q cap of CodeParams.equidistant, which builds Q + 1 thresholds
+MAX_CHANNEL_Q = 2**12  # Q cap of channel_matrix, a dense Q x Q float64 array (128 MiB)
 
 
 @dataclass(frozen=True)
@@ -261,9 +262,12 @@ def apply_noise(y, Q: int, noise: NoiseModel, seed) -> np.ndarray:
 
 
 def channel_matrix(Q: int, noise: NoiseModel) -> np.ndarray:
-    """Transition matrix P with P[y, z] = probability of observing z given y."""
+    """Transition matrix P with P[y, z] = probability of observing z given y;
+    BadRange for a Q above MAX_CHANNEL_Q, before P is allocated."""
     if Q < 2:
         raise BadRange(f"output alphabet must have Q >= 2, got {Q}")
+    if Q > MAX_CHANNEL_Q:
+        raise BadRange(f"Q={Q} exceeds the channel matrix cap {MAX_CHANNEL_Q}")
     P = np.zeros((Q, Q))
     for y in range(Q):
         up = noise.gamma_p if y < Q - 1 else 0.0

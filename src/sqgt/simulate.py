@@ -21,7 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .construct import _rows_per_block, random_disjunct
+from .construct import MAX_CELLS, _rows_per_block, random_disjunct
 from .decode import BpConfig, bp_decode_batch, select_threshold, select_topd, Marginals
 from .errors import BadRange, ConfigError
 from .fileio import CSV_HEADER
@@ -57,6 +57,8 @@ class SweepConfig:
         sizes = (self.n, self.d, self.m, self.eta_step, self.trials, self.iterations)
         if min(sizes) < 1 or self.d >= self.n:
             raise ConfigError("need n > d >= 1 and m, eta, trials, iterations >= 1")
+        if self.trials * self.m > MAX_CELLS:
+            raise ConfigError(f"trials={self.trials} x m={self.m} results exceed {MAX_CELLS} cells")
         if min(self.q_values, default=0) < 2:
             raise ConfigError(f"q: every alphabet size must be >= 2, got {self.q_values}")
         for gamma_p, gamma_n in self.gammas:

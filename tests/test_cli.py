@@ -10,7 +10,7 @@ import sqgt.simulate as sim
 from sqgt.cli import DECODE_ALGORITHMS, main
 from sqgt.errors import BadRange
 from sqgt.fileio import CSV_HEADER, read_matrix, write_matrix
-from sqgt.model import CodeParams
+from sqgt.model import MAX_CHANNEL_Q, CodeParams
 
 from conftest import GOLDEN_9x24
 
@@ -451,6 +451,23 @@ class TestRefusedInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("SentinelTooSmall: sentinel eta_Q=2 must exceed")
+
+    @pytest.mark.parametrize("algorithm", ["bp", "ml"])
+    def test_channel_matrix_is_capped(self, tmp_path, monkeypatch, capsys, algorithm):
+        # identity thresholds give Q = 2^12 + 1 on a 1 x 3 code: the dense
+        # Q x Q channel matrix is refused before it is allocated
+        Q = MAX_CHANNEL_Q + 1
+        code = tmp_path / "wide-q.sqgt"
+        code.write_text(f"SQGT-CODE v1\nq=2 Q={Q} m=1 n=3\neta={','.join(map(str, range(Q + 1)))}\n1 0 1\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decode allocated an array")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        assert run("decode", "--code", code, "--syndrome", 1, "--algorithm", algorithm, "--d", 1) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"BadRange: Q={Q} exceeds the channel matrix cap {MAX_CHANNEL_Q}\n"
 
     @pytest.mark.parametrize("algorithm", DECODE_ALGORITHMS)
     @pytest.mark.parametrize("option, value, message", [

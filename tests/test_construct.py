@@ -17,6 +17,7 @@ from sqgt.construct import (
     lindstrom,
     lindstrom_spec,
     optimize_p0,
+    ordered_subsets,
     random_binary_separable,
     random_disjunct,
     ratio_vs_single_level,
@@ -434,6 +435,16 @@ class TestLindstrom:
         C, spec = lindstrom(3, 9, 2, chains=GOLDEN_LINDSTROM_CHAINS)
         assert np.array_equal(spec.matrix, GOLDEN_LINDSTROM_7x26)
         assert np.array_equal(C, 2 * GOLDEN_LINDSTROM_7x26)
+
+    def test_labels_are_bit_masks(self):
+        # element x is bit x-1: {1},{2},{3},{1,2},{1,3},{2,3},{1,2,3}
+        assert ordered_subsets(3).tolist() == [1, 2, 4, 3, 5, 6, 7]
+        for kappa in range(1, 9):
+            masks = ordered_subsets(kappa)
+            assert masks.dtype == np.int64
+            assert masks.tolist() == sorted(range(1, 2**kappa), key=lambda S: (bin(S).count("1"), S))
+        _, spec = lindstrom(3, 9, 2)
+        assert spec.subsets.tolist() == [1, 2, 4, 3, 5, 6, 7]
 
     def test_sizes_without_bit_columns(self):
         C, spec = lindstrom(2, 3, 2)

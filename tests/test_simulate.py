@@ -84,6 +84,25 @@ def test_sweep_config_checks_itself(change, message):
     assert str(err.value).startswith(message)
 
 
+def test_sweep_results_are_capped():
+    # the trials x m result array is refused at parse time, at the cap of
+    # the codes' cells; a config at the cap parses
+    at_cap = TINY.replace("m=12", "m=10").replace("trials=20", f"trials={construct.MAX_CELLS // 10}")
+    assert parse_config(at_cap).trials * 10 == construct.MAX_CELLS
+    over = at_cap.replace(f"trials={construct.MAX_CELLS // 10}", f"trials={construct.MAX_CELLS // 10 + 1}")
+    with pytest.raises(ConfigError, match=f"trials=1000001 x m=10 results exceed {construct.MAX_CELLS} cells"):
+        parse_config(over)
+
+
+def test_simulate_cli_refuses_an_oversized_sweep(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(TINY.replace("trials=20", "trials=1000000000000"))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ConfigError: trials=1000000000000 x m=12 results exceed")
+
+
 @pytest.mark.parametrize("pair", BAD_NOISE)
 def test_simulate_cli_refuses_a_bad_noise_pair(tmp_path, capsys, pair):
     # the pair follows a good one: it is refused before any sweep point runs
