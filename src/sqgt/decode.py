@@ -137,12 +137,15 @@ def decode_lindstrom(spec: LindstromSpec, z) -> tuple[int, ...]:
     r = z - C w of the subjects decoded so far. For each block it combines
     the rows labeled by odd and even subsets of the block label and reads
     the block's indicator bits off the binary representation of the sum.
+    The results are summed as Python integers, so the remainder is exact
+    for any integer results; C w, at most a row sum of C, stays in int64.
     """
     C = spec.matrix
     mrows, n = C.shape
     # shape only: the elimination refuses results outside 0..Q-1 with
     # NonBinaryResidue
-    r = _check_results(z, mrows, None)
+    z = _check_results(z, mrows, None).astype(object)
+    cw = np.zeros(mrows, dtype=np.int64)
     w = np.zeros(n, dtype=np.int64)
     for i in range(len(spec.subsets), 0, -1):
         if spec.widths[i - 1] == 0:
@@ -155,7 +158,7 @@ def decode_lindstrom(spec: LindstromSpec, z) -> tuple[int, ...]:
             raise InconsistentSpec(
                 f"block {i} columns do not match the construction rules"
             )
-        rhs = int(r[odd].sum() - r[even].sum())
+        rhs = int(z[odd].sum() - z[even].sum()) - int(cw[odd].sum() - cw[even].sum())
         if rhs < 0:
             raise NonBinaryResidue(f"block {i} leaves a negative remainder {rhs}")
         for offset, c in enumerate(coeffs):
@@ -164,7 +167,7 @@ def decode_lindstrom(spec: LindstromSpec, z) -> tuple[int, ...]:
                 rhs -= c
         if rhs != 0:
             raise NonBinaryResidue(f"block {i} leaves remainder {rhs} after all bits")
-        r = r - C[:, sl] @ w[sl]
+        cw += C[:, sl] @ w[sl]
     return tuple(int(i) + 1 for i in np.nonzero(w)[0])
 
 

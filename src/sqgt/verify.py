@@ -7,7 +7,7 @@ order, pivots by position), so the returned witness is deterministic: it is
 always the first violation in that order.
 
 These are exponential oracles by design; a configurable budget keeps them at
-desk scale. Two exact reductions keep the work down without changing any
+desk scale. Three exact reductions keep the work down without changing any
 verdict or witness:
 
 - A syndrome coordinate depends only on its test's row, so the SQ-disjunct
@@ -19,6 +19,14 @@ verdict or witness:
   2e+1 blocks, two syndromes at distance at most 2e agree on at least one
   whole block, so only pairs that share a bucket on some block are
   compared.
+- The SQ-disjunct check pairs a pivot p with the rest T = S - {p} of its
+  (d+1)-set S, so it runs over the d-sets T in colex order, quantizes the
+  sum of each T once (not once for each of the n-d sets S that contain
+  it) and compares it with every column outside T at once. The first
+  violation is still the colex-first S at its first pivot: every S with
+  top element t splits into a pivot and a d-set with top at most t, so
+  once the d-sets reach a top above the best S's top, every S up to that
+  top has been seen and the scan stops.
 """
 
 from dataclasses import dataclass
@@ -40,6 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
+_DISJUNCT_CELLS = 1 << 20  # pivot-against-d-set comparisons per chunk
 
 
 @dataclass(frozen=True)
@@ -122,11 +131,17 @@ def _distinct_rows(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def is_sq_disjunct(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witness | None:
     """Check the SQ-disjunct property of C at the bracket parameters.
 
-    For every (d+1)-subset of columns and every pivot column inside it, at
-    least 2e+1 coordinates must have the pivot's single-column syndrome
-    strictly above the syndrome of the other d columns. Witness rows are
-    automatically distinct across pivots of one subset, so only the counts
-    are checked here.
+    For every (d+1)-subset S of columns and every pivot column p inside
+    it, at least 2e+1 coordinates must have the pivot's single-column
+    syndrome strictly above the syndrome of the other d columns. Witness
+    rows are automatically distinct across pivots of one subset, so only
+    the counts are checked here.
+
+    The scan runs over the d-sets T = S - {p} in colex order and compares
+    each quantized rest-sum with every column outside T at once. The
+    witness is the colex-first violating S, at its first violating pivot;
+    every S whose top element is at most t comes from d-sets whose top is
+    at most t, so the scan stops once a d-set's top passes the best S's.
     """
     if params.l != 1:
         raise BadRange("SQ-disjunct codes cover defective ranges (1:d); need l == 1")
@@ -142,27 +157,29 @@ def is_sq_disjunct(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witne
     eta = np.asarray(params.eta, dtype=np.int64)
     cols, weight = _distinct_rows(C)
     single = quantize_sums(cols, eta)  # syndromes of single columns
-    chunk = max(1, (1 << 22) // (cols.shape[1] * (d + 1)))
-    for subs in _subset_chunks(n, d + 1, chunk):
-        members = [cols[subs[:, p]] for p in range(d + 1)]  # d+1 of (B, rows)
-        total = sum(members)
-        counts = np.empty((subs.shape[0], d + 1), dtype=np.int64)
-        for p in range(d + 1):
-            rest = quantize_sums(total - members[p], eta)
-            counts[:, p] = (single[subs[:, p]] > rest) @ weight
+    chunk = max(1, _DISJUNCT_CELLS // (n * cols.shape[1]))
+    best = None  # (S top-down, pivot, count) of the first violation so far
+    for T in _subset_chunks(n, d, chunk):
+        if best is not None and T[0, -1] > best[0][0]:
+            break
+        rest = quantize_sums(cols[T].sum(axis=1), eta)  # syndromes of the d-sets
+        counts = (single[None] > rest[:, None]) @ weight  # (B, n): pivot p against T
         bad = counts < 2 * e + 1
-        if bad.any():
-            b = int(np.argmax(bad.any(axis=1)))
-            p = int(np.argmax(bad[b]))
-            subset = subs[b]
-            pivot = int(subset[p])
-            return Witness(
-                "sq-disjunct",
-                (tuple(int(i) + 1 for i in subset), (pivot + 1,)),
-                f"column {pivot + 1} beats the other {d} on {int(counts[b, p])} coordinates, "
-                f"needs {2 * e + 1}",
-            )
-    return None
+        bad[np.arange(T.shape[0])[:, None], T] = False  # p inside T is no pivot
+        b, p = np.nonzero(bad)
+        if b.size:
+            S = np.sort(np.column_stack((T[b], p)), axis=1)
+            k = np.lexsort((p, *S.T))[0]  # colex on S, then pivot
+            found = (tuple(int(i) for i in S[k, ::-1]), int(p[k]), int(counts[b[k], p[k]]))
+            best = found if best is None else min(best, found)
+    if best is None:
+        return None
+    top_down, pivot, count = best
+    return Witness(
+        "sq-disjunct",
+        (tuple(i + 1 for i in reversed(top_down)), (pivot + 1,)),
+        f"column {pivot + 1} beats the other {d} on {count} coordinates, needs {2 * e + 1}",
+    )
 
 
 def _check_set_budget(n: int, lo: int, hi: int, budget: int) -> None:

@@ -241,6 +241,19 @@ class TestDecodeLindstrom:
         with pytest.raises(NonBinaryResidue):
             decode_lindstrom(spec, z)
 
+    def test_extreme_results_give_the_exact_remainder(self):
+        # block 7 adds rows 1, 2, 3, 7 and subtracts rows 4, 5, 6, so its
+        # combination is 7 * 2^63 - 4; int64 sums would wrap it
+        _, spec = lindstrom(3, 9, 1)
+        top, low = 2**63 - 1, -(2**63)
+        z = [top, top, top, low, low, low, top]
+        remainder = 4 * top - 3 * low - sum(block_equation(spec, 7)[2])
+        assert remainder == 64563604257983430589
+        with pytest.raises(
+            NonBinaryResidue, match=f"^block 7 leaves remainder {remainder} after all bits$"
+        ):
+            decode_lindstrom(spec, z)
+
 
 def _decoder(name):
     """(decode, C, params) for one decoder on a small code."""

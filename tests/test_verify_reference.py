@@ -5,6 +5,8 @@ bracket CodeParams refuses ends in that error before either verifier runs."""
 import numpy as np
 import pytest
 
+from sqgt import verify
+from sqgt.construct import random_disjunct
 from sqgt.model import CodeParams
 from sqgt.rng import make_rng
 from sqgt.verify import is_sq_disjunct, is_sq_separable
@@ -81,3 +83,76 @@ def test_pair_scan_over_many_chunks(late_duplicate):
     got = is_sq_separable(C, params)
     assert str(got) == str(reference_is_sq_separable(C, params))
     assert (got is not None) == late_duplicate
+
+
+REPEATS = ("none", "first", "mid", "last")
+
+
+def _disjunct_case(n: int, d: int, e: int, repeat: str):
+    """A random code with one column copied onto the next first in the
+    scan, mid-scan or last, built to be SQ-disjunct at (d, e); with no copy
+    it is built for e = 0, so that e = 1 finds near misses."""
+    seed = 1000 * n + 100 * d + 10 * e + REPEATS.index(repeat)
+    C, p = random_disjunct(n, d, 2, 1, e=0 if repeat == "none" else e, seed=seed)
+    at = {"first": 0, "mid": n // 2 - 1, "last": n - 2}
+    if repeat in at:
+        C[:, at[repeat] + 1] = C[:, at[repeat]]
+    return C, dict(q=p.q, Q=p.Q, eta=p.eta, l=1, u=d, e=e), seed
+
+
+@pytest.mark.parametrize("repeat", REPEATS)
+@pytest.mark.parametrize("e", [0, 1])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [10, 13, 16, 20])
+def test_disjunct_matches_reference_over_small_chunks(monkeypatch, n, d, e, repeat):
+    C, bracket, seed = _disjunct_case(n, d, e, repeat)
+    want = _outcome(reference_is_sq_disjunct, C, bracket, 10_000_000)
+    # chunks of 1 to 4 d-sets, so that violations fall on both sides of
+    # chunk boundaries
+    per_set = n * len(np.unique(C, axis=0))
+    monkeypatch.setattr(verify, "_DISJUNCT_CELLS", (seed % 4 + 1) * per_set)
+    assert _outcome(is_sq_disjunct, C, bracket, 10_000_000) == want
+
+
+def test_disjunct_grid_covers_passes_and_witnesses():
+    details, pivots = set(), set()
+    for n in (10, 13, 16, 20):
+        for d in (1, 2, 3, 4):
+            for e in (0, 1):
+                for repeat in REPEATS:
+                    C, bracket, _ = _disjunct_case(n, d, e, repeat)
+                    w = reference_is_sq_disjunct(C, CodeParams(**bracket))
+                    details.add("PASS" if w is None else w.detail.split(" on ")[1])
+                    if w is not None and repeat != "none":
+                        # the copied column is the pivot, at the copy's place
+                        copied = {"first": 1, "mid": n // 2, "last": n - 1}[repeat]
+                        if w.sets[1] == (copied,) and copied + 1 in w.sets[0]:
+                            pivots.add(repeat)
+    assert "PASS" in details
+    assert {"0 coordinates, needs 1", "0 coordinates, needs 3"} <= details
+    # a near miss: a pivot that wins, but on too few coordinates
+    assert {"1 coordinates, needs 3", "2 coordinates, needs 3"} & details
+    assert pivots == {"first", "mid", "last"}
+
+
+def test_disjunct_scan_stops_after_the_witness_top(monkeypatch):
+    # columns 1 and 2 are equal, so {1,2,3} with pivot 1 is the first
+    # violation; every 3-set with top 3 comes from the 2-sets up to {2,3}
+    C, p = random_disjunct(12, 2, 2, 1, seed=5)
+    C[:, 1] = C[:, 0]
+    yielded = []
+    chunks = verify._subset_chunks
+
+    def counting(n, k, chunk):
+        for T in chunks(n, k, chunk):
+            yielded.append(T.tolist())
+            yield T
+
+    monkeypatch.setattr(verify, "_DISJUNCT_CELLS", 1)
+    monkeypatch.setattr(verify, "_subset_chunks", counting)
+    w = is_sq_disjunct(C, p)
+    assert str(w) == str(reference_is_sq_disjunct(C, p))
+    assert w.sets == ((1, 2, 3), (1,))
+    # the three 2-sets with top at most 3, then the one chunk whose first
+    # 2-set {1,4} ends the scan
+    assert yielded == [[[0, 1]], [[0, 2]], [[1, 2]], [[0, 3]]]
