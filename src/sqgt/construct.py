@@ -35,7 +35,7 @@ from .errors import (
     NotPrime,
     Overflow,
 )
-from .model import CodeParams, _check_thresholds, check_matrix
+from .model import CodeParams, _check_thresholds, _equidistant_Q, check_matrix
 from .rng import make_rng
 
 __all__ = [
@@ -292,16 +292,24 @@ class ConcatSpec:
         return self.scales[j - 1] * self.base
 
 
+def _concat_multipliers(d: int, levels: int):
+    """The block multipliers 1 + d + ... + d^(j-1) up to levels, for d >= 1;
+    at d = 1 that is 1..levels, returned as a range, so that its length is
+    known before it is built."""
+    if d == 1:
+        return range(1, levels + 1)
+    multipliers = []
+    g = 1  # 1 + d + ... + d^(j-1)
+    while g <= levels:
+        multipliers.append(g)
+        g = g * d + 1
+    return multipliers
+
+
 def _concat_scales(d: int, q: int, eta_step: int) -> tuple[int, ...]:
     """Block scales eta_step * (1 + d + ... + d^(j-1)) up to q-1, for d >= 1;
     at d = 1 that is every multiple of the step."""
-    budget = _step_levels(q, eta_step)
-    multipliers = []
-    g = 1  # 1 + d + ... + d^(j-1)
-    while g <= budget:
-        multipliers.append(g)
-        g = g * d + 1
-    return tuple(eta_step * g for g in multipliers)
+    return tuple(eta_step * g for g in _concat_multipliers(d, _step_levels(q, eta_step)))
 
 
 def concat_spec(C, params: CodeParams) -> ConcatSpec:
@@ -326,18 +334,20 @@ def concat_disjunct(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.nda
 
     Block j is scaled by eta*(d^j - 1)/(d - 1); the result is SQ-separable
     for 1..d defectives and decodes block by block with the disjunct
-    counting decoder. The bracket's Q cap bounds the scales, and BadRange
-    is raised before any block when the code would pass MAX_CELLS cells.
+    counting decoder. BadRange is raised for a Q above the bracket's cap,
+    and then for a code of more than MAX_CELLS cells, before the bracket's
+    thresholds or any block scale is built.
     """
     base = check_matrix(base, 2)
     if d < 1:
         raise BadRange(f"need d >= 1, got {d}")
-    _step_levels(q, eta_step)  # its AlphabetTooSmall comes before the bracket's BadRange
+    levels = _step_levels(q, eta_step)  # its AlphabetTooSmall comes before any BadRange
+    _equidistant_Q(q, eta_step, d)
+    blocks = len(_concat_multipliers(d, levels))
+    if base.size * blocks > MAX_CELLS:
+        raise BadRange(f"{blocks} blocks x {base.size} base cells exceed {MAX_CELLS} matrix cells")
     params = CodeParams.equidistant(q, eta_step, 1, d, e)
-    scales = _concat_scales(d, q, eta_step)
-    if base.size * len(scales) > MAX_CELLS:
-        raise BadRange(f"{len(scales)} blocks x {base.size} base cells exceed {MAX_CELLS} matrix cells")
-    C = np.hstack([s * base for s in scales])
+    C = np.hstack([s * base for s in _concat_scales(d, q, eta_step)])
     return C, concat_spec(C, params)
 
 

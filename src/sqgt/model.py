@@ -66,11 +66,7 @@ class CodeParams:
     def equidistant(cls, q: int, eta_step: int, l: int, u: int, e: int = 0) -> "CodeParams":
         """Uniform-quantizer parameters with the smallest valid sentinel;
         BadRange for a Q above MAX_Q, before its thresholds are built."""
-        if eta_step < 1:
-            raise BadRange(f"eta step must be >= 1, got {eta_step}")
-        Q = max(2, (q - 1) * u // eta_step + 1)
-        if Q > MAX_Q:
-            raise BadRange(f"Q={Q} exceeds the output alphabet cap {MAX_Q}")
+        Q = _equidistant_Q(q, eta_step, u)
         return cls(q=q, Q=Q, eta=tuple(r * eta_step for r in range(Q + 1)), l=l, u=u, e=e)
 
     @property
@@ -81,6 +77,17 @@ class CodeParams:
     def __str__(self) -> str:
         eta = ",".join(str(t) for t in self.eta)
         return f"[{self.q};{self.Q};({eta});({self.l}:{self.u});{self.e}]"
+
+
+def _equidistant_Q(q: int, eta_step: int, u: int) -> int:
+    """Q of the equidistant bracket at (q, eta_step, u); BadRange for a
+    step below 1 or a Q above MAX_Q."""
+    if eta_step < 1:
+        raise BadRange(f"eta step must be >= 1, got {eta_step}")
+    Q = max(2, (q - 1) * u // eta_step + 1)
+    if Q > MAX_Q:
+        raise BadRange(f"Q={Q} exceeds the output alphabet cap {MAX_Q}")
+    return Q
 
 
 def _check_thresholds(eta) -> None:

@@ -22,11 +22,16 @@ verdict or witness:
 - The SQ-disjunct check pairs a pivot p with the rest T = S - {p} of its
   (d+1)-set S, so it runs over the d-sets T in colex order, quantizes the
   sum of each T once (not once for each of the n-d sets S that contain
-  it) and compares it with every column outside T at once. The first
-  violation is still the colex-first S at its first pivot: every S with
-  top element t splits into a pivot and a d-set with top at most t, so
-  once the d-sets reach a top above the best S's top, every S up to that
-  top has been seen and the scan stops.
+  it) and counts every column outside T at once, level by level: p wins
+  a row exactly when T's value there lies below p's level v, so the
+  counts are the sum over the levels v of the float64 products
+  [rest < v] @ G_v, where G_v holds each row's weight for the columns at
+  level v. That is one BLAS product per level that single columns take
+  (the lowest excepted), exact below 2^53 rows. The first violation is
+  still the colex-first S at its first pivot: every S with top element t
+  splits into a pivot and a d-set with top at most t, so once the d-sets
+  reach a top above the best S's top, every S up to that top has been
+  seen and the scan stops.
 """
 
 from dataclasses import dataclass
@@ -48,7 +53,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
-_DISJUNCT_CELLS = 1 << 20  # pivot-against-d-set comparisons per chunk
+_DISJUNCT_CELLS = 1 << 18  # per chunk: each d-set's d gathered columns and n counts
 
 
 @dataclass(frozen=True)
@@ -137,8 +142,13 @@ def is_sq_disjunct(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witne
     rows are automatically distinct across pivots of one subset, so only
     the counts are checked here.
 
-    The scan runs over the d-sets T = S - {p} in colex order and compares
-    each quantized rest-sum with every column outside T at once. The
+    The scan runs over the d-sets T = S - {p} in colex order and counts
+    every pivot outside T at once: a pivot at level v wins the rows where
+    T's quantized sum is below v, so each level that single columns take
+    adds one float64 product of T's rows below v with the row weights of
+    the columns at v. A rest-sum is never below the lowest level, which
+    adds nothing. Each chunk holds (chunk, rows) arrays for one level at a
+    time; the per-level weights, (levels, rows, n), are built once. The
     witness is the colex-first violating S, at its first violating pivot;
     every S whose top element is at most t comes from d-sets whose top is
     at most t, so the scan stops once a d-set's top passes the best S's.
@@ -157,13 +167,20 @@ def is_sq_disjunct(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witne
     eta = np.asarray(params.eta, dtype=np.int64)
     cols, weight = _distinct_rows(C)
     single = quantize_sums(cols, eta)  # syndromes of single columns
-    chunk = max(1, _DISJUNCT_CELLS // (n * cols.shape[1]))
+    # wins[i][k, p] is row k's weight where column p sits at levels[i]; a
+    # rest-sum is at least each of its columns' levels, so no pivot beats
+    # it at the lowest one
+    levels = np.unique(single)[1:]
+    wins = (single.T == levels[:, None, None]) * weight[:, None].astype(np.float64)
+    chunk = max(1, _DISJUNCT_CELLS // (d * cols.shape[1] + n))
     best = None  # (S top-down, pivot, count) of the first violation so far
     for T in _subset_chunks(n, d, chunk):
         if best is not None and T[0, -1] > best[0][0]:
             break
         rest = quantize_sums(cols[T].sum(axis=1), eta)  # syndromes of the d-sets
-        counts = (single[None] > rest[:, None]) @ weight  # (B, n): pivot p against T
+        counts = np.zeros((T.shape[0], n))  # (B, n): pivot p against T
+        for level, G in zip(levels, wins):
+            counts += (rest < level) @ G
         bad = counts < 2 * e + 1
         bad[np.arange(T.shape[0])[:, None], T] = False  # p inside T is no pivot
         b, p = np.nonzero(bad)

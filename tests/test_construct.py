@@ -656,6 +656,15 @@ class TestRefusedBeforeWork:
         with pytest.raises(BadRange, match=match):
             concat_disjunct(base_9x12, 1, 0, q, 1)
 
+    def test_concat_cell_cap_comes_before_the_bracket(self, monkeypatch, no_blocks, base_9x12):
+        # the 10^6-threshold bracket and the 999 999 scales are never built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused concatenation built its bracket")
+
+        monkeypatch.setattr(CodeParams, "equidistant", refuse)
+        with pytest.raises(BadRange, match=f"^999999 blocks x 108 base cells exceed {construct.MAX_CELLS} matrix cells$"):
+            concat_disjunct(base_9x12, 1, 0, 10**6, 1)
+
     def test_concat_cell_cap_counts_every_block(self, monkeypatch, base_9x12):
         monkeypatch.setattr(construct, "MAX_CELLS", 3 * base_9x12.size)
         assert concat_disjunct(base_9x12, 1, 0, 7, 2)[0].shape == (9, 36)

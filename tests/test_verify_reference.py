@@ -2,12 +2,14 @@
 same canonical witness string, or the same error class. A case whose
 bracket CodeParams refuses ends in that error before either verifier runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sqgt import verify
 from sqgt.construct import random_disjunct
-from sqgt.model import CodeParams
+from sqgt.model import CodeParams, quantize_sums
 from sqgt.rng import make_rng
 from sqgt.verify import is_sq_disjunct, is_sq_separable
 
@@ -156,3 +158,113 @@ def test_disjunct_scan_stops_after_the_witness_top(monkeypatch):
     # the three 2-sets with top at most 3, then the one chunk whose first
     # 2-set {1,4} ends the scan
     assert yielded == [[[0, 1]], [[0, 2]], [[1, 2]], [[0, 3]]]
+
+
+MULTILEVEL = [(q, step) for q in (5, 9, 17, 33) for step in (1, 2, 3)]
+
+
+def _multilevel_case(q: int, step: int, repeat: str, e: int):
+    """A code over q symbols built SQ-disjunct at d = 2, e = 0 for threshold
+    step `step`, half its rows repeated so that weights reach 2, and one
+    column copied onto the next as in _disjunct_case."""
+    n, d = 12, 2
+    seed = 100 * q + 10 * step + REPEATS.index(repeat)
+    C, p = random_disjunct(n, d, (q - 1) // step, step, q=q, seed=seed)
+    C = np.vstack([C, C[: C.shape[0] // 2]])
+    at = {"first": 0, "mid": n // 2 - 1, "last": n - 2}
+    if repeat in at:
+        C[:, at[repeat] + 1] = C[:, at[repeat]]
+    return C, dict(q=p.q, Q=p.Q, eta=p.eta, l=1, u=d, e=e), seed
+
+
+def _small_chunks(monkeypatch, C, d, seed):
+    # chunks of 1 to 4 d-sets: each d-set counts d gathered columns on the
+    # distinct rows and n counts
+    per_set = d * len(np.unique(C, axis=0)) + C.shape[1]
+    monkeypatch.setattr(verify, "_DISJUNCT_CELLS", (seed % 4 + 1) * per_set)
+
+
+@pytest.mark.parametrize("e", [0, 1])
+@pytest.mark.parametrize("repeat", REPEATS)
+@pytest.mark.parametrize("q, step", MULTILEVEL)
+def test_disjunct_matches_reference_on_multilevel_alphabets(monkeypatch, q, step, repeat, e):
+    C, bracket, seed = _multilevel_case(q, step, repeat, e)
+    want = _outcome(reference_is_sq_disjunct, C, bracket, 10_000_000)
+    _small_chunks(monkeypatch, C, bracket["u"], seed)
+    assert _outcome(is_sq_disjunct, C, bracket, 10_000_000) == want
+
+
+def test_multilevel_grid_covers_passes_zeros_and_near_misses():
+    details, weights = set(), set()
+    for q, step in MULTILEVEL:
+        for repeat in REPEATS:
+            for e in (0, 1):
+                C, bracket, _ = _multilevel_case(q, step, repeat, e)
+                w = reference_is_sq_disjunct(C, CodeParams(**bracket))
+                details.add("PASS" if w is None else w.detail.split(" on ")[1])
+                weights.add(int(np.unique(C, axis=0, return_counts=True)[1].max()))
+    assert {"PASS", "0 coordinates, needs 1", "0 coordinates, needs 3"} <= details
+    assert {"1 coordinates, needs 3", "2 coordinates, needs 3"} <= details
+    assert min(weights) >= 2  # every code repeats a row
+
+
+@pytest.mark.parametrize("q, step", [(2, 1), (5, 1), (33, 1), (33, 3)])
+def test_all_zero_code_has_no_level_and_no_win(monkeypatch, q, step):
+    # every single column sits at level 0, so no level adds a product and
+    # the first 3-set's first pivot beats the others on no coordinate
+    C = np.zeros((7, 9), dtype=np.int64)
+    p = CodeParams.equidistant(q, step, 1, 2)
+    bracket = dict(q=p.q, Q=p.Q, eta=p.eta, l=1, u=2, e=0)
+    _small_chunks(monkeypatch, C, 2, q)
+    got = _outcome(is_sq_disjunct, C, bracket, 10_000_000)
+    assert got == _outcome(reference_is_sq_disjunct, C, bracket, 10_000_000)
+    assert got == "sq-disjunct: {1,2,3} vs {1}: column 1 beats the other 2 on 0 coordinates, needs 1"
+
+
+def test_disjunct_counts_stay_exact_with_large_weights(monkeypatch):
+    # weights of 2^33 and 2^34 make every winning count a multiple of 2^33,
+    # far above any 2e+1, so the witness is a pivot with no win, and its
+    # count must be the int64 count of the same rest-sum, single column and
+    # weights
+    distinct = verify._distinct_rows
+    seen = {}
+
+    def scaled(C):
+        cols, weight = distinct(C)
+        seen["cols"], seen["weight"] = cols, weight << 33
+        return cols, seen["weight"]
+
+    monkeypatch.setattr(verify, "_distinct_rows", scaled)
+    C, bracket, _ = _multilevel_case(17, 1, "mid", 1)
+    params = CodeParams(**bracket)
+    w = is_sq_disjunct(C, params)
+    assert int(seen["weight"].max()) == 2 << 33
+    S, (pivot,) = w.sets
+    cols, weight, eta = seen["cols"], seen["weight"], np.asarray(params.eta)
+    rest = quantize_sums(cols[[j - 1 for j in S if j != pivot]].sum(axis=0), eta)
+    single = quantize_sums(cols[pivot - 1], eta)
+    count = int((single > rest).astype(np.int64) @ weight)
+    assert w.detail == f"column {pivot} beats the other 2 on {count} coordinates, needs 3"
+    # a near miss without the scaling passes with it
+    C, bracket, _ = _multilevel_case(17, 1, "none", 1)
+    assert is_sq_disjunct(C, CodeParams(**bracket)) is None
+
+
+def test_disjunct_memory_keeps_levels_out_of_the_chunk(monkeypatch):
+    # 32 levels: the per-level weights, (levels, rows, n) floats, are built
+    # once, and each chunk holds (chunk, rows) arrays for one level at a
+    # time; a (chunk, levels x rows) float one-hot alone would pass the bound
+    cells = 1 << 14
+    monkeypatch.setattr(verify, "_DISJUNCT_CELLS", cells)
+    C, p = random_disjunct(30, 2, 32, 1, q=33, seed=3)
+    rows = len(np.unique(C, axis=0))
+    levels = len(np.unique(quantize_sums(C, np.asarray(p.eta)))) - 1
+    tracemalloc.start()
+    try:
+        w = is_sq_disjunct(C, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(w) == str(reference_is_sq_disjunct(C, p))
+    assert levels == 32
+    assert peak < 8 * (levels * rows * C.shape[1] + 4 * cells), peak
