@@ -5,12 +5,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sqgt.errors import ExplosionGuard, NotBinary, TooFewColumns
 from sqgt.model import CodeParams, sq_sum
 from sqgt.verify import (
     Witness,
     _colex_array,
+    _row_codes,
     _subset_chunks,
     is_binary_disjunct_cgt,
     is_binary_separable_cgt,
@@ -197,3 +201,49 @@ def test_subset_chunks_match_generator(chunk):
             assert all(1 <= len(p) <= chunk for p in parts)
             got = [tuple(row) for p in parts for row in p.tolist()]
             assert got == list(colex_combinations(n, k))
+
+
+def _assert_codes_match_rows(A):
+    codes = _row_codes(A)
+    rows = [tuple(r) for r in A.tolist()]
+    assert codes.dtype == np.int64 and codes.shape == (len(rows),)
+    assert (codes[:, None] == codes[None, :]).tolist() == [[r == s for s in rows] for r in rows]
+    assert np.argsort(codes, kind="stable").tolist() == sorted(range(len(rows)), key=rows.__getitem__)
+
+
+@st.composite
+def _repeating_rows(draw):
+    """A nonnegative int64 array with 0-12 rows, often repeated, and 0-48
+    columns, its entries drawn from a few values up to 1, 255, 256, 2^20 or
+    2^62."""
+    top = draw(st.sampled_from([1, 255, 256, 1 << 20, 1 << 62]))
+    values = draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(0, 48)))
+    distinct = draw(hnp.arrays(np.int64, shape, elements=st.sampled_from(values)))
+    return distinct[draw(st.lists(st.integers(0, shape[0] - 1), max_size=12))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeating_rows())
+def test_row_codes_are_equal_for_equal_rows_and_sort_lexicographically(A):
+    _assert_codes_match_rows(A)
+
+
+@pytest.mark.parametrize("top, cols", [(1 << 62, 3), ((1 << 63) - 1, 2), (1 << 20, 45), (1, 130)])
+def test_row_codes_stay_exact_where_the_columns_outgrow_62_bits(top, cols):
+    # 45 columns at base 2^20 + 1 and 130 at base 2 fold in over several
+    # runs with the codes ranked between them, and entries up to 2^62 or
+    # 2^63 - 1 have their values ranked first; rows that differ only in the last column
+    # or two must still get codes of their own
+    rng = np.random.default_rng(cols)
+    A = rng.integers(0, top, size=(5, cols), endpoint=True)
+    A = np.vstack([A, A[[0, 0, 1]]])
+    A[6, -1] ^= 1  # row 6 differs from row 0 in the last column only
+    _assert_codes_match_rows(A)
+    assert len(set(_row_codes(A).tolist())) == len({tuple(r) for r in A.tolist()}) == 6
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0)])
+def test_row_codes_of_empty_arrays(shape):
+    # no columns: every row is the empty row, so all codes are equal
+    assert _row_codes(np.zeros(shape, dtype=np.int64)).tolist() == [0] * shape[0]

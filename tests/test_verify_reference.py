@@ -268,3 +268,61 @@ def test_disjunct_memory_keeps_levels_out_of_the_chunk(monkeypatch):
     assert str(w) == str(reference_is_sq_disjunct(C, p))
     assert levels == 32
     assert peak < 8 * (levels * rows * C.shape[1] + 4 * cells), peak
+
+
+WIDE = [(q, step) for q in (257, 1025) for step in (1, 64, 256)]
+
+
+def _wide_case(q: int, step: int, seed: int):
+    """A code over q >= 257 symbols with repeated rows, its entries drawn
+    from values on both sides of 256, so that its distinct rows sort
+    differently as integers than as little-endian bytes."""
+    rng = make_rng(1000 * q + 10 * step + seed)
+    values = np.array(sorted({0, 1, 2, 255, 256, q // 2, q - 1}))
+    n = int(rng.integers(4, 8))
+    distinct = values[rng.integers(0, values.size, size=(int(rng.integers(2, 7)), n))]
+    C = distinct[rng.integers(0, distinct.shape[0], size=int(rng.integers(3, 16)))]
+    if seed % 3 == 0:
+        C[:, -1] = C[:, 1]  # a repeated column forces a witness
+    return C
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("q, step", WIDE)
+def test_matches_reference_with_entries_past_a_byte(q, step, seed):
+    C = _wide_case(q, step, seed)
+    for e in (0, 1):
+        p = CodeParams.equidistant(q, step, 1, 2, e)
+        bracket = dict(q=p.q, Q=p.Q, eta=p.eta, l=1, u=2, e=e)
+        for check, reference in PAIRS:
+            assert _outcome(check, C, bracket, 10_000_000) == _outcome(reference, C, bracket, 10_000_000)
+
+
+def test_wide_grid_reorders_rows_and_covers_passes_and_witnesses():
+    reordered, outcomes = 0, set()
+    for q, step in WIDE:
+        for seed in range(6):
+            C = _wide_case(q, step, seed)
+            rows = verify._distinct_rows(C)[0].T.tolist()
+            by_bytes = sorted(rows, key=lambda r: np.asarray(r, dtype="<i8").tobytes())
+            reordered += rows != by_bytes
+            for e in (0, 1):
+                for check in (reference_is_sq_separable, reference_is_sq_disjunct):
+                    w = check(C, CodeParams.equidistant(q, step, 1, 2, e))
+                    outcomes.add("PASS" if w is None else w.kind)
+    assert reordered >= len(WIDE)
+    assert outcomes == {"PASS", "sq-separable", "sq-disjunct"}
+
+
+def test_first_duplicate_is_its_first_and_second_occurrence():
+    # singleton syndromes P T X T P T: the pair P at 1 and 5 opens first,
+    # but the first row that repeats an earlier one is the triple's second
+    # T, at 4, so the witness is {2} vs {4}, not {1} vs {5} or {4} vs {6}
+    P, T, X = [0, 300, 2], [300, 0, 2], [0, 0, 0]
+    C = np.array([P, T, X, T, P, T]).T
+    params = CodeParams.equidistant(301, 1, 1, 1)
+    syn = quantize_sums(C.T, np.asarray(params.eta))
+    assert verify._first_close_pair(syn, np.ones(3, dtype=np.int64), 0, 10**6) == (1, 3, 0)
+    w = is_sq_separable(C, params)
+    assert str(w) == str(reference_is_sq_separable(C, params))
+    assert w.sets == ((2,), (4,))
