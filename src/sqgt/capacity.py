@@ -14,7 +14,6 @@ from math import comb, inf, log2
 
 import numpy as np
 
-from .construct import _floor_log2_ratio
 from .errors import BadDistribution, BadEta, BadPartition, BadRange, BudgetExceeded
 
 __all__ = [
@@ -341,7 +340,7 @@ def td_rate_denominator(d: int, eta_t: int) -> float:
     if not 2 <= eta_t <= d:
         raise BadEta(f"need 2 <= eta_t <= d, got eta_t={eta_t}, d={d}")
     return (
-        (_floor_log2_ratio(d, eta_t) + 1)
+        (d // eta_t).bit_length()
         * (d - 1)
         / (eta_t - 1)
         * float(8 * eta_t) ** eta_t

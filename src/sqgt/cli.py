@@ -7,17 +7,16 @@ the error class name on stderr; a failed verification prints the witness
 and exits with status 1.
 """
 
+# Each subcommand imports the modules it calls, so a request loads only
+# those; of the package, importing this module loads errors, fileio, model
+# and rng alone.
+
 import argparse
 import sys
 
-from . import capacity as cap
-from . import construct as con
-from . import decode as dec
-from . import simulate as sim
-from . import verify as ver
 from .errors import BadRange, SqgtError
 from .fileio import read_matrix, write_matrix
-from .model import CodeParams, NoiseModel, apply_noise, syndrome
+from .model import DEFAULT_BUDGET, CodeParams, NoiseModel, apply_noise, syndrome
 
 CONSTRUCT_METHODS = (
     "scale-disjunct",
@@ -55,6 +54,8 @@ def _thresholds(args) -> tuple[int, ...]:
 
 
 def _cmd_construct(args) -> int:
+    from . import construct as con
+
     if args.method in ("scale-disjunct", "scale-separable", "concat-disjunct", "concat-separable"):
         base, *_ = read_matrix(_needed(args.base, "--base"))
     elif args.method != "lindstrom":
@@ -90,6 +91,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as ver
+
     C, q, Q, eta = read_matrix(args.code)
     if args.property in ("sq-disjunct", "sq-separable"):
         check = ver.is_sq_disjunct if args.property == "sq-disjunct" else ver.is_sq_separable
@@ -120,6 +123,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from . import decode as dec
+
     if args.algorithm != "ml" and args.l != 1:
         raise BadRange(f"only the ml decoder takes a range (l:d); need l == 1, got l={args.l}")
     C, q, Q, eta = read_matrix(args.code)
@@ -131,9 +136,13 @@ def _cmd_decode(args) -> int:
     if args.algorithm == "disjunct":
         found = dec.decode_disjunct(C, params, z)
     elif args.algorithm == "concat":
-        found = dec.decode_concat(con.concat_spec(C, params), z)
+        from .construct import concat_spec
+
+        found = dec.decode_concat(concat_spec(C, params), z)
     elif args.algorithm == "lindstrom":
-        found = dec.decode_lindstrom(con.lindstrom_spec(C, params), z)
+        from .construct import lindstrom_spec
+
+        found = dec.decode_lindstrom(lindstrom_spec(C, params), z)
     elif args.algorithm == "ml":
         found = dec.decode_ml(C, params, z, noise)
     else:  # bp
@@ -147,6 +156,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulate as sim
+
     with open(args.config) as fh:
         cfg = sim.parse_config(fh.read())
     rows = sim.run_simulation(cfg, threads=args.threads)
@@ -160,7 +171,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
-    pt, quant, bits = cap.capacity_search(
+    from .capacity import capacity_search
+
+    pt, quant, bits = capacity_search(
         args.d, args.q, args.Q, grid_step=args.grid_step, budget=args.budget,
         refine=not args.no_refine,
     )
@@ -200,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--d", type=int, required=True)
     v.add_argument("--e", type=int, default=0)
     v.add_argument("--l", type=int, default=1)
-    v.add_argument("--budget", type=int, default=ver.DEFAULT_BUDGET)
+    v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("encode", help="syndrome of a defective set")

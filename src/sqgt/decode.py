@@ -9,6 +9,7 @@ two selection rules to obtain a defective set.
 from dataclasses import dataclass
 from math import inf
 from numbers import Integral
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .errors import (
     NonBinaryResidue,
     NumericalUnderflow,
 )
-from .construct import ConcatSpec, LindstromSpec, _parity
 from .model import (
     CodeParams,
     NoiseModel,
@@ -31,6 +31,9 @@ from .model import (
     syndrome,
 )
 from .verify import _check_set_budget, _subset_chunks, _syndrome_table, _within
+
+if TYPE_CHECKING:  # a spec comes from construct, which a caller has loaded already
+    from .construct import ConcatSpec, LindstromSpec
 
 __all__ = [
     "decode_disjunct",
@@ -75,7 +78,7 @@ def decode_disjunct(C, params: CodeParams, z) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in np.nonzero(exceed <= params.e)[0])
 
 
-def decode_concat(spec: ConcatSpec, z) -> tuple[int, ...]:
+def decode_concat(spec: "ConcatSpec", z) -> tuple[int, ...]:
     """Two-step decoder for concatenated scaled-block codes.
 
     Step 1 peels the syndrome into per-block syndromes by repeated
@@ -111,7 +114,7 @@ def decode_concat(spec: ConcatSpec, z) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-def block_equation(spec: LindstromSpec, block: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def block_equation(spec: "LindstromSpec", block: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Elimination equation of one block of a recursive code.
 
     Returns (odd_rows, even_rows, coefficients): 1-based row indices whose
@@ -120,6 +123,8 @@ def block_equation(spec: LindstromSpec, block: int) -> tuple[tuple[int, ...], tu
     """
     if not 1 <= block <= len(spec.subsets):
         raise BadRange(f"block must lie in 1..{len(spec.subsets)}, got {block}")
+    from .construct import _parity  # loaded already: construct built the spec
+
     labels = spec.subsets
     S = int(labels[block - 1])
     rows = np.nonzero((labels & S) == labels)[0]  # labeled by subsets of S
@@ -130,7 +135,7 @@ def block_equation(spec: LindstromSpec, block: int) -> tuple[tuple[int, ...], tu
     return tuple((rows[odd] + 1).tolist()), tuple((rows[~odd] + 1).tolist()), coeffs
 
 
-def decode_lindstrom(spec: LindstromSpec, z) -> tuple[int, ...]:
+def decode_lindstrom(spec: "LindstromSpec", z) -> tuple[int, ...]:
     """Recursive elimination decoder; exact for any defective count 0..n.
 
     Processes blocks from the last to the first on the residual results

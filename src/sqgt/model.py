@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 
+DEFAULT_BUDGET = 10_000_000  # sets or pairs a brute-force verifier may enumerate
 MAX_Q = 2**20  # Q cap of CodeParams.equidistant, which builds Q + 1 thresholds
 MAX_CHANNEL_Q = 2**12  # Q cap of channel_matrix, a dense Q x Q float64 array (128 MiB)
 

@@ -226,6 +226,10 @@ def run_simulation(cfg: SweepConfig, threads: int | None = None) -> list[Simulat
     if threads <= 1:  # also no points at all
         buckets = [_run_point(cfg, *pt) for pt in points]
     else:
+        # rng loads these on first use; loaded here, before the fork, their
+        # pages are shared by every worker instead of loaded by each (4-5 MB)
+        import hashlib  # noqa: F401
+        import numpy.random  # noqa: F401
         from concurrent.futures import ProcessPoolExecutor
 
         # fork, not forkserver or spawn: those leave a fork server or a

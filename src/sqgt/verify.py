@@ -41,7 +41,7 @@ from math import comb
 import numpy as np
 
 from .errors import BadRange, ExplosionGuard, NotBinary, TooFewColumns
-from .model import CodeParams, check_matrix, quantize_sums
+from .model import DEFAULT_BUDGET, CodeParams, check_matrix, quantize_sums
 
 __all__ = [
     "Witness",
@@ -53,7 +53,6 @@ __all__ = [
     "is_binary_separable_qgt",
 ]
 
-DEFAULT_BUDGET = 10_000_000
 _DISJUNCT_CELLS = 1 << 18  # per chunk: each d-set's d gathered columns and n counts
 
 

@@ -398,6 +398,22 @@ class TestRefusedInputs:
         assert capsys.readouterr().err.startswith(f"{error}:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("encode", "--code", GOLDEN, "--defectives", "2,24", "--gamma-p", 0.1, "--seed", -1),
+        ("construct", "--method", "random-disjunct", "--n", 12, "--d", 2, "--q", 5,
+         "--eta", 2, "--seed", -5),
+        ("construct", "--method", "random-binary", "--n", 12, "--d", 3,
+         "--thresholds", "0,2,4,5", "--seed", -5),
+    ])
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.sqgt"
+        extra = ("--out", out) if argv[0] == "construct" else ()
+        assert run(*argv, *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("BadRange:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, option", [
         (("--method", "random-disjunct", "--q", 3), "--n"),
         (("--method", "bose-chowla", "--q", 3), "--n"),
@@ -505,12 +521,52 @@ def test_capacity_cli_refuses_one_region(capsys):
     assert captured.err == "BadRange: need d >= 1, q >= 2, Q >= 2, got 2, 3, 1\n"
 
 
+def _probe(source: str) -> str:
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", source], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_import_leaves_the_thread_pool_unloaded():
     # only simulate with threads > 1 needs the process pool, multiprocessing
     # and logging
-    src = str(pathlib.Path(__file__).parent.parent / "src")
     pool = "{'concurrent.futures', 'logging', 'multiprocessing'}"
-    probe = f"import sys, sqgt.cli; print(sorted({pool} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _probe(f"import sys, sqgt.cli; print(sorted({pool} & set(sys.modules)))") == "[]"
+
+
+CLI_MODULES = ["sqgt", "sqgt.cli", "sqgt.errors", "sqgt.fileio", "sqgt.model", "sqgt.rng"]
+
+
+@pytest.mark.parametrize("argv, added", [
+    (("encode", "--code", BASE, "--defectives", "2,5"), []),
+    (("capacity", "--d", 2, "--q", 3, "--Q", 3, "--grid-step", 0.1, "--no-refine"), ["capacity"]),
+    (("verify", "--code", BASE, "--property", "bin-disjunct", "--d", 2), ["verify"]),
+    (("construct", "--method", "scale-disjunct", "--base", BASE, "--d", 2, "--q", 3,
+      "--thresholds", "0,2,3,5,7", "--out", "{tmp}/scaled.sqgt"), ["construct"]),
+    (("decode", "--code", BASE, "--syndrome", "0,0,0,0,1,1,0,0,1", "--algorithm", "bp",
+      "--d", 2), ["decode", "verify"]),
+    (("decode", "--code", TestRefusedInputs.GOLDEN, "--syndrome", TestRefusedInputs.SYNDROME,
+      "--algorithm", "concat", "--d", 2), ["construct", "decode", "verify"]),
+    (("simulate", "--config", "{tmp}/sweep.cfg", "--threads", 1),
+     ["construct", "decode", "simulate", "verify"]),
+], ids=["encode", "capacity", "verify", "construct", "decode-bp", "decode-concat", "simulate"])
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv, added):
+    (tmp_path / "sweep.cfg").write_text(TestSimulateCli.CONFIG)
+    argv = [str(a).format(tmp=tmp_path) for a in argv]
+    probe = (
+        "import contextlib, io, sys, sqgt.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = sqgt.cli.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('sqgt')))"
+    )
+    out = _probe(probe)
+    assert out == f"0 {sorted(CLI_MODULES + [f'sqgt.{name}' for name in added])}"
+
+
+@pytest.mark.parametrize("module, loaded", [("sqgt", ["sqgt"]), ("sqgt.cli", CLI_MODULES)])
+def test_import_loads_no_subcommand_module(module, loaded):
+    # nor numpy.random, which a request that draws nothing never needs
+    probe = (f"import sys, {module}; "
+             "print(sorted(m for m in sys.modules if m.startswith('sqgt')), 'numpy.random' in sys.modules)")
+    assert _probe(probe) == f"{loaded} False"

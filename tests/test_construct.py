@@ -220,6 +220,15 @@ class TestRandomDisjunct:
         assert hits > 25
 
 
+@pytest.mark.parametrize("build", [
+    lambda: random_disjunct(20, 2, 2, 1, seed=-5),
+    lambda: random_binary_separable(12, 3, (0, 2, 4, 5), 1, seed=-5),
+])
+def test_negative_seed_refused(build):
+    with pytest.raises(BadRange, match="seed must be a non-negative integer"):
+        build()
+
+
 class TestReduceAlphabet:
     def test_direct_map(self):
         C = np.arange(7).reshape(1, 7)

@@ -149,7 +149,7 @@ def test_construct_argv(codes, data):
         "--m": st.integers(-1, 30),
         "--m-multiplier": FLOAT,
         "--base-kind": st.sampled_from(["cgt", "qgt"]),
-        "--seed": st.integers(0, 3),
+        "--seed": st.integers(-3, 3),
     })
     _exits_cleanly(argv)
 
@@ -178,7 +178,7 @@ def test_encode_argv(codes, data):
         "--defectives": INTS,
         "--gamma-p": FLOAT,
         "--gamma-n": FLOAT,
-        "--seed": st.integers(0, 3),
+        "--seed": st.integers(-3, 3),
     })
     _exits_cleanly(argv)
 

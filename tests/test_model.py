@@ -268,6 +268,18 @@ class TestApplyNoise:
         b = apply_noise(y, 3, NoiseModel(0.2, 0.3), 42)
         assert a.tolist() == b.tolist()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(BadRange, match="seed must be a non-negative integer"):
+            apply_noise(np.arange(5) % 3, 3, NoiseModel(0.2, 0.3), seed)
+
+    def test_numpy_integer_and_generator_seeds(self):
+        y = np.arange(5) % 3
+        a = apply_noise(y, 3, NoiseModel(0.2, 0.3), 42)
+        assert apply_noise(y, 3, NoiseModel(0.2, 0.3), np.int64(42)).tolist() == a.tolist()
+        rng = np.random.default_rng(42)
+        assert apply_noise(y, 3, NoiseModel(0.2, 0.3), rng).tolist() == a.tolist()
+
     @settings(deadline=None)
     @given(st.floats(0.05, 0.4), st.floats(0.05, 0.4))
     def test_invalid_model_rejected(self, gp, gn):

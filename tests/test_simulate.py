@@ -10,6 +10,7 @@ import sqgt.construct as construct
 from sqgt.cli import main
 from sqgt.errors import BadRange, ConfigError
 from sqgt.fileio import CSV_HEADER
+from sqgt.rng import derive_seed
 from sqgt.simulate import SweepConfig, parse_config, rows_to_csv, run_simulation
 
 TINY = """
@@ -82,6 +83,16 @@ def test_sweep_config_checks_itself(change, message):
     with pytest.raises(ConfigError) as err:
         SweepConfig(**fields)
     assert str(err.value).startswith(message)
+
+
+def test_numpy_integers_derive_the_seeds_of_python_ints():
+    # repr(np.int64(5)) is 'np.int64(5)' under numpy 2; the seed hashes 5
+    assert derive_seed(1, "trial", np.int64(5), 0) == derive_seed(1, "trial", 5, 0)
+    fields = dict(n=20, d=2, m=8, eta_step=2, gammas=((0.0, 0.0),), trials=5,
+                  iterations=5, methods=("top-d",), seed=3)
+    python = rows_to_csv(run_simulation(SweepConfig(q_values=(5,), **fields), threads=1))
+    numpy = rows_to_csv(run_simulation(SweepConfig(q_values=(np.int64(5),), **fields), threads=1))
+    assert numpy == python
 
 
 def test_sweep_results_are_capped():
