@@ -260,17 +260,21 @@ class _Group:
     """The messages of a block's factors that share one lattice gcd g.
 
     Each message is a sum of products of prefix and back rows; `gather`
-    lays those products out so that a few reductions add every message in
-    numpy's order (see _sum_plan). The sums come out as the msg0 of every
-    edge in `edges`, then the msg1 of every edge in `edges`.
+    names the products that can be nonzero, laid out so that in-place
+    prefix adds sum every message in numpy's order (see _sum_plan). The
+    sums come out as the msg0 of every edge in `edges`, then the msg1 of
+    every edge in `edges`.
     """
 
     edges: slice | np.ndarray
-    gather: tuple[np.ndarray, np.ndarray]  # (leaves, slots) rows of P and of B
-    blocks: int  # stride-8 blocks of the longest leaf
+    gather: tuple[np.ndarray, np.ndarray]  # rows of P and of B, one per product
+    lanes: tuple[int, ...]  # accumulators that stride-8 block i adds into
+    lane_rows: np.ndarray | None  # accumulator of each (lane, leaf), None if none keeps a block
     width: int  # lattice points per block, 8 // g
+    leaves: int
+    tails: tuple[int, ...]  # leaves that tail column j adds into
     splits: tuple[tuple[np.ndarray, np.ndarray], ...]  # node pairs added, per tree level
-    roots: np.ndarray | None  # the node of each message, when some row was split
+    roots: np.ndarray | None  # the node of each message, unless node i is message i
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,12 +285,11 @@ class _Block:
     Lattice point j of a test stands for the partial sum g*j, where g is
     the gcd of the test's coefficients and 8, and R is its largest lattice
     point plus one. The test's prefix and back arrays for its neighbor a
-    are rows base + a*R .. base + a*R + R - 1 of the block's P and B, and
-    row `rows` of both stays zero: gather's padding. Each forward and each
-    backward step holds one neighbor of every test that has one at that
-    step; a step's rows, and the edges those rows take their variable
-    message from, are slices or ints where one test runs the step and
-    index arrays otherwise.
+    are rows base + a*R .. base + a*R + R - 1 of the block's P and B. Each
+    forward and each backward step holds one neighbor of every test that
+    has one at that step; a step's rows, and the edges those rows take
+    their variable message from, are slices or ints where one test runs
+    the step and index arrays otherwise.
     """
 
     rows: int
@@ -298,62 +301,92 @@ class _Block:
     groups: tuple[_Group, ...]
 
 
-def _sum_plan(rows: list[tuple[int, int, int]], g: int, sentinel: int):
+def _sum_plan(rows: list[tuple[int, int, int, int]], g: int):
     """Lay out the sums of P[p + j] * B[b + j] over the first r lattice
-    points of each row (p, b, r) so that they add in numpy's float64 order.
+    points of each row (p, b, r, e) so that they add in numpy's float64
+    order, gathering only the first e products: the others are zero.
 
     numpy sums a contiguous row of n = g*(r-1) + 1 entries (zeros between
-    the lattice points) as follows: fewer than 8 entries in sequence; up to
-    128 with eight stride-8 accumulators, combined as
+    the lattice points) as follows: fewer than 8 entries in sequence from
+    0; up to 128 with eight stride-8 accumulators, combined as
     ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the n % 8 tail in sequence;
     more than 128 by splitting at n//2 rounded down to a multiple of 8 and
-    adding the two halves' sums. Zeros add exactly, so each leaf of at most
-    128 entries becomes one gather row: its full blocks (only the lanes at
-    multiples of g), zero blocks up to the longest leaf's count, a slot for
-    the combined accumulators, then its tail. A leaf of fewer than 8
-    entries is all tail after a zero accumulator.
+    adding the two halves' sums. Zeros add exactly, so an accumulator, a
+    tail or a split node that is left a zero term sums the same; only the
+    lanes at multiples of g, and in them only the products below e, are
+    kept. A leaf of at most 128 entries has width = 8 // g lanes. They are
+    sorted by the blocks they keep, most first, so that block i adds into
+    a prefix of them; the gather lists block 0 of each lane, then block 1,
+    and so on. The leaves are sorted by the tail columns they keep, so
+    that tail column j adds into a prefix of them; the gather goes on with
+    tail column 0 of each, then column 1, and so on. A lane that keeps no
+    block is read as the zero row after the gather, so a leaf that lies
+    wholly at or beyond e sums to 0.
     """
-    tree: list[list] = [[]]  # tree[h]: nodes of height h; leaves (p, b, n) at 0
+    tree: list[list] = [[]]  # tree[h]: nodes of height h; leaves (p, b, n, e) at 0
 
-    def split(p, b, n):
+    def split(p, b, n, e):
         if n <= 128:
-            tree[0].append((p, b, n))
+            tree[0].append((p, b, n, e))
             return 0, len(tree[0]) - 1
         h = n // 2
         h -= h % 8
-        left = split(p, b, h)
-        right = split(p + h // g, b + h // g, n - h)
+        left = split(p, b, h, e)
+        right = split(p + h // g, b + h // g, n - h, e - h // g)
         height = 1 + max(left[0], right[0])
         if height == len(tree):
             tree.append([])
         tree[height].append((left, right))
         return height, len(tree[height]) - 1
 
-    roots = [split(p, b, g * (r - 1) + 1) for p, b, r in rows]
-    p, b, n = np.array(tree[0]).T
+    roots = [split(p, b, g * (r - 1) + 1, e) for p, b, r, e in rows]
+    p, b, n, e = np.array(tree[0]).T
     width = 8 // g
-    points = (n - 1) // g + 1
-    full = n // 8 * width
-    blocks = int(n.max()) // 8
-    slot = blocks * width
-    j = np.arange(points.max())
-    leaf, j = np.nonzero(j < points[:, None])
-    at = np.where(j < full[leaf], j, j - full[leaf] + slot + 1)
-    gp = np.full((len(p), slot + 1 + int((points - full).max())), sentinel)
-    gb = gp.copy()
-    gp[leaf, at] = p[leaf] + j
-    gb[leaf, at] = b[leaf] + j
-    # node ids: leaves first, then the nodes of each height in turn
+    full = n // 8 * width  # lattice points in whole blocks
+    head = np.clip(e, 0, full)  # of those, the ones kept
+    tail = np.clip(e - full, 0, (n - 1) // g + 1 - full)
+    # lane l of a leaf keeps its points l, l + width, ... below head
+    leaf = np.repeat(np.arange(len(p)), width)
+    lane = np.tile(np.arange(width), len(p))
+    count = (head[leaf] - lane + width - 1) // width
+    by_count = np.argsort(-count, kind="stable")
+    block, i = np.nonzero(np.arange(count.max())[:, None] < count[by_count])
+    kept_lane = by_count[i]
+    by_tail = np.argsort(-tail, kind="stable")
+    column, i = np.nonzero(np.arange(tail.max())[:, None] < tail[by_tail])
+    # the leaf of each product, and its lattice point within the leaf
+    kept = np.concatenate((leaf[kept_lane], by_tail[i]))
+    at = np.concatenate((block * width + lane[kept_lane], full[by_tail[i]] + column))
+    cells = len(kept)
+    lane_rows = None
+    if len(block):
+        # the row of each accumulator, (lane, leaf) with the leaves in tail order
+        acc = np.empty(len(count), dtype=np.int64)
+        acc[by_count] = np.arange(len(count))
+        acc[count == 0] = cells
+        lane_rows = acc.reshape(len(p), width)[by_tail].T.ravel()
+    # node ids: leaves first, in tail order, then the nodes of each height
     start = np.cumsum([0] + [len(level) for level in tree]).tolist()
+    leaf_node = np.argsort(by_tail).tolist()
 
     def node(ref):
-        return start[ref[0]] + ref[1]
+        return leaf_node[ref[1]] if ref[0] == 0 else start[ref[0]] + ref[1]
 
     splits = tuple(
         (np.array([node(x) for x, _ in level]), np.array([node(y) for _, y in level]))
         for level in tree[1:]
     )
-    return (gp, gb), blocks, width, splits, np.array([node(r) for r in roots]) if splits else None
+    roots = np.array([node(r) for r in roots])
+    return (
+        (p[kept] + at, b[kept] + at),
+        tuple(np.bincount(block).tolist()),
+        lane_rows,
+        width,
+        len(p),
+        tuple(np.bincount(column).tolist()),
+        splits,
+        None if np.array_equal(roots, np.arange(len(roots))) else roots,
+    )
 
 
 def _index(rows: np.ndarray) -> slice | np.ndarray:
@@ -444,13 +477,31 @@ def _blocks(C: np.ndarray, Z: np.ndarray, trans: np.ndarray, eta: np.ndarray) ->
         for gv in sorted(set(g[f0:f1].tolist())):
             on = np.flatnonzero(g[fac[e0:e1]] == gv) + e0
             # msg0 of neighbor a sums P[a, j] * B[a, j] over all R points,
-            # msg1 sums P[a, j] * B[a, j + c_a] over the first R - c_a
-            p, r, ca = first[on], Re[on], c[on]
-            msgs = np.concatenate(([p, p, r], [p, p + ca, r - ca]), axis=1).T.tolist()
-            groups.append(_Group(_index(on), *_sum_plan(msgs, gv, rows)))
+            # msg1 sums P[a, j] * B[a, j + c_a] over the first R - c_a; P[a]
+            # is zero beyond top[a], so both keep top[a] + 1 products
+            p, r, ca, e = first[on], Re[on], c[on], top[on] + 1
+            msgs = np.concatenate(([p, p, r, e], [p, p + ca, r - ca, e]), axis=1).T.tolist()
+            groups.append(_Group(_index(on), *_sum_plan(msgs, gv)))
         out.append(_Block(rows, _index(base[f0:f1]), _index(last[p0:p1]), weight[p0:p1],
                           forward[b], backward[b], tuple(groups)))
     return out
+
+
+def _var_levels(evar: np.ndarray, n: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The edges in the order the variable sums add them, and where each
+    variable's sum goes.
+
+    Variables are sorted by degree, most first (stable), and each sum adds
+    its variable's edges in edge order: level j holds the j-th edge of the
+    first widths[j] variables, so each level adds into a prefix of the
+    sums. Returns (edges, widths, place), place[v] being the sum of v.
+    """
+    degree = np.bincount(evar, minlength=n)
+    place = np.empty(n, dtype=np.int64)
+    place[np.argsort(-degree, kind="stable")] = np.arange(n)
+    level = np.empty(len(evar), dtype=np.int64)
+    level[np.argsort(evar, kind="stable")] = _within(degree)
+    return np.lexsort((place[evar], level)), np.bincount(level).tolist(), place
 
 
 def _block_update(blk: _Block, V: np.ndarray, F_new: np.ndarray) -> None:
@@ -461,9 +512,10 @@ def _block_update(blk: _Block, V: np.ndarray, F_new: np.ndarray) -> None:
     # distribution of neighbors < a, B[a] the expected likelihood over
     # neighbors > a as a function of the partial sum. P[a] is zero beyond
     # top[a] and B[a] is only read up to top[a+1], so both are computed
-    # that far. A step on slices writes in place; one on index arrays
-    # cannot.
-    P = np.zeros((blk.rows + 1, T))
+    # that far, and the sums read no further: P's other rows stay zero,
+    # and B's are never set. A step on slices writes in place; one on
+    # index arrays cannot.
+    P = np.zeros((blk.rows, T))
     P[blk.starts] = 1.0
     for src, dst, shifted, e in blk.forward:
         prev = P[src]
@@ -472,7 +524,7 @@ def _block_update(blk: _Block, V: np.ndarray, F_new: np.ndarray) -> None:
         else:
             P[dst] = prev * v0[e]
         P[shifted] += prev * v1[e]
-    B = np.zeros((blk.rows + 1, T))
+    B = np.empty((blk.rows, T))
     B[blk.last] = blk.weight
     for src, shifted, dst, e in blk.backward:
         if type(dst) is slice:
@@ -481,19 +533,30 @@ def _block_update(blk: _Block, V: np.ndarray, F_new: np.ndarray) -> None:
         else:
             B[dst] = B[src] * v0[e] + B[shifted] * v1[e]
     for grp in blk.groups:
-        # (columns, leaves, trials), so that numpy adds along the columns in
-        # sequence: the leaves x trials inside them are never fewer than two
-        Y = P.take(grp.gather[0].T, axis=0)
-        Y *= B.take(grp.gather[1].T, axis=0)
-        slot = grp.blocks * grp.width
-        if grp.blocks:
-            # stride-8 accumulators, then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-            # over the lanes kept
-            lanes = np.add.reduce(Y[:slot].reshape(grp.blocks, grp.width, -1, T), axis=0)
+        # the products, then a zero row for the lanes that keep no block
+        # (the rows are in range; under mode="raise" take would copy twice)
+        cells = len(grp.gather[0])
+        Y = np.empty((cells + 1, T))
+        P.take(grp.gather[0], axis=0, out=Y[:cells], mode="clip")
+        Y[:cells] *= B.take(grp.gather[1], axis=0)
+        Y[cells] = 0.0
+        # stride-8 accumulators: block 0 starts them, block i adds into the
+        # first lanes[i], then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+        at = grp.lanes[0] if grp.lanes else 0
+        for count in grp.lanes[1:]:
+            Y[:count] += Y[at : at + count]
+            at += count
+        if grp.lane_rows is None:
+            sums = np.zeros((grp.leaves, T))
+        else:
+            lanes = Y.take(grp.lane_rows, axis=0).reshape(grp.width, grp.leaves, T)
             while len(lanes) > 1:
                 lanes = lanes[0::2] + lanes[1::2]
-            Y[slot] = lanes[0]
-        sums = np.add.reduce(Y[slot:], axis=0)
+            sums = lanes[0]
+        # then the tails in sequence, column j into the first tails[j] leaves
+        for count in grp.tails:
+            sums[:count] += Y[at : at + count]
+            at += count
         for left, right in grp.splits:
             sums = np.concatenate((sums, sums[left] + sums[right]))
         if grp.roots is not None:
@@ -528,11 +591,15 @@ def bp_decode_batch(
     one factor per block, which keeps the arrays in cache. Partial sums
     live on the lattice of multiples of g' = gcd(the factor's coefficients,
     8), R = S/g' + 1 points for a coefficient sum S; the others are
-    unreachable. The marginals are bit-identical to those of the earlier
+    unreachable. Both sums gather only what can be nonzero: a message of
+    neighbor a adds top[a] + 1 products, top[a] being the largest lattice
+    point of the neighbors before a, and a variable adds the logs of its
+    own edges. The marginals are bit-identical to those of the earlier
     trial-major kernel, which summed each message as one contiguous row of
     S + 1 entries: the factor sums reproduce numpy's order of additions for
-    such a row, and the variable sums add in edge order, because a pinned
-    sweep flips a top-d pick under any other order.
+    such a row, leaving out only zero terms, and the variable sums add in
+    edge order, because a pinned sweep flips a top-d pick under any other
+    order.
 
     Returns Marginals with p1 of shape (trials, n).
     """
@@ -552,16 +619,13 @@ def bp_decode_batch(
     blocks = _blocks(C, Z, channel_matrix(params.Q, noise), np.asarray(params.eta, dtype=np.int64))
     evar = np.nonzero(C > 0)[1]  # variable of each edge, factor-major
     E = len(evar)
-    # slots[j, v] is the j-th edge of variable v in edge order, or the
-    # sentinel E whose log message is zero
-    degree = np.bincount(evar, minlength=n)
-    slots = np.full((int(degree.max(initial=0)), n), E)
-    order = np.argsort(evar, kind="stable")
-    slots[_within(degree), evar[order]] = order
+    levels, widths, place = _var_levels(evar, n)
+    sum_of_edge = place[evar]
 
     V = np.full((2, E, T), 0.5)
     F = np.full((2, E, T), 0.5)
-    logF = np.zeros((2, E + 1, T))
+    logF = np.empty((2, E, T))
+    SV = np.zeros((2, n, T))  # sums of incoming logs per variable, by place
     iterations = 0
     for _ in range(cfg.max_iters):
         iterations += 1
@@ -578,11 +642,18 @@ def bp_decode_batch(
             F_new += F
         F = F_new
 
-        np.log(np.maximum(F, _MSG_FLOOR, out=logF[:, :E]), out=logF[:, :E])
-        SV = logF[:, slots].sum(axis=1)  # (2, n, T) sums of incoming logs per variable
-        V_new = SV[:, evar]
+        np.log(np.maximum(F, _MSG_FLOOR, out=logF), out=logF)
+        # level by level into prefixes of the sums, so that each variable
+        # adds its logs in edge order; a variable of degree 0 keeps 0
+        L = logF[:, levels]
+        at = widths[0] if widths else 0
+        SV[:, :at] = L[:, :at]
+        for width in widths[1:]:
+            SV[:, :width] += L[:, at : at + width]
+            at += width
+        V_new = SV[:, sum_of_edge]
         V_new += log_prior
-        V_new -= logF[:, :E]
+        V_new -= logF
         V_new -= np.maximum(V_new[0], V_new[1])
         np.exp(V_new, out=V_new)
         V_new /= V_new[0] + V_new[1]
@@ -595,7 +666,7 @@ def bp_decode_batch(
         if cfg.tol is not None and delta < cfg.tol:
             break
 
-    marg_log = log_prior + SV
+    marg_log = log_prior + SV[:, place]
     marg_log -= np.maximum(marg_log[0], marg_log[1])
     marg = np.exp(marg_log)
     marg /= marg[0] + marg[1]

@@ -61,6 +61,11 @@ class SweepConfig:
             raise ConfigError(f"trials={self.trials} x m={self.m} results exceed {MAX_CELLS} cells")
         if min(self.q_values, default=0) < 2:
             raise ConfigError(f"q: every alphabet size must be >= 2, got {self.q_values}")
+        # a repeated point would run twice on the same derived seeds
+        for key, values in (("q", self.q_values), ("gammas", self.gammas), ("methods", self.methods)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"{key}: {value!r} is repeated")
         for gamma_p, gamma_n in self.gammas:
             try:
                 NoiseModel(gamma_p, gamma_n)
@@ -102,7 +107,10 @@ def parse_config(text: str) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
+        values[key] = val.strip()
 
     def need(key):
         if key not in values:

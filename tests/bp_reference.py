@@ -13,7 +13,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from sqgt.decode import BpConfig, Marginals, _check_results, _sum_plan
+from sqgt.decode import BpConfig, Marginals, _check_results
 from sqgt.errors import BadRange, NumericalUnderflow
 from sqgt.model import CodeParams, NoiseModel, channel_matrix, check_matrix, validate_params
 
@@ -169,6 +169,64 @@ def reference_bp_decode_batch(
 # ---------------------------------------------------------------------------
 # the sum-major kernel, one factor at a time
 # ---------------------------------------------------------------------------
+
+def _sum_plan(rows: list[tuple[int, int, int]], g: int, sentinel: int):
+    """Lay out the sums of P[p + j] * B[b + j] over the first r lattice
+    points of each row (p, b, r) so that they add in numpy's float64 order.
+
+    numpy sums a contiguous row of n = g*(r-1) + 1 entries (zeros between
+    the lattice points) as follows: fewer than 8 entries in sequence; up to
+    128 with eight stride-8 accumulators, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the n % 8 tail in sequence;
+    more than 128 by splitting at n//2 rounded down to a multiple of 8 and
+    adding the two halves' sums. Zeros add exactly, so each leaf of at most
+    128 entries becomes one gather row: its full blocks (only the lanes at
+    multiples of g), zero blocks up to the longest leaf's count, a slot for
+    the combined accumulators, then its tail. A leaf of fewer than 8
+    entries is all tail after a zero accumulator.
+    """
+    tree: list[list] = [[]]  # tree[h]: nodes of height h; leaves (p, b, n) at 0
+
+    def split(p, b, n):
+        if n <= 128:
+            tree[0].append((p, b, n))
+            return 0, len(tree[0]) - 1
+        h = n // 2
+        h -= h % 8
+        left = split(p, b, h)
+        right = split(p + h // g, b + h // g, n - h)
+        height = 1 + max(left[0], right[0])
+        if height == len(tree):
+            tree.append([])
+        tree[height].append((left, right))
+        return height, len(tree[height]) - 1
+
+    roots = [split(p, b, g * (r - 1) + 1) for p, b, r in rows]
+    p, b, n = np.array(tree[0]).T
+    width = 8 // g
+    points = (n - 1) // g + 1
+    full = n // 8 * width
+    blocks = int(n.max()) // 8
+    slot = blocks * width
+    j = np.arange(points.max())
+    leaf, j = np.nonzero(j < points[:, None])
+    at = np.where(j < full[leaf], j, j - full[leaf] + slot + 1)
+    gp = np.full((len(p), slot + 1 + int((points - full).max())), sentinel)
+    gb = gp.copy()
+    gp[leaf, at] = p[leaf] + j
+    gb[leaf, at] = b[leaf] + j
+    # node ids: leaves first, then the nodes of each height in turn
+    start = np.cumsum([0] + [len(level) for level in tree]).tolist()
+
+    def node(ref):
+        return start[ref[0]] + ref[1]
+
+    splits = tuple(
+        (np.array([node(x) for x, _ in level]), np.array([node(y) for _, y in level]))
+        for level in tree[1:]
+    )
+    return (gp, gb), blocks, width, splits, np.array([node(r) for r in roots]) if splits else None
+
 
 @dataclass(frozen=True, eq=False)
 class _Factor:

@@ -152,3 +152,47 @@ def test_degenerate_layouts_in_one_block(kind, trials):
     got = bp_decode_batch(C, params, Z, NOISE, cfg=cfg)
     for reference in (factor_bp_decode_batch, reference_bp_decode_batch):
         assert np.array_equal(got.p1, reference(C, params, Z, NOISE, cfg=cfg).p1), reference
+
+
+def _messages(C):
+    """(g, r, e) of the msg0 and the msg1 of every edge: its lattice gcd,
+    its lattice points, and the top[a] + 1 of them whose products can be
+    nonzero, as P[a] is zero beyond top[a]."""
+    for row in C:
+        c = row[row > 0]
+        if c.size:
+            g = int(np.gcd(np.gcd.reduce(c), 8))
+            c = c // g
+            R = int(c.sum()) + 1
+            for top, ca in zip(np.cumsum(c) - c, c):
+                yield from ((g, R, top + 1), (g, R - ca, top + 1))
+
+
+@pytest.mark.parametrize("name", ["q2", "q5", "q11", "oneshot", "g8"])
+@pytest.mark.parametrize("trials", [1, 400])
+def test_sums_gather_no_known_zero(name, trials):
+    C, params = _code(name)
+    Z = _results(C, params, trials)
+    blocks = decode._blocks(C, Z, channel_matrix(params.Q, NOISE), np.asarray(params.eta))
+    cells = sum(grp.gather[0].size for blk in blocks for grp in blk.groups)
+    assert cells == sum(grp.gather[1].size for blk in blocks for grp in blk.groups)
+    messages = list(_messages(C))
+    assert cells == sum(e for _, _, e in messages)
+    # the variable sums read each edge once: level j adds one edge of each
+    # of the first widths[j] sums
+    evar = np.nonzero(C > 0)[1]
+    levels, widths, place = decode._var_levels(evar, C.shape[1])
+    assert sorted(levels.tolist()) == list(range(len(evar)))
+    at = 0
+    for width in widths:
+        assert np.array_equal(place[evar[levels[at : at + width]]], np.arange(width))
+        at += width
+    assert at == len(evar)
+    # numpy splits a sum of more than 128 entries at half, rounded down to
+    # a multiple of 8; g8 has such splits with the right half wholly beyond
+    # the extent, whose leaves gather nothing
+    beyond = 0
+    for g, r, e in messages:
+        n = g * (r - 1) + 1
+        beyond += n > 128 and e <= (n // 2 - n // 2 % 8) // g
+    assert (beyond > 0) == (name == "g8")

@@ -75,6 +75,9 @@ def test_parse_config_errors(broken):
         ({"bp_tol": float("nan")}, "bp_tol must be positive and finite"),
         ({"d": 12}, "need n > d >= 1"),
         ({"gammas": ((0.0, 0.0), (0.6, 0.6))}, "gammas: need gamma_p, gamma_n >= 0"),
+        ({"q_values": (3, 5, 3)}, "q: 3 is repeated"),
+        ({"gammas": ((0.0, 0.0), (0.0, 0.0))}, "gammas: (0.0, 0.0) is repeated"),
+        ({"methods": ("threshold", "threshold")}, "methods: 'threshold' is repeated"),
     ],
 )
 def test_sweep_config_checks_itself(change, message):
@@ -83,6 +86,32 @@ def test_sweep_config_checks_itself(change, message):
     with pytest.raises(ConfigError) as err:
         SweepConfig(**fields)
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (TINY + "seed=9\n", "line 12: repeated key 'seed'"),
+        (TINY + " q = 7\n", "line 12: repeated key 'q'"),
+        (TINY.replace("q=3,5", "q=3,3"), "q: 3 is repeated"),
+        (TINY.replace("q=3,5", "q=5,3,5"), "q: 5 is repeated"),
+        (TINY.replace("gammas=0:0,0.05:0.05", "gammas=0:0,0.05:0.05,0.0:0"), "gammas: (0.0, 0.0) is repeated"),
+        (TINY + "methods=top-d,threshold,top-d\n", "methods: 'top-d' is repeated"),
+    ],
+    ids=["key", "spaced-key", "q", "q-apart", "gammas", "methods"],
+)
+def test_repeated_settings_are_refused(tmp_path, capsys, text, message):
+    # a repeated key would keep its last value; a repeated value would run
+    # the same point twice on the same seeds and print duplicate rows
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ConfigError: {message}\n"
 
 
 def test_numpy_integers_derive_the_seeds_of_python_ints():
