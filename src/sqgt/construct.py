@@ -35,7 +35,7 @@ from .errors import (
     NotPrime,
     Overflow,
 )
-from .model import CodeParams, _check_thresholds, _equidistant_Q, check_matrix
+from .model import MAX_CELLS, CodeParams, _check_thresholds, _equidistant_Q, check_matrix
 from .rng import make_rng
 
 __all__ = [
@@ -92,7 +92,6 @@ def _step_levels(q: int, eta_step: int) -> int:
     return levels
 
 
-MAX_CELLS = 10**7  # m x n cap of a sampled or recursive code: kappa <= 10 at q <= 17
 MAX_FIELD = 2**20  # L^d cap of bose_chowla, whose field walk is linear in L^d
 
 

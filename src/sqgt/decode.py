@@ -22,11 +22,12 @@ from .errors import (
     NumericalUnderflow,
 )
 from .model import (
+    MAX_CELLS,
     CodeParams,
     NoiseModel,
     _integers,
-    channel_matrix,
     check_matrix,
+    likelihood,
     quantize_sums,
     syndrome,
 )
@@ -188,7 +189,8 @@ def decode_ml(
     Serves as the oracle the efficient decoders are compared against. Ties
     break toward the set appearing first in the canonical order (sizes
     ascending, colexicographic within one size). The sets are enumerated
-    and encoded as in the SQ-separable verifier, one chunk at a time.
+    and encoded as in the SQ-separable verifier, one chunk at a time. A
+    test's logs are read on y = z-2..z+2; a y further off reads an end, -inf.
     """
     C = check_matrix(C, params.q)
     m, n = C.shape
@@ -196,7 +198,8 @@ def decode_ml(
     _check_set_budget(n, params.l, params.u, budget)
     eta = np.asarray(params.eta, dtype=np.int64)
     with np.errstate(divide="ignore"):
-        logP = np.log(channel_matrix(params.Q, noise))
+        window = np.log(likelihood(z[:, None] + np.arange(-2, 3), z[:, None], params.Q, noise))
+    lo = 5 * np.arange(m)  # the flat index of each test's log P(z | z - 2)
     cols = np.ascontiguousarray(C.T)
     best: np.ndarray | None = None
     best_ll = -inf
@@ -204,7 +207,9 @@ def decode_ml(
         for subs in _subset_chunks(n, size, max(1, (1 << 20) // (m * size))):
             # each row of the (sets, m) gather is contiguous, so it sums in
             # the same order as the 1-D sum of one set's log-likelihoods
-            ll = logP[_syndrome_table(cols, [subs], eta), z].sum(axis=1)
+            at = _syndrome_table(cols, [subs], eta)
+            at += lo - z + 2
+            ll = window.take(np.clip(at, lo, lo + 4, out=at)).sum(axis=1)
             k = int(np.argmax(ll))
             if ll[k] > best_ll:
                 best_ll = ll[k]
@@ -423,9 +428,10 @@ def _steps(block, step, first, count, shifts, edge, blocks: int) -> list[tuple[t
     return [tuple(steps) for steps in out]
 
 
-def _blocks(C: np.ndarray, Z: np.ndarray, trans: np.ndarray, eta: np.ndarray) -> list[_Block]:
+def _blocks(C: np.ndarray, Z: np.ndarray, Q: int, noise: NoiseModel, eta: np.ndarray) -> list[_Block]:
     """The tests with a neighbor, in order, cut into blocks of at most
-    _CELLS P cells each; a test larger than that makes a block alone."""
+    _CELLS P cells each; a test larger than that makes a block alone.
+    BadRange, before any allocation, for more than MAX_CELLS P rows a trial."""
     T = Z.shape[0]
     efac, evar = np.nonzero(C > 0)
     if not len(efac):
@@ -438,18 +444,15 @@ def _blocks(C: np.ndarray, Z: np.ndarray, trans: np.ndarray, eta: np.ndarray) ->
     top = np.cumsum(c) - c
     top -= top[lo][fac]  # largest lattice point of the neighbors before
     R = np.add.reduceat(c, lo) + 1
-    # the lattice points of every test in turn, and their likelihood per
-    # trial: zero at the sentinel and above, through an extra zero row
+    size = k * R
+    if size.sum() > MAX_CELLS:
+        raise BadRange(f"BP needs {size.sum()} dynamic-programme rows per trial, more than {MAX_CELLS}")
+    # the lattice points of every test in turn and their buckets, Q at the
+    # sentinel; each block reads their likelihood per trial on its own rows
     pt = np.repeat(np.arange(len(tests)), R)
     point = _within(R)
     buckets = np.searchsorted(eta, g[pt] * point, side="right") - 1
-    trans = np.vstack((trans, np.zeros(trans.shape[1])))
-    weight = np.empty((len(pt), T))
-    ends = np.cumsum(R).tolist()
-    for t, p0, p1 in zip(tests.tolist(), [0, *ends], ends):
-        weight[p0:p1] = trans[buckets[p0:p1]][:, Z[:, t]]
 
-    size = k * R
     cuts, cells = [0], 0
     for i, s in enumerate((size * T).tolist()):
         if cells and cells + s > _CELLS:
@@ -482,7 +485,8 @@ def _blocks(C: np.ndarray, Z: np.ndarray, trans: np.ndarray, eta: np.ndarray) ->
             p, r, ca, e = first[on], Re[on], c[on], top[on] + 1
             msgs = np.concatenate(([p, p, r, e], [p, p + ca, r - ca, e]), axis=1).T.tolist()
             groups.append(_Group(_index(on), *_sum_plan(msgs, gv)))
-        out.append(_Block(rows, _index(base[f0:f1]), _index(last[p0:p1]), weight[p0:p1],
+        out.append(_Block(rows, _index(base[f0:f1]), _index(last[p0:p1]),
+                          likelihood(buckets[p0:p1, None], Z.T[tests[pt[p0:p1]]], Q, noise),
                           forward[b], backward[b], tuple(groups)))
     return out
 
@@ -616,7 +620,7 @@ def bp_decode_batch(
         return Marginals(p1=np.empty((0, n)), iterations=0)
     log_prior = np.log(np.array([1.0 - p_prior, p_prior]))[:, None, None]
 
-    blocks = _blocks(C, Z, channel_matrix(params.Q, noise), np.asarray(params.eta, dtype=np.int64))
+    blocks = _blocks(C, Z, params.Q, noise, np.asarray(params.eta, dtype=np.int64))
     evar = np.nonzero(C > 0)[1]  # variable of each edge, factor-major
     E = len(evar)
     levels, widths, place = _var_levels(evar, n)

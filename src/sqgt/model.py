@@ -33,13 +33,13 @@ __all__ = [
     "syndrome",
     "includes",
     "apply_noise",
-    "channel_matrix",
+    "likelihood",
 ]
 
 
 DEFAULT_BUDGET = 10_000_000  # sets or pairs a brute-force verifier may enumerate
 MAX_Q = 2**20  # Q cap of CodeParams.equidistant, which builds Q + 1 thresholds
-MAX_CHANNEL_Q = 2**12  # Q cap of channel_matrix, a dense Q x Q float64 array (128 MiB)
+MAX_CELLS = 10**7  # cap of a code's m x n (kappa <= 10 at q <= 17) and of BP's rows per trial
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,8 @@ class NoiseModel:
     gamma_n: float = 0.0
 
     def __post_init__(self):
-        # written so that a NaN rate fails it: every comparison with NaN is false
-        if not (self.gamma_p >= 0 and self.gamma_n >= 0 and self.gamma_p + self.gamma_n <= 1):
+        # NaN fails every comparison; the stay probability is checked as computed
+        if not (self.gamma_p >= 0 and self.gamma_n >= 0 and 1.0 - self.gamma_p - self.gamma_n >= 0):
             raise BadRange(
                 f"need gamma_p, gamma_n >= 0 and gamma_p + gamma_n <= 1, "
                 f"got ({self.gamma_p}, {self.gamma_n})"
@@ -269,20 +269,16 @@ def apply_noise(y, Q: int, noise: NoiseModel, seed) -> np.ndarray:
     return y + up.astype(np.int64) - down.astype(np.int64)
 
 
-def channel_matrix(Q: int, noise: NoiseModel) -> np.ndarray:
-    """Transition matrix P with P[y, z] = probability of observing z given y;
-    BadRange for a Q above MAX_CHANNEL_Q, before P is allocated."""
-    if Q < 2:
-        raise BadRange(f"output alphabet must have Q >= 2, got {Q}")
-    if Q > MAX_CHANNEL_Q:
-        raise BadRange(f"Q={Q} exceeds the channel matrix cap {MAX_CHANNEL_Q}")
-    P = np.zeros((Q, Q))
-    for y in range(Q):
-        up = noise.gamma_p if y < Q - 1 else 0.0
-        down = noise.gamma_n if y > 0 else 0.0
-        P[y, y] = 1.0 - up - down
-        if y < Q - 1:
-            P[y, y + 1] = up
-        if y > 0:
-            P[y, y - 1] = down
-    return P
+def likelihood(y, z, Q: int, noise: NoiseModel) -> np.ndarray:
+    """P(z | y) of the channel (see NoiseModel) for broadcast integer arrays
+    y and z; 0 for any y outside 0..Q-1, such as the sentinel bucket Q."""
+    y = np.asarray(y)
+    up = np.where(y < Q - 1, noise.gamma_p, 0.0)
+    down = np.where(y > 0, noise.gamma_n, 0.0)
+    # each y's row by the step z - y = -2..2, read at its flat index
+    band = np.stack((0 * up, down, 1.0 - up - down, up, 0 * up), axis=-1)
+    band[(y < 0) | (y > Q - 1)] = 0.0
+    step = np.asarray(np.subtract(z, y))
+    np.clip(step, -2, 2, out=step)
+    step += 5 * np.arange(y.size).reshape(y.shape) + 2
+    return band.take(step)

@@ -15,7 +15,9 @@ import numpy as np
 
 from sqgt.decode import BpConfig, Marginals, _check_results
 from sqgt.errors import BadRange, NumericalUnderflow
-from sqgt.model import CodeParams, NoiseModel, channel_matrix, check_matrix, validate_params
+from sqgt.model import CodeParams, NoiseModel, check_matrix, validate_params
+
+from channel_reference import channel_matrix
 
 _MSG_FLOOR = 1e-300
 _VAR_FLOOR = 1e-12

@@ -13,12 +13,12 @@ from sqgt.errors import ExplosionGuard, NoConsistentSet
 from sqgt.model import (
     CodeParams,
     NoiseModel,
-    channel_matrix,
     check_matrix,
     quantize_sums,
     validate_params,
 )
 
+from channel_reference import channel_matrix
 from verify_reference import colex_combinations
 
 

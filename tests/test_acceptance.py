@@ -148,7 +148,7 @@ def test_criterion_05_construction_verifier_closure():
 
 def _exhaustive_posterior(C, params, z, noise, prior):
     m, n = C.shape
-    from sqgt.model import channel_matrix
+    from channel_reference import channel_matrix
 
     T = channel_matrix(params.Q, noise)
     eta = np.asarray(params.eta)

@@ -13,7 +13,7 @@ import pytest
 import sqgt.decode as decode
 from sqgt.construct import random_disjunct
 from sqgt.decode import BpConfig, bp_decode, bp_decode_batch
-from sqgt.model import CodeParams, NoiseModel, apply_noise, channel_matrix, syndrome
+from sqgt.model import CodeParams, NoiseModel, apply_noise, syndrome
 from sqgt.rng import derive_seed, make_rng
 from sqgt.simulate import SweepConfig, _build_code
 
@@ -58,8 +58,7 @@ def _results(C, params, trials, seed=5, d=15):
 
 def _layout(C, params, Z):
     """Tests per block, as bp_decode_batch cuts them for these results."""
-    trans = channel_matrix(params.Q, NOISE)
-    blocks = decode._blocks(C, Z, trans, np.asarray(params.eta))
+    blocks = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
     return [np.arange(blk.rows)[blk.starts].size for blk in blocks]
 
 
@@ -95,7 +94,7 @@ def test_single_decode_matches_one_test_at_a_time():
 def test_block_boundary_between_tests(monkeypatch):
     C, params = random_disjunct(12, 2, 3, 2, q=7, m=10, seed=3)
     Z = _results(C, params, 2, d=2)
-    rows = decode._blocks(C, Z, channel_matrix(params.Q, NOISE), np.asarray(params.eta))[0].rows
+    rows = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))[0].rows
     # about a third of the code per block
     monkeypatch.setattr(decode, "_CELLS", rows * 2 // 3)
     layout = _layout(C, params, Z)
@@ -143,10 +142,10 @@ def test_degenerate_layouts_in_one_block(kind, trials):
     layout = _layout(C, params, Z)
     assert layout == ([int(C.any(axis=1).sum())] if C.any() else [])
     if kind == "gcds":
-        [blk] = decode._blocks(C, Z, channel_matrix(params.Q, NOISE), np.asarray(params.eta))
+        [blk] = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
         assert [g.width for g in blk.groups] == [8, 4, 2, 1]
     if kind == "long-sums":
-        [blk] = decode._blocks(C, Z, channel_matrix(params.Q, NOISE), np.asarray(params.eta))
+        [blk] = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
         assert max(len(g.splits) for g in blk.groups) == 2
     cfg = BpConfig(max_iters=4, prior=0.3)
     got = bp_decode_batch(C, params, Z, NOISE, cfg=cfg)
@@ -173,7 +172,7 @@ def _messages(C):
 def test_sums_gather_no_known_zero(name, trials):
     C, params = _code(name)
     Z = _results(C, params, trials)
-    blocks = decode._blocks(C, Z, channel_matrix(params.Q, NOISE), np.asarray(params.eta))
+    blocks = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
     cells = sum(grp.gather[0].size for blk in blocks for grp in blk.groups)
     assert cells == sum(grp.gather[1].size for blk in blocks for grp in blk.groups)
     messages = list(_messages(C))

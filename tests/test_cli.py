@@ -10,7 +10,7 @@ import sqgt.simulate as sim
 from sqgt.cli import DECODE_ALGORITHMS, main
 from sqgt.errors import BadRange
 from sqgt.fileio import CSV_HEADER, read_matrix, write_matrix
-from sqgt.model import MAX_CHANNEL_Q, CodeParams
+from sqgt.model import MAX_CELLS, CodeParams
 
 from conftest import GOLDEN_9x24
 
@@ -469,21 +469,43 @@ class TestRefusedInputs:
         assert captured.err.startswith("SentinelTooSmall: sentinel eta_Q=2 must exceed")
 
     @pytest.mark.parametrize("algorithm", ["bp", "ml"])
-    def test_channel_matrix_is_capped(self, tmp_path, monkeypatch, capsys, algorithm):
-        # identity thresholds give Q = 2^12 + 1 on a 1 x 3 code: the dense
-        # Q x Q channel matrix is refused before it is allocated
-        Q = MAX_CHANNEL_Q + 1
+    def test_wide_bracket_decodes(self, tmp_path, capsys, algorithm):
+        # identity thresholds give Q = 2^12 + 1 on a 1 x 3 code, past the
+        # dense channel matrix's former cap; the banded channel reads only
+        # the results within 1 of each syndrome value
+        Q = 2**12 + 1
         code = tmp_path / "wide-q.sqgt"
         code.write_text(f"SQGT-CODE v1\nq=2 Q={Q} m=1 n=3\neta={','.join(map(str, range(Q + 1)))}\n1 0 1\n")
+        assert run("decode", "--code", code, "--syndrome", 1, "--algorithm", algorithm, "--d", 1) == 0
+        assert capsys.readouterr() == ("1\n", "")
+
+    def test_bp_rows_are_capped(self, tmp_path, monkeypatch, capsys):
+        # one test over 3 200 subjects: k * R = 3 200 * 3 201 dynamic-programme
+        # rows per trial, refused before any array is allocated
+        n = 3200
+        code = tmp_path / "one-wide-test.sqgt"
+        code.write_text(f"SQGT-CODE v1\nq=2 Q={n + 1} m=1 n={n}\neta={','.join(map(str, range(n + 2)))}\n"
+                        + " ".join(["1"] * n) + "\n")
 
         def refuse(*args, **kwargs):
             raise AssertionError("decode allocated an array")
 
         monkeypatch.setattr(np, "zeros", refuse)
-        assert run("decode", "--code", code, "--syndrome", 1, "--algorithm", algorithm, "--d", 1) == 2
+        assert run("decode", "--code", code, "--syndrome", 1, "--algorithm", "bp", "--d", 1) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"BadRange: Q={Q} exceeds the channel matrix cap {MAX_CHANNEL_Q}\n"
+        assert captured.err == (f"BadRange: BP needs {n * (n + 1)} dynamic-programme rows per trial, "
+                                f"more than {MAX_CELLS}\n")
+
+    def test_negative_stay_probability_is_refused(self, capsys):
+        # the rates sum to 1 after rounding; the interior stay probability
+        # 1 - gamma_p - gamma_n is -1.1e-16
+        argv = ("decode", "--code", self.GOLDEN, "--syndrome", self.SYNDROME, "--algorithm", "bp", "--d", 2,
+                "--gamma-p", 0.13436424411240122, "--gamma-n", 0.8656357558875989)
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("BadRange: need gamma_p, gamma_n >= 0 and gamma_p + gamma_n <= 1")
 
     @pytest.mark.parametrize("algorithm", DECODE_ALGORITHMS)
     @pytest.mark.parametrize("option, value, message", [

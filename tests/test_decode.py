@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import sqgt.decode as decode
 from sqgt.construct import (
     bose_chowla_code,
     concat_disjunct,
@@ -37,12 +38,12 @@ from sqgt.model import (
     CodeParams,
     NoiseModel,
     apply_noise,
-    channel_matrix,
     quantize_sums,
     syndrome,
 )
 from sqgt.rng import derive_seed, make_rng
 
+from channel_reference import channel_matrix
 from conftest import BASE_7x8, BASE_9x12, GOLDEN_LINDSTROM_CHAINS
 
 
@@ -441,6 +442,24 @@ class TestBp:
         for t in range(3):
             single = bp_decode(C, params, Z[t], noise, d=2)
             assert np.array_equal(single.p1, batch.p1[t])
+
+    def test_rows_per_trial_are_capped(self, monkeypatch):
+        # the dynamic programme holds k * R rows per trial for each test:
+        # 2 * 4 for the first row (partial sums 0..3), 2 * 3 for the second
+        C = np.array([[1, 2, 0], [0, 1, 1], [0, 0, 0]])
+        params = CodeParams.equidistant(3, 1, 1, 2)
+        monkeypatch.setattr(decode, "MAX_CELLS", 14)
+        bp_decode(C, params, [1, 1, 0], d=2)
+        monkeypatch.setattr(decode, "MAX_CELLS", 13)
+        with pytest.raises(BadRange, match="^BP needs 14 dynamic-programme rows per trial, more than 13$"):
+            bp_decode(C, params, [1, 1, 0], d=2)
+
+    def test_recursive_codes_past_the_row_cap_are_refused(self):
+        # 46.5 M rows per trial at kappa 8, about 1.2 GB for one syndrome
+        C, spec = lindstrom(8, 3, 1)
+        z = syndrome(C, [1, 2, 3, 100, 640, 1279], spec.params.eta)
+        with pytest.raises(BadRange, match="^BP needs 46507116 dynamic-programme rows per trial"):
+            bp_decode(C, spec.params, z, d=6)
 
     def test_zero_trials(self):
         C, params = random_disjunct(10, 2, 1, 2, seed=0, m=12)

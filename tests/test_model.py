@@ -15,14 +15,16 @@ from sqgt.model import (
     CodeParams,
     NoiseModel,
     apply_noise,
-    channel_matrix,
     check_matrix,
     includes,
+    likelihood,
     quantize_sums,
     sq_sum,
     syndrome,
     validate_params,
 )
+
+from channel_reference import channel_matrix
 
 
 class TestValidateParams:
@@ -293,6 +295,18 @@ class TestApplyNoise:
         with pytest.raises(BadRange):
             NoiseModel(*rates)
 
+    def test_negative_stay_probability_rejected(self):
+        # the rates sum to 1 after rounding, but the stay probability of an
+        # interior result, 1 - gamma_p - gamma_n, is -1.1e-16
+        with pytest.raises(BadRange, match=r"gamma_p \+ gamma_n <= 1, got \(0.13436424411240122, 0.8656357558875989\)"):
+            NoiseModel(0.13436424411240122, 0.8656357558875989)
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_complementary_rates_accepted(self, g):
+        noise = NoiseModel(g, 1.0 - g)
+        assert likelihood(np.arange(4)[:, None], np.arange(4), 4, noise).min() >= 0.0
+
     def test_empirical_rates_match(self):
         # interior value: transition frequencies within 3 sigma over 1e5 draws
         gp, gn = 0.07, 0.11
@@ -303,9 +317,47 @@ class TestApplyNoise:
             sigma = (N * rate * (1 - rate)) ** 0.5
             assert abs(count - N * rate) < 3 * sigma
 
-    def test_channel_matrix_rows_are_distributions(self):
-        P = channel_matrix(5, NoiseModel(0.1, 0.2))
+    @pytest.mark.parametrize("rates", [(0.07, 0.11), (0.25, 0.75)])
+    def test_frequencies_match_the_likelihood(self, rates):
+        # every result of Q = 5, boundaries included, over 1e5 draws each:
+        # within 4 sigma of its likelihood row, and never where that is 0
+        Q, N = 5, 100_000
+        noise = NoiseModel(*rates)
+        for y in range(Q):
+            out = apply_noise(np.full(N, y), Q, noise, 2024 + y)
+            p = likelihood(y, np.arange(Q), Q, noise)
+            counts = np.bincount(out, minlength=Q)
+            assert np.all(counts[p == 0.0] == 0), y
+            sigma = np.sqrt(N * p * (1 - p))
+            assert np.all(np.abs(counts - N * p) <= 4 * sigma), (y, counts)
+
+
+class TestLikelihood:
+    RATES = [(0.0, 0.0), (0.04, 0.04), (0.07, 0.11), (0.3, 0.1), (0.25, 0.75),
+             (0.13436424411240122, 1.0 - 0.13436424411240122), (1.0, 0.0), (0.0, 1.0)]
+
+    @pytest.mark.parametrize("rates", RATES)
+    def test_matches_the_dense_matrix_bit_for_bit(self, rates):
+        # y = -2..Q+1, the rows ML's window reads: the dense matrix between
+        # zero rows, for y < 0 and for the sentinel bucket Q and above
+        noise = NoiseModel(*rates)
+        for Q in range(2, 41):
+            want = np.zeros((Q + 4, Q))
+            want[2 : Q + 2] = channel_matrix(Q, noise)
+            got = likelihood(np.arange(-2, Q + 2)[:, None], np.arange(Q), Q, noise)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), Q
+
+    def test_rows_are_distributions(self):
+        noise = NoiseModel(0.1, 0.2)
+        P = likelihood(np.arange(5)[:, None], np.arange(5), 5, noise)
         assert np.allclose(P.sum(axis=1), 1.0)
         assert P[0, 0] == pytest.approx(0.9)  # boundary keeps 1 - gamma_p
         assert P[4, 4] == pytest.approx(0.8)  # boundary keeps 1 - gamma_n
         assert P[2, 2] == pytest.approx(0.7)
+        assert not likelihood([[-1], [5]], np.arange(5), 5, noise).any()
+
+    def test_broadcasts(self):
+        noise = NoiseModel(0.1, 0.2)
+        assert likelihood(1, 2, 3, noise) == 0.1
+        assert likelihood([[0], [1], [2]], [[0, 1, 2, 2]], 3, noise).shape == (3, 4)
+        assert likelihood(np.arange(3), 1, 3, noise).tolist() == [0.1, 1.0 - 0.1 - 0.2, 0.2]
