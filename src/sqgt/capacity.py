@@ -14,7 +14,7 @@ from math import comb, inf, log2
 
 import numpy as np
 
-from .errors import BadDistribution, BadEta, BadPartition, BadRange, BudgetExceeded
+from .errors import BadDistribution, BadEta, BadPartition, BadRange, BudgetExceeded, Overflow
 
 __all__ = [
     "Quantizer",
@@ -288,13 +288,16 @@ def capacity_search(
     resolution = round(1.0 / grid_step) if grid_step > 0 and 1.0 / grid_step < inf else 0
     if resolution < 1:
         raise BadRange(f"grid_step must be positive with round(1/grid_step) >= 1, got {grid_step}")
-    fine = 10
-    n_grid = comb(resolution + q - 1, q - 1)
-    n_points = n_grid + ((2 * fine + 1) ** (q - 1) if refine else 0)
-    n_quants = comb(top, Q - 1)
+    # a binomial's smaller index or an exponent capped at c leaves a count
+    # exact below 2^c and at least 2^c, more than budget, otherwise
+    fine, c = 10, max(int(budget).bit_length(), 64)
+    n_grid = comb(resolution + q - 1, min(q - 1, resolution, c))
+    n_points = n_grid + ((2 * fine + 1) ** min(q - 1, c) if refine else 0)
+    n_quants = comb(top, min(Q - 1, top - Q + 1, c))
     if n_points * n_quants > budget:
+        points, quants = (x if x < 2**c else f"at least 2^{c}" for x in (n_points, n_quants))
         raise BudgetExceeded(
-            f"{n_points} grid and refine points x {n_quants} quantizers "
+            f"{points} grid and refine points x {quants} quantizers "
             f"exceed budget {budget}"
         )
     quantizers = [
@@ -339,9 +342,10 @@ def td_rate_denominator(d: int, eta_t: int) -> float:
     increasing in the threshold, so the smallest threshold wins."""
     if not 2 <= eta_t <= d:
         raise BadEta(f"need 2 <= eta_t <= d, got eta_t={eta_t}, d={d}")
-    return (
-        (d // eta_t).bit_length()
-        * (d - 1)
-        / (eta_t - 1)
-        * float(8 * eta_t) ** eta_t
-    )
+    try:
+        value = (d // eta_t).bit_length() * (d - 1) / (eta_t - 1) * float(8 * eta_t) ** eta_t
+    except OverflowError:
+        value = inf
+    if value == inf:
+        raise Overflow(f"rate denominator overflows at d={d}, eta_t={eta_t}")
+    return value

@@ -21,7 +21,7 @@ only guarantee the claimed property asymptotically.
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import ceil, comb, inf, isfinite, log
+from math import ceil, comb, inf, isfinite, log, prod
 
 import numpy as np
 
@@ -178,6 +178,8 @@ def row_success_prob(d: int, levels: int, p0: float) -> float:
 
 def optimize_p0(d: int, levels: int, step: float = 1e-3) -> tuple[float, float]:
     """Grid-maximize row_success_prob over p0; returns (p0, probability)."""
+    if not 0.0 < step < 1.0:
+        raise BadRange(f"step must lie in (0, 1), got {step}")
     grid = np.arange(step, 1.0, step)
     vals = [row_success_prob(d, levels, p) for p in grid]
     i = int(np.argmax(vals))
@@ -207,10 +209,10 @@ def ratio_vs_single_level_limit(levels: int) -> float:
     total = 1.0
     for k in range(levels - 1):
         j = levels - k
-        fact = 1.0
-        for x in range(2, j):
-            fact *= x
-        total += comb(levels, k) / (levels**j * fact)
+        try:
+            total += comb(levels, k) / (levels**j * prod(range(2, j), start=1.0))
+        except OverflowError:
+            raise Overflow(f"the limit's terms overflow at levels={levels}") from None
     return total
 
 
@@ -448,7 +450,7 @@ def bose_chowla(L: int, d: int) -> tuple[int, ...]:
         raise BadRange(f"need d >= 2, got {d}")
     if _prime_factors(L) != [L]:
         raise NotPrime(f"{L} is not prime")
-    if L**d - 1 > 2**62:
+    if d >= 63 or L**d - 1 > 2**62:  # L >= 2, so L^d - 1 > 2^62 from d = 63
         raise Overflow(f"L^d = {L}^{d} exceeds the safe integer range")
     if L**d > MAX_FIELD:
         raise Overflow(f"L^d = {L}^{d} = {L**d} exceeds the field walk cap {MAX_FIELD}")

@@ -278,7 +278,7 @@ class _Group:
     width: int  # lattice points per block, 8 // g
     leaves: int
     tails: tuple[int, ...]  # leaves that tail column j adds into
-    splits: tuple[tuple[np.ndarray, np.ndarray], ...]  # node pairs added, per tree level
+    splits: tuple[tuple[np.ndarray, np.ndarray], ...]  # node pairs added, per depth, deepest first
     roots: np.ndarray | None  # the node of each message, unless node i is message i
 
 
@@ -306,46 +306,44 @@ class _Block:
     groups: tuple[_Group, ...]
 
 
-def _sum_plan(rows: list[tuple[int, int, int, int]], g: int):
+def _sum_plan(msgs: np.ndarray, g: int):
     """Lay out the sums of P[p + j] * B[b + j] over the first r lattice
-    points of each row (p, b, r, e) so that they add in numpy's float64
-    order, gathering only the first e products: the others are zero.
+    points of each row (p, b, r, e) of msgs so that they add in numpy's
+    float64 order, gathering only the first e products: the others are zero.
 
     numpy sums a contiguous row of n = g*(r-1) + 1 entries (zeros between
     the lattice points) as follows: fewer than 8 entries in sequence from
     0; up to 128 with eight stride-8 accumulators, combined as
     ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the n % 8 tail in sequence;
-    more than 128 by splitting at n//2 rounded down to a multiple of 8 and
-    adding the two halves' sums. Zeros add exactly, so an accumulator, a
-    tail or a split node that is left a zero term sums the same; only the
+    more than 128 by splitting at h = n//2 rounded down to a multiple of 8
+    and adding the two halves' sums. Zeros add exactly, so an accumulator,
+    a tail or a split node that is left a zero term sums the same; only the
     lanes at multiples of g, and in them only the products below e, are
-    kept. A leaf of at most 128 entries has width = 8 // g lanes. They are
-    sorted by the blocks they keep, most first, so that block i adds into
-    a prefix of them; the gather lists block 0 of each lane, then block 1,
-    and so on. The leaves are sorted by the tail columns they keep, so
-    that tail column j adds into a prefix of them; the gather goes on with
-    tail column 0 of each, then column 1, and so on. A lane that keeps no
-    block is read as the zero row after the gather, so a leaf that lies
-    wholly at or beyond e sums to 0.
+    kept. The rows split one depth at a time: a part of at most 128 entries
+    is a leaf, a larger one makes the parts (p, b, h, e) and
+    (p + h/g, b + h/g, n - h, e - h/g) of the next depth. A leaf has
+    width = 8 // g lanes. They are sorted by the blocks they keep, most
+    first, so that block i adds into a prefix of them; the gather lists
+    block 0 of each lane, then block 1, and so on. The leaves are sorted by
+    the tail columns they keep, so that tail column j adds into a prefix of
+    them; the gather goes on with tail column 0 of each, then column 1, and
+    so on. A lane that keeps no block is read as the zero row after the
+    gather, so a leaf that lies wholly at or beyond e sums to 0. The split
+    parents are summed deepest first, after the leaves.
     """
-    tree: list[list] = [[]]  # tree[h]: nodes of height h; leaves (p, b, n, e) at 0
-
-    def split(p, b, n, e):
-        if n <= 128:
-            tree[0].append((p, b, n, e))
-            return 0, len(tree[0]) - 1
-        h = n // 2
-        h -= h % 8
-        left = split(p, b, h, e)
-        right = split(p + h // g, b + h // g, n - h, e - h // g)
-        height = 1 + max(left[0], right[0])
-        if height == len(tree):
-            tree.append([])
-        tree[height].append((left, right))
-        return height, len(tree[height]) - 1
-
-    roots = [split(p, b, g * (r - 1) + 1, e) for p, b, r, e in rows]
-    p, b, n, e = np.array(tree[0]).T
+    parts = [msgs * [1, 1, g, 1] - [0, 0, g - 1, 0]]  # (p, b, n, e) of each depth's parts
+    levels = []  # the split parents of each depth and their (left, right) children
+    while (big := np.flatnonzero(parts[-1][:, 2] > 128)).size:
+        part = parts[-1][big]
+        h = part[:, 2] // 2 // 8 * 8  # a multiple of 8, so of g
+        part = np.concatenate((part, part + np.outer(h, [1, 1, -g, -1]) // g))
+        part[: len(big), 2] = h
+        made = sum(map(len, parts))  # node i is the i-th part made
+        levels.append((made - len(parts[-1]) + big, made + np.arange(len(part)).reshape(2, -1)))
+        parts.append(part)
+    nodes = np.concatenate(parts)
+    leaf_id = np.flatnonzero(nodes[:, 2] <= 128)
+    p, b, n, e = nodes[leaf_id].T
     width = 8 // g
     full = n // 8 * width  # lattice points in whole blocks
     head = np.clip(e, 0, full)  # of those, the ones kept
@@ -370,18 +368,9 @@ def _sum_plan(rows: list[tuple[int, int, int, int]], g: int):
         acc[by_count] = np.arange(len(count))
         acc[count == 0] = cells
         lane_rows = acc.reshape(len(p), width)[by_tail].T.ravel()
-    # node ids: leaves first, in tail order, then the nodes of each height
-    start = np.cumsum([0] + [len(level) for level in tree]).tolist()
-    leaf_node = np.argsort(by_tail).tolist()
-
-    def node(ref):
-        return leaf_node[ref[1]] if ref[0] == 0 else start[ref[0]] + ref[1]
-
-    splits = tuple(
-        (np.array([node(x) for x, _ in level]), np.array([node(y) for _, y in level]))
-        for level in tree[1:]
-    )
-    roots = np.array([node(r) for r in roots])
+    # node ids: leaves first, in tail order, then the split parents, deepest first
+    ids = np.argsort(np.concatenate((leaf_id[by_tail], *(x for x, _ in levels[::-1]))))
+    roots = ids[: len(msgs)]
     return (
         (p[kept] + at, b[kept] + at),
         tuple(np.bincount(block).tolist()),
@@ -389,7 +378,7 @@ def _sum_plan(rows: list[tuple[int, int, int, int]], g: int):
         width,
         len(p),
         tuple(np.bincount(column).tolist()),
-        splits,
+        tuple((ids[left], ids[right]) for _, (left, right) in levels[::-1]),
         None if np.array_equal(roots, np.arange(len(roots))) else roots,
     )
 
@@ -483,7 +472,7 @@ def _blocks(C: np.ndarray, Z: np.ndarray, Q: int, noise: NoiseModel, eta: np.nda
             # msg1 sums P[a, j] * B[a, j + c_a] over the first R - c_a; P[a]
             # is zero beyond top[a], so both keep top[a] + 1 products
             p, r, ca, e = first[on], Re[on], c[on], top[on] + 1
-            msgs = np.concatenate(([p, p, r, e], [p, p + ca, r - ca, e]), axis=1).T.tolist()
+            msgs = np.concatenate(([p, p, r, e], [p, p + ca, r - ca, e]), axis=1).T
             groups.append(_Group(_index(on), *_sum_plan(msgs, gv)))
         out.append(_Block(rows, _index(base[f0:f1]), _index(last[p0:p1]),
                           likelihood(buckets[p0:p1, None], Z.T[tests[pt[p0:p1]]], Q, noise),

@@ -220,8 +220,13 @@ def is_sq_disjunct(C, params: CodeParams, budget: int = DEFAULT_BUDGET) -> Witne
 
 def _check_set_budget(n: int, lo: int, hi: int, budget: int) -> None:
     """Raise ExplosionGuard when range(n) has more than budget subsets
-    with sizes lo..hi."""
-    total = sum(comb(n, s) for s in range(lo, min(hi, n) + 1))
+    with sizes lo..hi. The count stops at 2^c > budget (c >= 64), which
+    C(n, s) >= C(n, c) reaches for c <= s <= n - c, so C(n, c) stands in."""
+    total, c = 0, max(int(budget).bit_length(), 64)
+    for s in range(lo, min(hi, n) + 1):
+        total += comb(n, min(s, n - s, c))
+        if total >= 2**c:
+            raise ExplosionGuard(f"at least 2^{c} candidate sets exceed budget {budget}")
     if total > budget:
         raise ExplosionGuard(f"{total} candidate sets exceed budget {budget}")
 

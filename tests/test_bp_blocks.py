@@ -121,6 +121,18 @@ def _degenerate(kind):
             [8, 0, 0, 16, 8, 0],
             [0, 10, 0, 0, 6, 0],
         ])
+    if kind == "deep-sums":
+        # sums of more than 512 entries (541 for msg0 of both long rows),
+        # split at depths 0, 1 and 2, next to short ones of the same g;
+        # msg1 of the 270 adds 271 entries, a root whose halves are a leaf
+        # and a split, so depth and height order differ across trees
+        return np.array([
+            [1, 3, 0, 2, 0, 0],
+            [200, 0, 180, 160, 0, 0],
+            [0, 1, 270, 0, 269, 0],
+            [4, 0, 0, 8, 12, 0],
+            [0, 0, 2, 0, 5, 7],
+        ])
     # sums of more than 128 and more than 256 entries next to short ones of
     # the same g, so split trees of heights 0, 1 and 2 sit side by side
     return np.array([
@@ -132,7 +144,7 @@ def _degenerate(kind):
     ])
 
 
-@pytest.mark.parametrize("kind", ["no-edges", "zero-rows", "gcds", "long-sums"])
+@pytest.mark.parametrize("kind", ["no-edges", "zero-rows", "gcds", "long-sums", "deep-sums"])
 @pytest.mark.parametrize("trials", [1, 3])
 def test_degenerate_layouts_in_one_block(kind, trials):
     C = _degenerate(kind)
@@ -147,6 +159,9 @@ def test_degenerate_layouts_in_one_block(kind, trials):
     if kind == "long-sums":
         [blk] = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
         assert max(len(g.splits) for g in blk.groups) == 2
+    if kind == "deep-sums":
+        [blk] = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
+        assert max(len(g.splits) for g in blk.groups) >= 3
     cfg = BpConfig(max_iters=4, prior=0.3)
     got = bp_decode_batch(C, params, Z, NOISE, cfg=cfg)
     for reference in (factor_bp_decode_batch, reference_bp_decode_batch):

@@ -17,7 +17,7 @@ from sqgt.capacity import (
     td_rate_denominator,
 )
 from sqgt.construct import binary_row_success_bound
-from sqgt.errors import BadEta, BadPartition, BadRange, BudgetExceeded
+from sqgt.errors import BadEta, BadPartition, BadRange, BudgetExceeded, Overflow
 from sqgt.rng import make_rng
 
 TABLE_PT = (0.33, 0.34, 0.33)
@@ -182,6 +182,14 @@ class TestCapacitySearch:
         pt, _, _ = capacity_search(2, 3, 3, grid_step=1.5, refine=False)
         assert pt == (0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("q", [3254, 10**9])
+    def test_budget_refuses_without_the_full_count(self, q):
+        # 21^(q-1) refine points: from q = 3 254 the count has more than
+        # 4 300 digits, too many to format; each count stops at 2^64
+        with pytest.raises(BudgetExceeded, match=rf"^at least 2\^64 grid and refine points x {q - 1} "
+                                                 "quantizers exceed budget 10000000$"):
+            capacity_search(1, q, 2, grid_step=0.5)
+
     def test_budget_counts_refine(self):
         # 66 grid points x 6 quantizers fit in 1000; the 441 refine points do not
         capacity_search(2, 3, 3, grid_step=0.1, budget=1000, refine=False)
@@ -281,6 +289,11 @@ class TestTdRate:
             k += 1
         other = (k + 1) / ((mu / (eta - 1)) ** eta * (eta - 1) / (d - 1))
         assert td_rate_denominator(d, eta) == pytest.approx(other, rel=1e-12)
+
+    def test_overflow_is_typed(self):
+        # (8 * eta_t)^eta_t passes the float range; OverflowError before
+        with pytest.raises(Overflow, match="^rate denominator overflows at d=400, eta_t=200$"):
+            td_rate_denominator(400, 200)
 
     def test_bad_eta(self):
         with pytest.raises(BadEta):

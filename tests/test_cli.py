@@ -497,6 +497,22 @@ class TestRefusedInputs:
         assert captured.err == (f"BadRange: BP needs {n * (n + 1)} dynamic-programme rows per trial, "
                                 f"more than {MAX_CELLS}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--property", "sq-separable"),
+        ("decode", "--syndrome", 5, "--algorithm", "ml"),
+    ])
+    def test_set_budget_refuses_without_the_full_count(self, tmp_path, capsys, argv):
+        # 2^15 000 candidate sets on a 1 x 15 000 all-ones code, a count of
+        # more than 4 300 digits; the count stops at 2^64
+        n = 15000
+        code = tmp_path / "ones.sqgt"
+        code.write_text(f"SQGT-CODE v1\nq=2 Q={n + 2} m=1 n={n}\neta={','.join(map(str, range(n + 3)))}\n"
+                        + " ".join(["1"] * n) + "\n")
+        assert run(argv[0], "--code", code, *argv[1:], "--d", n) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ExplosionGuard: at least 2^64 candidate sets exceed budget ")
+
     def test_negative_stay_probability_is_refused(self, capsys):
         # the rates sum to 1 after rounding; the interior stay probability
         # 1 - gamma_p - gamma_n is -1.1e-16
@@ -534,6 +550,13 @@ def test_capacity_cli(capsys):
                "--no-refine") == 0
     out = capsys.readouterr().out
     assert "alpha" in out and "quantizer" in out
+
+
+def test_capacity_cli_refuses_a_large_alphabet_at_once(capsys):
+    assert run("capacity", "--d", 1, "--q", 10**9, "--Q", 2, "--grid-step", 0.5) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("BudgetExceeded: at least 2^64 grid and refine points")
 
 
 def test_capacity_cli_refuses_one_region(capsys):

@@ -153,6 +153,17 @@ class TestRowSuccessProb:
             limit = ratio_vs_single_level_limit(levels)
             assert abs(finite - limit) / limit < 0.01
 
+    def test_limit_overflow_is_typed(self):
+        # levels^j times (j-1)! passes the float range; OverflowError before
+        with pytest.raises(Overflow, match="^the limit's terms overflow at levels=400$"):
+            ratio_vs_single_level_limit(400)
+
+    @pytest.mark.parametrize("step", [0.0, 2.0, -0.1, float("nan")])
+    def test_optimizer_refuses_a_bad_step(self, step):
+        # ZeroDivisionError at 0 and an empty grid's ValueError otherwise, before
+        with pytest.raises(BadRange, match="^step must lie in"):
+            optimize_p0(2, 2, step)
+
 
 class TestRandomDisjunct:
     def test_row_count_formula(self):
@@ -317,6 +328,13 @@ class TestBoseChowla:
     def test_overflow(self):
         with pytest.raises(Overflow):
             bose_chowla(2147483647, 3)
+
+    @pytest.mark.parametrize("L,d", [(2, 63), (13, 10**7)])
+    def test_overflow_without_the_power(self, L, d):
+        # L^d - 1 > 2^62 for every L >= 2 once d >= 63; 13^(10^7) took
+        # seconds to form
+        with pytest.raises(Overflow, match=rf"^L\^d = {L}\^{d} exceeds the safe integer range$"):
+            bose_chowla(L, d)
 
     def test_exhaustive_fallback_agrees_on_property(self):
         for L, d in ((3, 2), (5, 2)):
