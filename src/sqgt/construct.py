@@ -21,7 +21,7 @@ only guarantee the claimed property asymptotically.
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import ceil, comb, inf, isfinite, log, prod
+from math import ceil, comb, factorial, inf, isfinite, log
 
 import numpy as np
 
@@ -203,16 +203,14 @@ def ratio_vs_single_level(d: int, levels: int) -> float:
 
 
 def ratio_vs_single_level_limit(levels: int) -> float:
-    """Large-d limit of ratio_vs_single_level."""
+    """Large-d limit of ratio_vs_single_level, in exact integer quotients."""
     if levels < 1:
         raise BadRange(f"need levels >= 1, got {levels}")
     total = 1.0
-    for k in range(levels - 1):
-        j = levels - k
-        try:
-            total += comb(levels, k) / (levels**j * prod(range(2, j), start=1.0))
-        except OverflowError:
-            raise Overflow(f"the limit's terms overflow at levels={levels}") from None
+    # the term of j is at most 1 / (j! (j-1)!), which from j = 103 on is
+    # below 2^-1076 and rounds to 0.0: left out, the sum keeps its bits
+    for j in range(min(levels, 102), 1, -1):
+        total += comb(levels, j) / (levels**j * factorial(j - 1))
     return total
 
 

@@ -261,31 +261,9 @@ _CELLS = 1 << 14  # P rows x trials of one block; larger blocks fall out of cach
 
 
 @dataclass(frozen=True, eq=False)
-class _Group:
-    """The messages of a block's factors that share one lattice gcd g.
-
-    Each message is a sum of products of prefix and back rows; `gather`
-    names the products that can be nonzero, laid out so that in-place
-    prefix adds sum every message in numpy's order (see _sum_plan). The
-    sums come out as the msg0 of every edge in `edges`, then the msg1 of
-    every edge in `edges`.
-    """
-
-    edges: slice | np.ndarray
-    gather: tuple[np.ndarray, np.ndarray]  # rows of P and of B, one per product
-    lanes: tuple[int, ...]  # accumulators that stride-8 block i adds into
-    lane_rows: np.ndarray | None  # accumulator of each (lane, leaf), None if none keeps a block
-    width: int  # lattice points per block, 8 // g
-    leaves: int
-    tails: tuple[int, ...]  # leaves that tail column j adds into
-    splits: tuple[tuple[np.ndarray, np.ndarray], ...]  # node pairs added, per depth, deepest first
-    roots: np.ndarray | None  # the node of each message, unless node i is message i
-
-
-@dataclass(frozen=True, eq=False)
 class _Block:
     """Consecutive tests' neighbor chains on their gcd-reduced partial-sum
-    lattices, laid out side by side.
+    lattices, laid out side by side, and the factor sums that read them.
 
     Lattice point j of a test stands for the partial sum g*j, where g is
     the gcd of the test's coefficients and 8, and R is its largest lattice
@@ -294,7 +272,8 @@ class _Block:
     forward and each backward step holds one neighbor of every test that
     has one at that step; a step's rows, and the edges those rows take
     their variable message from, are slices or ints where one test runs
-    the step and index arrays otherwise.
+    the step and index arrays otherwise. The factor sums (see _sum_plan)
+    give the msg0 of every edge in `edges`, then the msg1 of each.
     """
 
     rows: int
@@ -303,13 +282,22 @@ class _Block:
     weight: np.ndarray  # likelihood of each lattice point per trial, test-major
     forward: tuple[tuple, ...]  # (src, dst, dst + c, edge) per step
     backward: tuple[tuple, ...]  # (src, src + c, dst, edge) per step
-    groups: tuple[_Group, ...]
+    edges: slice  # the block's edges
+    gather: tuple[np.ndarray, np.ndarray]  # rows of P and of B, one per product
+    lanes: tuple[int, ...]  # accumulators that stride-8 block i adds into
+    lane_rows: np.ndarray | None  # accumulator of each (lane, leaf), None if none keeps a block
+    width: int  # lanes per leaf, 8 // the block's smallest g
+    leaves: int
+    tails: tuple[int, ...]  # leaves that tail column j adds into
+    splits: tuple[tuple[np.ndarray, np.ndarray], ...]  # node pairs added, per depth, deepest first
+    roots: np.ndarray | None  # the node of each message, unless node i is message i
 
 
-def _sum_plan(msgs: np.ndarray, g: int):
-    """Lay out the sums of P[p + j] * B[b + j] over the first r lattice
-    points of each row (p, b, r, e) of msgs so that they add in numpy's
-    float64 order, gathering only the first e products: the others are zero.
+def _sum_plan(msgs: np.ndarray):
+    """Lay out the sums of P[p + j] * B[b + j] over the first r points of
+    each row (p, b, r, e, g) of msgs, on the lattice of multiples of g, so
+    that they add in numpy's float64 order, gathering only the first e
+    products: the others are zero.
 
     numpy sums a contiguous row of n = g*(r-1) + 1 entries (zeros between
     the lattice points) as follows: fewer than 8 entries in sequence from
@@ -318,40 +306,45 @@ def _sum_plan(msgs: np.ndarray, g: int):
     more than 128 by splitting at h = n//2 rounded down to a multiple of 8
     and adding the two halves' sums. Zeros add exactly, so an accumulator,
     a tail or a split node that is left a zero term sums the same; only the
-    lanes at multiples of g, and in them only the products below e, are
-    kept. The rows split one depth at a time: a part of at most 128 entries
-    is a leaf, a larger one makes the parts (p, b, h, e) and
-    (p + h/g, b + h/g, n - h, e - h/g) of the next depth. A leaf has
-    width = 8 // g lanes. They are sorted by the blocks they keep, most
+    accumulators at multiples of g, and in them only the products below e,
+    are kept. The rows split one depth at a time: a part of at most 128
+    entries is a leaf, a larger one makes the parts (p, b, h, e, g) and
+    (p + h/g, b + h/g, n - h, e - h/g, g) of the next depth. A leaf has
+    width = 8 // step lanes, step being the smallest g of msgs: lane l is
+    the accumulator at entry l*step, and keeps no block where g does not
+    divide l*step. The lanes are sorted by the blocks they keep, most
     first, so that block i adds into a prefix of them; the gather lists
     block 0 of each lane, then block 1, and so on. The leaves are sorted by
     the tail columns they keep, so that tail column j adds into a prefix of
     them; the gather goes on with tail column 0 of each, then column 1, and
-    so on. A lane that keeps no block is read as the zero row after the
-    gather, so a leaf that lies wholly at or beyond e sums to 0. The split
-    parents are summed deepest first, after the leaves.
+    so on. A lane that keeps no block reads the zero row after the gather,
+    so a leaf that lies wholly at or beyond e sums to 0. The split parents
+    are summed deepest first, after the leaves.
     """
-    parts = [msgs * [1, 1, g, 1] - [0, 0, g - 1, 0]]  # (p, b, n, e) of each depth's parts
+    p, b, r, e, g = msgs.T
+    parts = [np.stack((p, b, g * (r - 1) + 1, e, g), axis=1)]  # (p, b, n, e, g) of each depth's parts
     levels = []  # the split parents of each depth and their (left, right) children
     while (big := np.flatnonzero(parts[-1][:, 2] > 128)).size:
         part = parts[-1][big]
         h = part[:, 2] // 2 // 8 * 8  # a multiple of 8, so of g
-        part = np.concatenate((part, part + np.outer(h, [1, 1, -g, -1]) // g))
+        move = h // part[:, 4]
+        part = np.concatenate((part, part + np.stack((move, move, -h, -move, 0 * h), axis=1)))
         part[: len(big), 2] = h
         made = sum(map(len, parts))  # node i is the i-th part made
         levels.append((made - len(parts[-1]) + big, made + np.arange(len(part)).reshape(2, -1)))
         parts.append(part)
     nodes = np.concatenate(parts)
     leaf_id = np.flatnonzero(nodes[:, 2] <= 128)
-    p, b, n, e = nodes[leaf_id].T
-    width = 8 // g
-    full = n // 8 * width  # lattice points in whole blocks
+    p, b, n, e, g = nodes[leaf_id].T
+    step = int(g.min())
+    width = 8 // step
+    full = n // 8 * (8 // g)  # lattice points in whole blocks
     head = np.clip(e, 0, full)  # of those, the ones kept
     tail = np.clip(e - full, 0, (n - 1) // g + 1 - full)
-    # lane l of a leaf keeps its points l, l + width, ... below head
+    # lane l of a leaf keeps the entries l*step, l*step + 8, ... below head*g, if g divides them
     leaf = np.repeat(np.arange(len(p)), width)
-    lane = np.tile(np.arange(width), len(p))
-    count = (head[leaf] - lane + width - 1) // width
+    entry = np.tile(np.arange(0, 8, step), len(p))
+    count = np.where(entry % g[leaf], 0, (head[leaf] * g[leaf] - entry + 7) // 8)
     by_count = np.argsort(-count, kind="stable")
     block, i = np.nonzero(np.arange(count.max())[:, None] < count[by_count])
     kept_lane = by_count[i]
@@ -359,7 +352,7 @@ def _sum_plan(msgs: np.ndarray, g: int):
     column, i = np.nonzero(np.arange(tail.max())[:, None] < tail[by_tail])
     # the leaf of each product, and its lattice point within the leaf
     kept = np.concatenate((leaf[kept_lane], by_tail[i]))
-    at = np.concatenate((block * width + lane[kept_lane], full[by_tail[i]] + column))
+    at = np.concatenate(((8 * block + entry[kept_lane]) // g[leaf[kept_lane]], full[by_tail[i]] + column))
     cells = len(kept)
     lane_rows = None
     if len(block):
@@ -460,23 +453,20 @@ def _blocks(C: np.ndarray, Z: np.ndarray, Q: int, noise: NoiseModel, eta: np.nda
     forward = _steps(blk[fac[fw]], a[fw], first[fw], top[fw] + 1, (Re[fw], Re[fw] + c[fw]), fw, nb)
     backward = _steps(blk[fac[bw]], k[fac[bw]] - 1 - a[bw], first[bw], top[bw] + 1, (c[bw], -Re[bw]), bw, nb)
     last = (base + (k - 1) * R)[pt] + point
+    # msg0 of neighbor a sums P[a, j] * B[a, j] over all R points, msg1
+    # sums P[a, j] * B[a, j + c_a] over the first R - c_a; P[a] is zero
+    # beyond top[a], so both keep top[a] + 1 products
+    msg0 = np.stack((first, first, Re, top + 1, g[fac]), axis=1)
+    msg1 = msg0 + np.outer(c, [0, 1, -1, 0, 0])
     out = []
     for b, (f0, f1) in enumerate(zip(cuts, cuts[1:])):
         rows = int(base[f1 - 1] + size[f1 - 1])
         e0, e1 = int(lo[f0]), int(lo[f1 - 1] + k[f1 - 1])
         p0, p1 = pt.searchsorted(f0), pt.searchsorted(f1)
-        groups = []
-        for gv in sorted(set(g[f0:f1].tolist())):
-            on = np.flatnonzero(g[fac[e0:e1]] == gv) + e0
-            # msg0 of neighbor a sums P[a, j] * B[a, j] over all R points,
-            # msg1 sums P[a, j] * B[a, j + c_a] over the first R - c_a; P[a]
-            # is zero beyond top[a], so both keep top[a] + 1 products
-            p, r, ca, e = first[on], Re[on], c[on], top[on] + 1
-            msgs = np.concatenate(([p, p, r, e], [p, p + ca, r - ca, e]), axis=1).T
-            groups.append(_Group(_index(on), *_sum_plan(msgs, gv)))
         out.append(_Block(rows, _index(base[f0:f1]), _index(last[p0:p1]),
                           likelihood(buckets[p0:p1, None], Z.T[tests[pt[p0:p1]]], Q, noise),
-                          forward[b], backward[b], tuple(groups)))
+                          forward[b], backward[b], slice(e0, e1),
+                          *_sum_plan(np.concatenate((msg0[e0:e1], msg1[e0:e1])))))
     return out
 
 
@@ -525,36 +515,35 @@ def _block_update(blk: _Block, V: np.ndarray, F_new: np.ndarray) -> None:
             B[dst] += B[shifted] * v1[e]
         else:
             B[dst] = B[src] * v0[e] + B[shifted] * v1[e]
-    for grp in blk.groups:
-        # the products, then a zero row for the lanes that keep no block
-        # (the rows are in range; under mode="raise" take would copy twice)
-        cells = len(grp.gather[0])
-        Y = np.empty((cells + 1, T))
-        P.take(grp.gather[0], axis=0, out=Y[:cells], mode="clip")
-        Y[:cells] *= B.take(grp.gather[1], axis=0)
-        Y[cells] = 0.0
-        # stride-8 accumulators: block 0 starts them, block i adds into the
-        # first lanes[i], then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-        at = grp.lanes[0] if grp.lanes else 0
-        for count in grp.lanes[1:]:
-            Y[:count] += Y[at : at + count]
-            at += count
-        if grp.lane_rows is None:
-            sums = np.zeros((grp.leaves, T))
-        else:
-            lanes = Y.take(grp.lane_rows, axis=0).reshape(grp.width, grp.leaves, T)
-            while len(lanes) > 1:
-                lanes = lanes[0::2] + lanes[1::2]
-            sums = lanes[0]
-        # then the tails in sequence, column j into the first tails[j] leaves
-        for count in grp.tails:
-            sums[:count] += Y[at : at + count]
-            at += count
-        for left, right in grp.splits:
-            sums = np.concatenate((sums, sums[left] + sums[right]))
-        if grp.roots is not None:
-            sums = sums[grp.roots]
-        F_new[:, grp.edges] = sums.reshape(2, -1, T)
+    # the products, then a zero row for the lanes that keep no block
+    # (the rows are in range; under mode="raise" take would copy twice)
+    cells = len(blk.gather[0])
+    Y = np.empty((cells + 1, T))
+    P.take(blk.gather[0], axis=0, out=Y[:cells], mode="clip")
+    Y[:cells] *= B.take(blk.gather[1], axis=0)
+    Y[cells] = 0.0
+    # stride-8 accumulators: block 0 starts them, block i adds into the
+    # first lanes[i], then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    at = blk.lanes[0] if blk.lanes else 0
+    for count in blk.lanes[1:]:
+        Y[:count] += Y[at : at + count]
+        at += count
+    if blk.lane_rows is None:
+        sums = np.zeros((blk.leaves, T))
+    else:
+        lanes = Y.take(blk.lane_rows, axis=0).reshape(blk.width, blk.leaves, T)
+        while len(lanes) > 1:
+            lanes = lanes[0::2] + lanes[1::2]
+        sums = lanes[0]
+    # then the tails in sequence, column j into the first tails[j] leaves
+    for count in blk.tails:
+        sums[:count] += Y[at : at + count]
+        at += count
+    for left, right in blk.splits:
+        sums = np.concatenate((sums, sums[left] + sums[right]))
+    if blk.roots is not None:
+        sums = sums[blk.roots]
+    F_new[:, blk.edges] = sums.reshape(2, -1, T)
 
 
 def bp_decode_batch(

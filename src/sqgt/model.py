@@ -205,13 +205,22 @@ def quantize_sums(sums, eta) -> np.ndarray:
     return np.searchsorted(eta_arr, sums, side="right") - 1
 
 
+def _quantize_columns(X: np.ndarray, eta) -> np.ndarray:
+    """quantize_sums of the column sums of the nonnegative int64 matrix X, which
+    no bracket bounds: if max * rows reaches 2^63, a sum past int64 raises."""
+    if int(X.max(initial=0)) * len(X) >= 2**63 and (top := max(X.astype(object).sum(axis=0))) >= 2**63:
+        raise SumOutOfRange(f"coordinate sum {top} reached sentinel {int(np.asarray(eta)[-1])}")
+    return quantize_sums(X.sum(axis=0), eta)
+
+
 def sq_sum(vectors, eta, m: int | None = None) -> np.ndarray:
     """SQ-sum of a collection of codewords: quantized coordinate-wise sum.
 
     vectors is an iterable of equal-length integer vectors (possibly empty;
     pass m to fix the length in that case). Coordinate k of the result is
     the bucket r with eta_r <= sum_j x_j(k) < eta_{r+1}. For equidistant
-    thresholds this equals floor(sum / eta_step).
+    thresholds this equals floor(sum / eta_step). A negative entry raises
+    BadRange.
     """
     vecs = [_integers(v, "codeword entries") for v in vectors]
     if not vecs:
@@ -223,7 +232,10 @@ def sq_sum(vectors, eta, m: int | None = None) -> np.ndarray:
         raise LengthMismatch(f"codewords must be 1-D and equal length, got {lengths}")
     if m is not None and vecs[0].shape[0] != m:
         raise LengthMismatch(f"codewords have length {vecs[0].shape[0]}, expected {m}")
-    return quantize_sums(np.sum(vecs, axis=0), eta)
+    X = np.array(vecs)
+    if (X < 0).any():
+        raise BadRange("codeword entries must be nonnegative")
+    return _quantize_columns(X, eta)
 
 
 def syndrome(C, subjects, eta) -> np.ndarray:
@@ -241,7 +253,7 @@ def syndrome(C, subjects, eta) -> np.ndarray:
         raise BadRange(f"subject indices must lie in 1..{C.shape[1]}, got {idx}")
     if not idx:
         return np.zeros(C.shape[0], dtype=np.int64)
-    return quantize_sums(C[:, [i - 1 for i in idx]].sum(axis=1), eta)
+    return _quantize_columns(C[:, [i - 1 for i in idx]].T, eta)
 
 
 def includes(a, b) -> bool:

@@ -113,7 +113,7 @@ def _degenerate(kind):
         C[5, 4] = 2  # a test with one neighbor
         return C
     if kind == "gcds":
-        # one block, one group per g = 1, 2, 4, 8 (10 and 6 reduce to 2)
+        # one block holding every g = 1, 2, 4, 8 (10 and 6 reduce to 2)
         return np.array([
             [1, 3, 0, 2, 0, 0],
             [0, 2, 6, 0, 4, 0],
@@ -155,13 +155,13 @@ def test_degenerate_layouts_in_one_block(kind, trials):
     assert layout == ([int(C.any(axis=1).sum())] if C.any() else [])
     if kind == "gcds":
         [blk] = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
-        assert [g.width for g in blk.groups] == [8, 4, 2, 1]
+        assert blk.width == 8
     if kind == "long-sums":
         [blk] = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
-        assert max(len(g.splits) for g in blk.groups) == 2
+        assert len(blk.splits) == 2
     if kind == "deep-sums":
         [blk] = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
-        assert max(len(g.splits) for g in blk.groups) >= 3
+        assert len(blk.splits) >= 3
     cfg = BpConfig(max_iters=4, prior=0.3)
     got = bp_decode_batch(C, params, Z, NOISE, cfg=cfg)
     for reference in (factor_bp_decode_batch, reference_bp_decode_batch):
@@ -188,8 +188,8 @@ def test_sums_gather_no_known_zero(name, trials):
     C, params = _code(name)
     Z = _results(C, params, trials)
     blocks = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
-    cells = sum(grp.gather[0].size for blk in blocks for grp in blk.groups)
-    assert cells == sum(grp.gather[1].size for blk in blocks for grp in blk.groups)
+    cells = sum(blk.gather[0].size for blk in blocks)
+    assert cells == sum(blk.gather[1].size for blk in blocks)
     messages = list(_messages(C))
     assert cells == sum(e for _, _, e in messages)
     # the variable sums read each edge once: level j adds one edge of each
@@ -210,3 +210,11 @@ def test_sums_gather_no_known_zero(name, trials):
         n = g * (r - 1) + 1
         beyond += n > 128 and e <= (n // 2 - n // 2 % 8) // g
     assert (beyond > 0) == (name == "g8")
+    # a block's lanes follow its smallest gcd; the layouts the benchmark
+    # runs (400 trials, and the oneshot code at one) hold one gcd a block,
+    # so each block sums on the lanes of that gcd alone
+    gcds = [int(np.gcd(np.gcd.reduce(row[row > 0]), 8)) for row in C if row.any()]
+    cuts = np.cumsum([0, *_layout(C, params, Z)])
+    held = [set(gcds[i:j]) for i, j in zip(cuts, cuts[1:])]
+    assert [blk.width for blk in blocks] == [8 // min(g) for g in held]
+    assert (max(map(len, held)) > 1) == (trials == 1 and name in ("q5", "q11", "g8"))

@@ -414,6 +414,19 @@ class TestRefusedInputs:
         assert captured.err.startswith("BadRange:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("subjects", [2, 4])
+    def test_encode_sum_past_int64(self, tmp_path, capsys, subjects):
+        # no bracket bounds what encode sums: 2 and 4 entries of 2^62 wrapped
+        # to -2^63 and 0 and printed the buckets -1 and 0
+        code = tmp_path / "wide.sqgt"
+        code.write_text(f"SQGT-CODE v1\nq={2**62 + 1} Q=2 m=1 n={subjects}\neta=0,1,2\n"
+                        + " ".join([str(2**62)] * subjects) + "\n")
+        defectives = ",".join(map(str, range(1, subjects + 1)))
+        assert run("encode", "--code", code, "--defectives", defectives) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"SumOutOfRange: coordinate sum {subjects * 2**62} reached")
+
     @pytest.mark.parametrize("argv, option", [
         (("--method", "random-disjunct", "--q", 3), "--n"),
         (("--method", "bose-chowla", "--q", 3), "--n"),

@@ -1,7 +1,9 @@
 import dataclasses
 import pathlib
+import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, log
+from math import comb, factorial, log, prod
 
 import numpy as np
 import pytest
@@ -153,10 +155,32 @@ class TestRowSuccessProb:
             limit = ratio_vs_single_level_limit(levels)
             assert abs(finite - limit) / limit < 0.01
 
-    def test_limit_overflow_is_typed(self):
-        # levels^j times (j-1)! passes the float range; OverflowError before
-        with pytest.raises(Overflow, match="^the limit's terms overflow at levels=400$"):
-            ratio_vs_single_level_limit(400)
+    def test_limit_keeps_the_float_factorial_bits(self):
+        # the sum as it was written with a float (j-1)!, which overflows
+        # from levels = 144 on
+        def float_factorial_sum(levels):
+            total = 1.0
+            for k in range(levels - 1):
+                j = levels - k
+                total += comb(levels, k) / (levels**j * prod(range(2, j), start=1.0))
+            return total
+
+        for levels in range(1, 144):
+            assert ratio_vs_single_level_limit(levels).hex() == float_factorial_sum(levels).hex(), levels
+
+    @pytest.mark.parametrize("levels", [144, 400])
+    def test_limit_past_the_float_factorial(self, levels):
+        exact = 1 + sum(
+            Fraction(comb(levels, k), levels ** (levels - k) * factorial(levels - k - 1))
+            for k in range(levels - 1)
+        )
+        assert ratio_vs_single_level_limit(levels) == pytest.approx(float(exact), rel=1e-15, abs=0)
+
+    def test_limit_time_does_not_grow_with_levels(self):
+        # the terms past j! (j-1)! > 2^1076 round to 0.0 and are left out
+        start = time.perf_counter()
+        assert 1.5 < ratio_vs_single_level_limit(10**6) < 1.6
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("step", [0.0, 2.0, -0.1, float("nan")])
     def test_optimizer_refuses_a_bad_step(self, step):

@@ -117,6 +117,22 @@ class TestSqSum:
         with pytest.raises(LengthMismatch):
             sq_sum([(1, 2), (1,)], (0, 1, 9))
 
+    def test_sums_past_int64_are_out_of_range(self):
+        # no bracket bounds these sums: 4 x 2^62 wrapped to 0, bucket 0
+        with pytest.raises(SumOutOfRange, match=f"^coordinate sum {2**64} reached sentinel 2$"):
+            sq_sum([[2**62]] * 4, (0, 1, 2))
+        with pytest.raises(SumOutOfRange, match=f"^coordinate sum {2**63} reached sentinel 2$"):
+            syndrome([[2**62, 2**62]], [1, 2], (0, 1, 2))
+        # columns that each stay inside int64 sum exactly
+        sentinel = 2**63 - 1
+        assert syndrome([[2**62, 0], [0, 2**62]], [1, 2], (0, 1, sentinel)).tolist() == [1, 1]
+        assert sq_sum([[2**62, 3], [2**62 - 2, 4]], (0, 7, sentinel)).tolist() == [1, 1]
+
+    def test_negative_codeword_refused(self):
+        # the sum -4 took the bucket -1
+        with pytest.raises(BadRange, match="^codeword entries must be nonnegative$"):
+            sq_sum([[-5, 1], [0, 0]], (0, 2, 4))
+
     def test_non_integer_codewords_refused(self):
         assert sq_sum([[1.0], [0.0]], (0, 1, 3)).tolist() == [1]
         with pytest.raises(BadRange, match="codeword entries must be integers, got 0.5"):
