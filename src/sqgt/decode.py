@@ -273,7 +273,8 @@ class _Block:
     has one at that step; a step's rows, and the edges those rows take
     their variable message from, are slices or ints where one test runs
     the step and index arrays otherwise. The factor sums (see _sum_plan)
-    give the msg0 of every edge in `edges`, then the msg1 of each.
+    give the msg0 of every edge in `edges`, then the msg1 of each; every
+    block takes each of their steps, however many of its terms are zero.
     """
 
     rows: int
@@ -285,12 +286,11 @@ class _Block:
     edges: slice  # the block's edges
     gather: tuple[np.ndarray, np.ndarray]  # rows of P and of B, one per product
     lanes: tuple[int, ...]  # accumulators that stride-8 block i adds into
-    lane_rows: np.ndarray | None  # accumulator of each (lane, leaf), None if none keeps a block
-    width: int  # lanes per leaf, 8 // the block's smallest g
-    leaves: int
+    lane_rows: np.ndarray  # accumulator of each (lane, leaf), lane-major
+    width: int  # lanes per leaf: 8 // the block's smallest g, 1 if no lane keeps a block
     tails: tuple[int, ...]  # leaves that tail column j adds into
     splits: tuple[tuple[np.ndarray, np.ndarray], ...]  # node pairs added, per depth, deepest first
-    roots: np.ndarray | None  # the node of each message, unless node i is message i
+    roots: np.ndarray  # the node of each message
 
 
 def _sum_plan(msgs: np.ndarray):
@@ -318,8 +318,10 @@ def _sum_plan(msgs: np.ndarray):
     the tail columns they keep, so that tail column j adds into a prefix of
     them; the gather goes on with tail column 0 of each, then column 1, and
     so on. A lane that keeps no block reads the zero row after the gather,
-    so a leaf that lies wholly at or beyond e sums to 0. The split parents
-    are summed deepest first, after the leaves.
+    so a leaf that lies wholly at or beyond e sums to 0; where no lane of
+    any leaf keeps a block, width is 1, one such lane a leaf, which sums to
+    the same +0.0. The split parents are summed deepest first, after the
+    leaves, and roots gives the node of each message, in order.
     """
     p, b, r, e, g = msgs.T
     parts = [np.stack((p, b, g * (r - 1) + 1, e, g), axis=1)]  # (p, b, n, e, g) of each depth's parts
@@ -353,26 +355,23 @@ def _sum_plan(msgs: np.ndarray):
     # the leaf of each product, and its lattice point within the leaf
     kept = np.concatenate((leaf[kept_lane], by_tail[i]))
     at = np.concatenate(((8 * block + entry[kept_lane]) // g[leaf[kept_lane]], full[by_tail[i]] + column))
-    cells = len(kept)
-    lane_rows = None
-    if len(block):
-        # the row of each accumulator, (lane, leaf) with the leaves in tail order
-        acc = np.empty(len(count), dtype=np.int64)
-        acc[by_count] = np.arange(len(count))
-        acc[count == 0] = cells
-        lane_rows = acc.reshape(len(p), width)[by_tail].T.ravel()
+    # the row of each accumulator, (lane, leaf) with the leaves in tail order
+    acc = np.empty(len(count), dtype=np.int64)
+    acc[by_count] = np.arange(len(count))
+    acc[count == 0] = len(kept)
+    lane_rows = acc.reshape(len(p), width)[by_tail].T
+    if not len(block):  # every lane reads the zero row: keep one a leaf
+        lane_rows, width = lane_rows[:1], 1
     # node ids: leaves first, in tail order, then the split parents, deepest first
     ids = np.argsort(np.concatenate((leaf_id[by_tail], *(x for x, _ in levels[::-1]))))
-    roots = ids[: len(msgs)]
     return (
         (p[kept] + at, b[kept] + at),
-        tuple(np.bincount(block).tolist()),
-        lane_rows,
+        tuple(np.bincount(block, minlength=1).tolist()),
+        lane_rows.ravel(),
         width,
-        len(p),
         tuple(np.bincount(column).tolist()),
         tuple((ids[left], ids[right]) for _, (left, right) in levels[::-1]),
-        None if np.array_equal(roots, np.arange(len(roots))) else roots,
+        ids[: len(msgs)],
     )
 
 
@@ -524,26 +523,21 @@ def _block_update(blk: _Block, V: np.ndarray, F_new: np.ndarray) -> None:
     Y[cells] = 0.0
     # stride-8 accumulators: block 0 starts them, block i adds into the
     # first lanes[i], then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    at = blk.lanes[0] if blk.lanes else 0
+    at = blk.lanes[0]
     for count in blk.lanes[1:]:
         Y[:count] += Y[at : at + count]
         at += count
-    if blk.lane_rows is None:
-        sums = np.zeros((blk.leaves, T))
-    else:
-        lanes = Y.take(blk.lane_rows, axis=0).reshape(blk.width, blk.leaves, T)
-        while len(lanes) > 1:
-            lanes = lanes[0::2] + lanes[1::2]
-        sums = lanes[0]
+    lanes = Y.take(blk.lane_rows, axis=0).reshape(blk.width, -1, T)
+    while len(lanes) > 1:
+        lanes = lanes[0::2] + lanes[1::2]
+    sums = lanes[0]
     # then the tails in sequence, column j into the first tails[j] leaves
     for count in blk.tails:
         sums[:count] += Y[at : at + count]
         at += count
     for left, right in blk.splits:
         sums = np.concatenate((sums, sums[left] + sums[right]))
-    if blk.roots is not None:
-        sums = sums[blk.roots]
-    F_new[:, blk.edges] = sums.reshape(2, -1, T)
+    F_new[:, blk.edges] = sums[blk.roots].reshape(2, -1, T)
 
 
 def bp_decode_batch(

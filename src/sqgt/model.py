@@ -9,7 +9,9 @@ All operations here are pure functions of their inputs. Stochastic ones take
 an explicit seed and are bit-reproducible.
 """
 
+import operator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -91,12 +93,23 @@ def _equidistant_Q(q: int, eta_step: int, u: int) -> int:
     return Q
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise BadRange unless value is an integer other than a bool; numpy
+    integers pass."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise BadRange(f"{name} must be an integer, got {value!r}")
+
+
 def _check_thresholds(eta) -> None:
     """Raise ThresholdNotIncreasing unless eta starts at 0 and strictly
-    increases, and BadRange unless it fits in int64."""
+    increases, and BadRange unless its entries are integers that fit in
+    int64."""
+    _check_integer("eta_0", eta[0])
     if eta[0] != 0:
         raise ThresholdNotIncreasing(f"eta_0 must be 0, got {eta[0]}")
     for r in range(len(eta) - 1):
+        if type(eta[r + 1]) is not int:  # a plain int needs no call, which costs more than the loop
+            _check_integer(f"eta_{r + 1}", eta[r + 1])
         if eta[r + 1] <= eta[r]:
             raise ThresholdNotIncreasing(
                 f"thresholds must strictly increase, "
@@ -114,6 +127,8 @@ def _check_alphabets(q: int, Q: int) -> None:
 
 def validate_params(p: CodeParams) -> None:
     """Raise unless every CodeParams invariant holds."""
+    for name in ("q", "Q", "l", "u", "e"):
+        _check_integer(name, getattr(p, name))
     _check_alphabets(p.q, p.Q)
     if p.e < 0:
         raise BadRange(f"error budget must be >= 0, got e={p.e}")
@@ -154,23 +169,40 @@ class NoiseModel:
 NOISELESS = NoiseModel(0.0, 0.0)
 
 
-def _integers(x, what: str) -> np.ndarray:
-    """x as an int64 array. An entry that is not an integer raises
-    BadRange, where a cast would truncate it; integral floats such as 1.0
-    pass."""
+def _integers(x, what: str, past=None) -> np.ndarray:
+    """x as an int64 array. An entry that is not an integer, or lies
+    outside int64, raises BadRange naming it exactly, where a cast would
+    truncate, round or wrap it; integral floats such as 1.0 pass. An entry
+    above int64 raises past(entry) instead, when past is given."""
     try:
         arr = np.asarray(x)
-        if arr.dtype.kind in "biu":
+        if arr.dtype.kind in "bi" or arr.dtype.kind == "u" and int(arr.max(initial=0)) < 2**63:
             return arr.astype(np.int64)
         if arr.dtype.kind == "c":
             raise TypeError  # a cast would drop the imaginary part
         f = arr.astype(np.float64)
     except (TypeError, ValueError):
         raise BadRange(f"{what} must be integers") from None
-    bad = ~(np.isfinite(f) & (f == np.trunc(f)) & (np.abs(f) < 2.0**63))
-    if bad.any():
-        raise BadRange(f"{what} must be integers, got {float(f[bad][0])}")
-    return f.astype(np.int64)
+    # below 2^53 a float is exact, whatever numpy typed as float
+    if arr.dtype.kind not in "uO" and (np.isfinite(f) & (f == np.trunc(f)) & (np.abs(f) < 2.0**53)).all():
+        return f.astype(np.int64)
+    # uint64 past int64, Python ints that numpy made float or object, or an
+    # entry that is no integer: read each int as it is, each other entry as
+    # the float it makes
+    out = []
+    for v, fv in zip(np.asarray(x, dtype=object).ravel().tolist(), f.ravel().tolist()):
+        try:
+            v = operator.index(v)
+        except TypeError:
+            if not fv.is_integer():
+                raise BadRange(f"{what} must be integers, got {fv}") from None
+            v = fv
+        if v >= 2**63 and past is not None:
+            raise past(v)
+        if not -(2**63) <= v < 2**63:
+            raise BadRange(f"{what} must be integers in -2^63..2^63-1, got {v}")
+        out.append(v)
+    return np.array(out, dtype=np.int64).reshape(arr.shape)
 
 
 def check_matrix(C, q: int | None = None) -> np.ndarray:
@@ -188,17 +220,24 @@ def check_matrix(C, q: int | None = None) -> np.ndarray:
 def quantize_sums(sums, eta) -> np.ndarray:
     """Map integer sums to threshold buckets: r such that eta_r <= s < eta_{r+1}.
 
-    A sum at or above the sentinel raises SumOutOfRange, signalling a
-    violated sentinel assumption. When every sum lies in
-    0..sums.size-1, the buckets of 0..max are computed once and looked up,
-    which gives the same result as the binary search per element.
+    A sum at or above the sentinel, one past int64 included, raises
+    SumOutOfRange, signalling a violated sentinel assumption; a sum that is
+    not an integer raises BadRange. An int64 array is read in place. When
+    every sum lies in 0..sums.size-1, the buckets of 0..max are computed
+    once and looked up, which gives the same result as the binary search
+    per element.
     """
-    sums = np.asarray(sums, dtype=np.int64)
     eta_arr = np.asarray(eta, dtype=np.int64)
+
+    def reached(top: int) -> SumOutOfRange:
+        return SumOutOfRange(f"coordinate sum {top} reached sentinel {int(eta_arr[-1])}")
+
+    arr = np.asarray(sums)
+    sums = arr if arr.dtype == np.int64 else _integers(sums, "sums", past=reached)
     if sums.size:
         top = int(sums.max())
         if top >= eta_arr[-1]:
-            raise SumOutOfRange(f"coordinate sum {top} reached sentinel {int(eta_arr[-1])}")
+            raise reached(top)
         if top < sums.size and sums.min() >= 0:
             lut = np.searchsorted(eta_arr, np.arange(top + 1), side="right") - 1
             return lut[sums]

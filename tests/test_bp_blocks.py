@@ -153,6 +153,11 @@ def test_degenerate_layouts_in_one_block(kind, trials):
     Z = _results(C, params, trials, seed=trials, d=2)
     layout = _layout(C, params, Z)
     assert layout == ([int(C.any(axis=1).sum())] if C.any() else [])
+    if kind == "zero-rows":
+        # every sum has fewer than 8 entries, so no lane keeps a stride-8
+        # block: one lane a leaf, reading the zero row
+        [blk] = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
+        assert blk.width == 1
     if kind == "gcds":
         [blk] = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
         assert blk.width == 8
@@ -212,9 +217,16 @@ def test_sums_gather_no_known_zero(name, trials):
     assert (beyond > 0) == (name == "g8")
     # a block's lanes follow its smallest gcd; the layouts the benchmark
     # runs (400 trials, and the oneshot code at one) hold one gcd a block,
-    # so each block sums on the lanes of that gcd alone
-    gcds = [int(np.gcd(np.gcd.reduce(row[row > 0]), 8)) for row in C if row.any()]
+    # so each block sums on the lanes of that gcd alone. A block whose sums
+    # all have fewer than 8 entries keeps no stride-8 block, and has one
+    # lane a leaf; msg0 of a test adds S + 1 entries, S its coefficient sum
+    tests = [row[row > 0] for row in C if row.any()]
+    gcds = [int(np.gcd(np.gcd.reduce(c), 8)) for c in tests]
     cuts = np.cumsum([0, *_layout(C, params, Z)])
     held = [set(gcds[i:j]) for i, j in zip(cuts, cuts[1:])]
-    assert [blk.width for blk in blocks] == [8 // min(g) for g in held]
+    keeps = [any(c.sum() >= 7 for c in tests[i:j]) for i, j in zip(cuts, cuts[1:])]
+    widths = [blk.width for blk in blocks]
+    assert widths == [8 // min(g) if k else 1 for g, k in zip(held, keeps)]
     assert (max(map(len, held)) > 1) == (trials == 1 and name in ("q5", "q11", "g8"))
+    if (name, trials) == ("q2", 400):
+        assert widths.count(1) == 25

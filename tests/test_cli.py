@@ -551,6 +551,20 @@ class TestRefusedInputs:
         assert captured.out == ""
         assert captured.err.startswith(f"BadRange: {message}")
 
+    @pytest.mark.parametrize("argv, message", [
+        # printed "must lie in 1..24, got [-9223372036854775808]"
+        (("encode", "--defectives", 2**63), f"subject indices must be integers in -2^63..2^63-1, got {2**63}"),
+        # printed "must be integers, got 9.223372036854776e+18"
+        (("encode", "--defectives", f"{2**63},1"), f"subject indices must be integers in -2^63..2^63-1, got {2**63}"),
+        (("decode", "--syndrome", f"{2**64 - 1},0,1,4,0,0,0,3,1", "--algorithm", "disjunct", "--d", 2),
+         f"results must be integers in -2^63..2^63-1, got {2**64 - 1}"),
+    ])
+    def test_integers_past_int64_are_named_exactly(self, capsys, argv, message):
+        assert run(argv[0], "--code", self.GOLDEN, *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"BadRange: {message}\n"
+
     def test_syndrome_beyond_int64(self, capsys):
         argv = ("decode", "--code", self.GOLDEN, "--syndrome", "9" * 20 + ",0,1,4,0,0,0,3,1",
                 "--algorithm", "disjunct", "--d", 2)

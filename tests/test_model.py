@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,28 @@ class TestValidateParams:
         with pytest.raises(BadRange):
             CodeParams.equidistant(5, 1, l, u, e)
 
+    @pytest.mark.parametrize("fields, name", [
+        # format_matrix wrote q=3.5, which parse_matrix refuses
+        (dict(q=3.5, Q=3, eta=(0, 1, 2, 3)), "q"),
+        (dict(q=3, Q=3.0, eta=(0, 1, 3, 4)), "Q"),
+        # decode_disjunct read this bracket as (0, 1, 3, 4)
+        (dict(q=3, Q=3, eta=(0, 1.5, 3, 4)), "eta_1"),
+        (dict(q=3, Q=3, eta=(0.0, 1, 3, 4)), "eta_0"),
+        (dict(q=3, Q=3, eta=(False, 1, 3, 4)), "eta_0"),
+        (dict(q=3, Q=3, eta=(0, 1, 3, np.float64(4))), "eta_3"),
+        (dict(q=3, Q=3, eta=(0, 1, 3, 4), l=True), "l"),
+        (dict(q=3, Q=3, eta=(0, 1, 3, 4), u=1.0), "u"),
+        (dict(q=3, Q=3, eta=(0, 1, 3, 4), e="0"), "e"),
+    ])
+    def test_non_integer_fields_refused(self, fields, name):
+        with pytest.raises(BadRange, match=f"^{name} must be an integer, got "):
+            CodeParams(**fields)
+
+    def test_numpy_integer_fields_pass(self):
+        p = CodeParams(np.int64(3), np.int32(3), tuple(np.array([0, 1, 3, 4])),
+                       np.int8(1), np.uint16(1), np.int64(0))
+        assert str(p) == "[3;3;(0,1,3,4);(1:1);0]"
+
     def test_equidistant_flag(self):
         assert CodeParams.equidistant(7, 2, 1, 2).is_equidistant
         assert not CodeParams(q=3, Q=4, eta=(0, 2, 3, 5, 7), l=1, u=3).is_equidistant
@@ -90,6 +114,43 @@ class TestCheckMatrix:
     def test_non_integers_refused(self, C):
         with pytest.raises(BadRange):
             check_matrix(C)
+
+
+class TestIntegersPastInt64:
+    """numpy types [2^63] as uint64, [2^63, 1] as float64 and [2^70] as
+    object; each entry is named as the integer it is, never wrapped to
+    -2^63 or printed as 9.223372036854776e+18."""
+
+    @staticmethod
+    def _outside(what, value):
+        return f"^{re.escape(f'{what} must be integers in -2^63..2^63-1, got {value}')}$"
+
+    @pytest.mark.parametrize("subjects, named", [
+        ([2**63], 2**63),
+        ([2**63, 1], 2**63),
+        ([1, 2**64 - 1], 2**64 - 1),
+        ([2**63 - 1, 2**63], 2**63),  # both make the float 2^63
+        ([2**70], 2**70),
+        ([-(2**63) - 1, 1], -(2**63) - 1),
+        (np.array([2**63], dtype=np.uint64), 2**63),
+        ([1e19], 1e19),
+    ])
+    def test_subject_indices(self, subjects, named):
+        with pytest.raises(BadRange, match=self._outside("subject indices", named)):
+            syndrome([[1, 2, 4]], subjects, tuple(range(9)))
+
+    def test_matrix_entries_and_syndrome_values(self):
+        with pytest.raises(BadRange, match=self._outside("matrix entries", 2**64)):
+            check_matrix([[1, 2**64]])
+        with pytest.raises(BadRange, match=self._outside("syndrome values", 2**64 - 1)):
+            apply_noise([2**64 - 1, 0], 3, NOISELESS, 0)
+
+    def test_integers_inside_int64_are_read_exactly(self):
+        # a float64 cast rounded 2^62 + 1 to 2^62
+        big = 2**62 + 1
+        for C in ([[big, 1.0]], np.array([[big, 1]], dtype=object), np.array([[2**63 - 1]], dtype=np.uint64)):
+            got = check_matrix(C)
+            assert got.dtype == np.int64 and got.tolist() == np.asarray(C, dtype=object).tolist()
 
 
 class TestSqSum:
@@ -218,6 +279,25 @@ class TestQuantizeSums:
     def test_above_sentinel_unchecked(self, sums):
         with pytest.raises(SumOutOfRange):
             quantize_sums(sums, self.ETA)
+
+    @pytest.mark.parametrize("sums, top", [
+        ([2**63], 2**63),  # a bare OverflowError from the int64 cast
+        ([1, 2**64], 2**64),
+        (np.array([0, 2**63], dtype=np.uint64), 2**63),
+        ([1e19], 1e19),
+    ])
+    def test_sums_past_int64_reach_the_sentinel(self, sums, top):
+        with pytest.raises(SumOutOfRange, match=f"^{re.escape(f'coordinate sum {top} reached sentinel 7')}$"):
+            quantize_sums(sums, self.ETA)
+
+    @pytest.mark.parametrize("sums", [[1.7], [0, 2.5], [float("nan")], [-(2**64)]])
+    def test_sums_that_are_not_int64_integers_refused(self, sums):
+        # 1.7 was truncated to the bucket of 1
+        with pytest.raises(BadRange, match="^sums must be integers"):
+            quantize_sums(sums, self.ETA)
+
+    def test_integral_floats_pass(self):
+        assert quantize_sums([1.0, 6.0], self.ETA).tolist() == [0, 3]
 
     def test_random_against_searchsorted(self):
         rng = np.random.default_rng(2)
