@@ -67,7 +67,7 @@ def _cmd_construct(args) -> int:
             base, args.d, args.e, args.q, _thresholds(args), base_kind=args.base_kind
         )
     elif args.method == "random-disjunct":
-        levels = args.levels if args.levels else con._step_levels(args.q, args.eta)
+        levels = args.levels if args.levels is not None else con._step_levels(args.q, args.eta)
         C, params = con.random_disjunct(
             args.n, args.d, levels, args.eta, e=args.e, p0=args.p0, delta=args.delta,
             seed=args.seed, q=args.q, m=args.m, m_multiplier=args.m_multiplier,

@@ -68,19 +68,6 @@ __all__ = [
 # scaling constructions (arbitrary thresholds)
 # ---------------------------------------------------------------------------
 
-def _equidistant_step(eta) -> int:
-    """The step t of thresholds eta_r = r*t; BadThreshold names the first
-    threshold that breaks the step."""
-    eta = tuple(eta)
-    step = eta[1] if len(eta) > 1 else 0
-    if step < 1:
-        raise BadThreshold(f"equidistant thresholds need eta_1 >= 1, got {eta}")
-    for r, t in enumerate(eta):
-        if t != r * step:
-            raise BadThreshold(f"thresholds are not equidistant: eta_{r}={t}, step {step} needs {r * step}")
-    return step
-
-
 def _step_levels(q: int, eta_step: int) -> int:
     """How many nonzero multiples of the threshold step lie in 0..q-1;
     BadRange for a step below 1, AlphabetTooSmall when there are none."""
@@ -125,16 +112,12 @@ def scale_separable(base, d: int, e: int, q: int, eta, base_kind: str = "cgt") -
     eta = tuple(eta)
     if base_kind not in ("cgt", "qgt"):
         raise BadRange(f"base_kind must be 'cgt' or 'qgt', got {base_kind!r}")
-    if base_kind == "qgt":
-        step = _equidistant_step(eta)
-        if (q - 1) % step != 0:
-            raise AlphabetTooSmall(
-                f"q-1={q - 1} must be a multiple of the step {step} for a qgt base"
-            )
     base = check_matrix(base, 2)
     if len(eta) > 1 and q - 1 < eta[1]:  # CodeParams refuses fewer thresholds
         raise AlphabetTooSmall(f"need q-1 >= eta_1, got q-1={q - 1}, eta_1={eta[1]}")
     params = CodeParams(q=q, Q=len(eta) - 1, eta=eta, l=1, u=d, e=e)
+    if base_kind == "qgt" and (q - 1) % (step := params.step):
+        raise AlphabetTooSmall(f"q-1={q - 1} must be a multiple of the step {step} for a qgt base")
     return (q - 1) * base, params
 
 
@@ -319,7 +302,7 @@ def concat_spec(C, params: CodeParams) -> ConcatSpec:
     unless C is exactly [s_1*B, ..., s_K*B] for a binary B.
     """
     C = check_matrix(C, params.q)
-    scales = _concat_scales(params.u, params.q, _equidistant_step(params.eta))
+    scales = _concat_scales(params.u, params.q, params.step)
     if C.shape[1] % len(scales):
         raise InconsistentSpec(f"n={C.shape[1]} is not divisible by the {len(scales)} blocks")
     base = C[:, : C.shape[1] // len(scales)] // scales[0]
@@ -342,11 +325,11 @@ def concat_disjunct(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.nda
         raise BadRange(f"need d >= 1, got {d}")
     levels = _step_levels(q, eta_step)  # its AlphabetTooSmall comes before any BadRange
     _equidistant_Q(q, eta_step, d)
-    blocks = len(_concat_multipliers(d, levels))
-    if base.size * blocks > MAX_CELLS:
-        raise BadRange(f"{blocks} blocks x {base.size} base cells exceed {MAX_CELLS} matrix cells")
+    multipliers = _concat_multipliers(d, levels)
+    if base.size * len(multipliers) > MAX_CELLS:
+        raise BadRange(f"{len(multipliers)} blocks x {base.size} base cells exceed {MAX_CELLS} matrix cells")
     params = CodeParams.equidistant(q, eta_step, 1, d, e)
-    C = np.hstack([s * base for s in _concat_scales(d, q, eta_step)])
+    C = np.hstack([eta_step * g * base for g in multipliers])
     return C, concat_spec(C, params)
 
 
@@ -654,7 +637,7 @@ def lindstrom_spec(C, params: CodeParams) -> LindstromSpec:
     checks each block's columns.
     """
     C = check_matrix(C, params.q)
-    step = _equidistant_step(params.eta)
+    step = params.step
     m, n = C.shape
     kappa = m.bit_length()
     if m != 2**kappa - 1:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BadRange,
+    BadThreshold,
     LengthMismatch,
     SentinelTooSmall,
     SumOutOfRange,
@@ -73,9 +74,14 @@ class CodeParams:
         return cls(q=q, Q=Q, eta=tuple(r * eta_step for r in range(Q + 1)), l=l, u=u, e=e)
 
     @property
-    def is_equidistant(self) -> bool:
+    def step(self) -> int:
+        """eta_1 of equidistant thresholds eta_r = r*eta_1; BadThreshold
+        names the first threshold off that step."""
         step = self.eta[1]
-        return all(self.eta[r] == r * step for r in range(len(self.eta)))
+        for r, t in enumerate(self.eta):
+            if t != r * step:
+                raise BadThreshold(f"thresholds are not equidistant: eta_{r}={t}, step {step} needs {r * step}")
+        return step
 
     def __str__(self) -> str:
         eta = ",".join(str(t) for t in self.eta)
@@ -178,8 +184,8 @@ def _integers(x, what: str, past=None) -> np.ndarray:
         arr = np.asarray(x)
         if arr.dtype.kind in "bi" or arr.dtype.kind == "u" and int(arr.max(initial=0)) < 2**63:
             return arr.astype(np.int64)
-        if arr.dtype.kind == "c":
-            raise TypeError  # a cast would drop the imaginary part
+        if arr.dtype.kind in "cSU":
+            raise TypeError  # a cast would drop the imaginary part, or parse text as a number
         f = arr.astype(np.float64)
     except (TypeError, ValueError):
         raise BadRange(f"{what} must be integers") from None
@@ -194,6 +200,8 @@ def _integers(x, what: str, past=None) -> np.ndarray:
         try:
             v = operator.index(v)
         except TypeError:
+            if isinstance(v, (str, bytes)):
+                raise BadRange(f"{what} must be integers, got {v!r}") from None
             if not fv.is_integer():
                 raise BadRange(f"{what} must be integers, got {fv}") from None
             v = fv

@@ -25,7 +25,7 @@ from .construct import MAX_CELLS, _rows_per_block, random_disjunct
 from .decode import BpConfig, bp_decode_batch, select_threshold, select_topd, Marginals
 from .errors import BadRange, ConfigError
 from .fileio import CSV_HEADER
-from .model import CodeParams, NoiseModel, apply_noise, syndrome
+from .model import CodeParams, NoiseModel, _check_integer, apply_noise, syndrome
 from .rng import derive_seed, make_rng
 
 __all__ = ["SweepConfig", "SimulationRow", "parse_config", "run_simulation", "rows_to_csv"]
@@ -54,6 +54,13 @@ class SweepConfig:
         for meth in self.methods:
             if meth not in _METHODS:
                 raise ConfigError(f"unknown method {meth!r}, choose from {_METHODS}")
+        try:
+            for name, value in (("n", self.n), ("d", self.d), ("m", self.m), ("eta", self.eta_step),
+                                ("trials", self.trials), ("iterations", self.iterations),
+                                ("seed", self.seed), *(("q", q) for q in self.q_values)):
+                _check_integer(name, value)
+        except BadRange as err:
+            raise ConfigError(str(err)) from None
         sizes = (self.n, self.d, self.m, self.eta_step, self.trials, self.iterations)
         if min(sizes) < 1 or self.d >= self.n:
             raise ConfigError("need n > d >= 1 and m, eta, trials, iterations >= 1")

@@ -353,7 +353,7 @@ def _as_binary(C) -> np.ndarray:
 def _binary_reduction_params(d: int, e: int, adder: bool, l: int = 1) -> CodeParams:
     if adder:
         # identity thresholds: bucket(s) == s, so SQ-sum is the arithmetic sum
-        return CodeParams(q=2, Q=d + 1, eta=tuple(range(d + 2)), l=l, u=d, e=e)
+        return CodeParams.equidistant(2, 1, l, d, e)
     # single threshold at 1: bucket(s) == (s >= 1), so SQ-sum is the Boolean OR
     return CodeParams(q=2, Q=2, eta=(0, 1, d + 1), l=l, u=d, e=e)
 

@@ -280,6 +280,14 @@ class TestBadValues:
         assert run(*argv, rate, "nan") == 2
         assert capsys.readouterr().err.startswith("BadRange:")
 
+    def test_random_disjunct_at_zero_levels(self, tmp_path, capsys):
+        # --levels 0 fell back to the default of (q-1)//eta levels
+        out = tmp_path / "code.sqgt"
+        argv = ("--method", "random-disjunct", "--n", 10, "--d", 2, "--q", 5, "--eta", 1, "--levels", 0)
+        assert run("construct", *argv, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("BadRange: need at least one nonzero level, got 0")
+        assert not out.exists()
+
     def test_random_disjunct_without_levels(self, capsys):
         argv = ("--method", "random-disjunct", "--n", 12, "--d", 2, "--q", 3, "--eta", 3)
         assert run("construct", *argv, "--out", os.devnull) == 2

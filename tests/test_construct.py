@@ -79,7 +79,7 @@ class TestScaleConstructions:
         with pytest.raises(AlphabetTooSmall):
             scale_separable(base_7x8, 2, 0, q=4, eta=(0, 2, 4, 6, 8), base_kind="qgt")
         scale_separable(base_7x8, 2, 0, q=3, eta=(0, 2, 4, 6), base_kind="qgt")
-        with pytest.raises(BadThreshold):
+        with pytest.raises(BadThreshold, match="eta_2=3, step 2 needs 4"):
             scale_separable(base_7x8, 2, 0, q=3, eta=(0, 2, 3, 6), base_kind="qgt")
 
 

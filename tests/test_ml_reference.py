@@ -8,6 +8,7 @@ import pytest
 
 import sqgt.decode
 from sqgt.decode import decode_ml
+from sqgt.errors import BadThreshold
 from sqgt.model import CodeParams, NoiseModel, apply_noise, syndrome
 from sqgt.rng import make_rng
 
@@ -78,7 +79,9 @@ def test_grid_covers_the_edge_cases():
     assert any(p.u > k for k, (_, p, *_) in zip(n, cases))
     assert any(p.l > k for k, (_, p, *_) in zip(n, cases))
     assert any(C.shape[1] > 1 and np.array_equal(C[:, 0], C[:, -1]) for C, *_ in cases)
-    assert any(not p.is_equidistant for _, p, *_ in cases)
+    with pytest.raises(BadThreshold):  # some bracket has no equidistant step
+        for _, p, *_ in cases:
+            p.step
     outcomes = [_outcome(decode_ml, *case) for case in cases]
     kinds = {o[0] if isinstance(o[0], str) else "set" for o in outcomes}
     assert kinds == {"set", "ExplosionGuard", "NoConsistentSet"}

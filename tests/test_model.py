@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sqgt.errors import (
     BadRange,
+    BadThreshold,
     LengthMismatch,
     SentinelTooSmall,
     SumOutOfRange,
@@ -93,8 +94,9 @@ class TestValidateParams:
         assert str(p) == "[3;3;(0,1,3,4);(1:1);0]"
 
     def test_equidistant_flag(self):
-        assert CodeParams.equidistant(7, 2, 1, 2).is_equidistant
-        assert not CodeParams(q=3, Q=4, eta=(0, 2, 3, 5, 7), l=1, u=3).is_equidistant
+        assert CodeParams.equidistant(7, 2, 1, 2).step == 2
+        with pytest.raises(BadThreshold, match="eta_2=3, step 2 needs 4"):
+            CodeParams(q=3, Q=4, eta=(0, 2, 3, 5, 7), l=1, u=3).step
 
     def test_equidistant_builder_sentinel(self):
         p = CodeParams.equidistant(7, 2, 1, 2)
@@ -110,6 +112,9 @@ class TestCheckMatrix:
     @pytest.mark.parametrize("C", [
         [[0.5, 1]], [[1.0, -0.5]], [[np.nan, 1]], [[np.inf, 0]], [[1e300, 0]],
         [[1, 2], [3]], [["a", 1]], [[1j, 0]], [[None, 1]],
+        # numpy parses digit strings as numbers
+        [["1", "2"]], [[b"1", b"0"]], np.array([[1, "2"]], dtype=object),
+        np.array([[1, b"0"]], dtype=object), np.array([[np.str_("1"), 0]], dtype=object),
     ])
     def test_non_integers_refused(self, C):
         with pytest.raises(BadRange):
@@ -198,6 +203,8 @@ class TestSqSum:
         assert sq_sum([[1.0], [0.0]], (0, 1, 3)).tolist() == [1]
         with pytest.raises(BadRange, match="codeword entries must be integers, got 0.5"):
             sq_sum([[0.5], [0.6]], (0, 1, 3))
+        with pytest.raises(BadRange, match="^codeword entries must be integers$"):
+            sq_sum([["1"], ["0"]], (0, 1, 3))
 
     def test_syndrome_refuses_a_non_integer_matrix(self):
         assert syndrome([[1.0, 1.0]], [1, 2], (0, 1, 3)).tolist() == [1]
@@ -205,7 +212,7 @@ class TestSqSum:
             syndrome([[0.5, 1.7]], [1, 2], (0, 1, 3))
 
     @pytest.mark.parametrize("subjects", [
-        [1.5], [2, 2.5], [True], [np.True_, 2], np.array([True]), [[1, 2]],
+        [1.5], [2, 2.5], [True], [np.True_, 2], np.array([True]), [[1, 2]], ["3"], [b"3"],
     ])
     def test_syndrome_refuses_non_integer_subjects(self, subjects):
         # a cast would take 1.5 and True for subject 1
@@ -290,7 +297,7 @@ class TestQuantizeSums:
         with pytest.raises(SumOutOfRange, match=f"^{re.escape(f'coordinate sum {top} reached sentinel 7')}$"):
             quantize_sums(sums, self.ETA)
 
-    @pytest.mark.parametrize("sums", [[1.7], [0, 2.5], [float("nan")], [-(2**64)]])
+    @pytest.mark.parametrize("sums", [[1.7], [0, 2.5], [float("nan")], [-(2**64)], ["1"], [b"1"]])
     def test_sums_that_are_not_int64_integers_refused(self, sums):
         # 1.7 was truncated to the bucket of 1
         with pytest.raises(BadRange, match="^sums must be integers"):
@@ -356,7 +363,7 @@ class TestApplyNoise:
 
     def test_non_integer_syndrome_refused(self):
         assert apply_noise([1.0, 2.0], 3, NOISELESS, 0).tolist() == [1, 2]
-        for y in ([0.9, 1.2], [1, float("nan")]):
+        for y in ([0.9, 1.2], [1, float("nan")], ["1"], [b"1", b"0"]):
             with pytest.raises(BadRange, match="syndrome values must be integers"):
                 apply_noise(y, 3, NOISELESS, 0)
 

@@ -78,6 +78,15 @@ def test_parse_config_errors(broken):
         ({"q_values": (3, 5, 3)}, "q: 3 is repeated"),
         ({"gammas": ((0.0, 0.0), (0.0, 0.0))}, "gammas: (0.0, 0.0) is repeated"),
         ({"methods": ("threshold", "threshold")}, "methods: 'threshold' is repeated"),
+        # non-integers ended in a bare TypeError when run, or printed seed 1.5
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"m": 10.5}, "m must be an integer, got 10.5"),
+        ({"n": 10.0}, "n must be an integer, got 10.0"),
+        ({"iterations": 2.5}, "iterations must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"eta_step": 2.0}, "eta must be an integer, got 2.0"),
+        ({"d": True}, "d must be an integer, got True"),
+        ({"q_values": (3, 5.0)}, "q must be an integer, got 5.0"),
     ],
 )
 def test_sweep_config_checks_itself(change, message):
