@@ -15,6 +15,7 @@ from math import comb, inf, log2
 import numpy as np
 
 from .errors import BadDistribution, BadEta, BadPartition, BadRange, BudgetExceeded, Overflow
+from .model import _check_integer
 
 __all__ = [
     "Quantizer",
@@ -280,6 +281,8 @@ def capacity_search(
     quantizer at every grid and refine point. Q must be at least 2: a
     one-region quantizer carries no information.
     """
+    for name, value in (("d", d), ("q", q), ("Q", Q)):
+        _check_integer(name, value)
     if d < 1 or q < 2 or Q < 2:
         raise BadRange(f"need d >= 1, q >= 2, Q >= 2, got {d}, {q}, {Q}")
     top = (q - 1) * d
@@ -340,6 +343,8 @@ def necessary_tests(n: int, d: int, pt, quant: Quantizer) -> float:
 def td_rate_denominator(d: int, eta_t: int) -> float:
     """Rate denominator of probabilistically built single-threshold codes;
     increasing in the threshold, so the smallest threshold wins."""
+    for name, value in (("d", d), ("eta_t", eta_t)):
+        _check_integer(name, value)
     if not 2 <= eta_t <= d:
         raise BadEta(f"need 2 <= eta_t <= d, got eta_t={eta_t}, d={d}")
     try:

@@ -35,7 +35,7 @@ from .errors import (
     NotPrime,
     Overflow,
 )
-from .model import MAX_CELLS, CodeParams, _check_thresholds, _equidistant_Q, check_matrix
+from .model import MAX_CELLS, CodeParams, _check_integer, _check_thresholds, _equidistant_Q, check_matrix
 from .rng import make_rng
 
 __all__ = [
@@ -70,7 +70,10 @@ __all__ = [
 
 def _step_levels(q: int, eta_step: int) -> int:
     """How many nonzero multiples of the threshold step lie in 0..q-1;
-    BadRange for a step below 1, AlphabetTooSmall when there are none."""
+    BadRange for a size that is not an integer or a step below 1,
+    AlphabetTooSmall when there are none."""
+    for name, value in (("q", q), ("eta step", eta_step)):
+        _check_integer(name, value)
     if eta_step < 1:
         raise BadRange(f"eta step must be >= 1, got {eta_step}")
     levels = (q - 1) // eta_step
@@ -92,10 +95,13 @@ def _rows_per_block(rows, n: int, blocks: int = 1) -> int:
 
 
 def _check_rows(m: int | None, m_multiplier: float, delta: float) -> None:
-    """Refuse an explicit row count below 1, a multiplier that is not a
-    positive finite number and a delta that is not a finite number >= 0."""
-    if m is not None and m < 1:
-        raise BadRange(f"m must be >= 1, got {m}")
+    """Refuse an explicit row count that is not an integer >= 1, a
+    multiplier that is not a positive finite number and a delta that is not
+    a finite number >= 0."""
+    if m is not None:
+        _check_integer("m", m)
+        if m < 1:
+            raise BadRange(f"m must be >= 1, got {m}")
     if not 0 < m_multiplier < inf:
         raise BadRange(f"m_multiplier must be positive and finite, got {m_multiplier}")
     if not 0 <= delta < inf:
@@ -215,6 +221,8 @@ def random_disjunct(
     The row count follows the union-bound formulas (natural log) unless m is
     given explicitly; m_multiplier adds finite-size headroom on top.
     """
+    for name, value in (("n", n), ("d", d), ("levels", levels), ("eta step", eta_step)):  # CodeParams checks q
+        _check_integer(name, value)
     if n <= d or d < 1:
         raise BadRange(f"need n > d >= 1, got n={n}, d={d}")
     _check_rows(m, m_multiplier, delta)
@@ -321,6 +329,7 @@ def concat_disjunct(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.nda
     thresholds or any block scale is built.
     """
     base = check_matrix(base, 2)
+    _check_integer("d", d)
     if d < 1:
         raise BadRange(f"need d >= 1, got {d}")
     levels = _step_levels(q, eta_step)  # its AlphabetTooSmall comes before any BadRange
@@ -503,6 +512,8 @@ def sidon_set_exhaustive(L: int, d: int) -> tuple[int, ...]:
 def bose_chowla_code(n: int, d: int, q: int, eta_step: int) -> tuple[np.ndarray, CodeParams]:
     """Code whose columns are scaled base-q' digit vectors of a distinct
     d-sum integer set; claimed SQ-separable for exactly d defectives."""
+    for name, value in (("n", n), ("d", d)):
+        _check_integer(name, value)
     if n < 2:
         raise BadRange(f"need n >= 2, got {n}")
     q_prime = _step_levels(q, eta_step) + 1
@@ -533,6 +544,8 @@ def binary_row_success_bound(d: int, eta, alpha: int) -> float:
     """Lower bound on the per-row success probability of the stacked binary
     construction; depends on the first alpha thresholds."""
     eta = tuple(eta)
+    for name, value in (("d", d), ("alpha", alpha)):
+        _check_integer(name, value)
     if not 1 <= alpha < len(eta):
         raise BadRange(f"alpha must index a threshold, got {alpha}")
     _check_thresholds(eta)
@@ -561,6 +574,7 @@ def random_binary_separable(
     """Stacked Bernoulli binary code, claimed SQ-separable for eta_alpha..d
     defectives. Block i of the stack has density 1 / (2^(i+2) * eta_alpha)."""
     eta = tuple(eta)
+    _check_integer("n", n)
     if d > n // 2:
         raise BadRange(f"construction assumes d <= n/2, got d={d}, n={n}")
     _check_rows(m, m_multiplier, delta)
@@ -673,6 +687,9 @@ def lindstrom(
     the right. The full code is built first, so BadKappa is raised before
     any block when it would exceed MAX_CELLS cells.
     """
+    _check_integer("kappa", kappa)
+    if n is not None:
+        _check_integer("n", n)
     if kappa < 1:
         raise BadKappa(f"need kappa >= 1, got {kappa}")
     q2 = _floor_log2_ratio(_step_levels(q, eta_step), 1)

@@ -25,6 +25,7 @@ from .model import (
     MAX_CELLS,
     CodeParams,
     NoiseModel,
+    _check_integer,
     _integers,
     check_matrix,
     likelihood,
@@ -671,6 +672,7 @@ def select_threshold(marginals: Marginals) -> tuple[int, ...]:
 
 def select_topd(marginals: Marginals, d: int) -> tuple[int, ...]:
     """The d subjects with the largest marginals; ties go to smaller indices."""
+    _check_integer("d", d)
     n = marginals.p1.shape[0]
     if not 0 <= d <= n:
         raise BadD(f"d must lie in 0..{n}, got {d}")

@@ -7,15 +7,17 @@ Matrix files are line oriented and diff-friendly:
     eta=<comma-separated Q+1 ints>
     <m lines of n space-separated ints>
 
-Reading refuses alphabet sizes q or Q below 2 with BadRange, and thresholds
-that do not start at 0 and strictly increase with ThresholdNotIncreasing,
-as validate_params does.
+Reading and writing run the same header checks: alphabet sizes q or Q
+below 2 are refused with BadRange, a threshold count other than Q + 1 with
+ParseError, and thresholds that do not start at 0 and strictly increase
+with ThresholdNotIncreasing, as validate_params does. So every file that
+write_matrix writes, read_matrix reads back as written.
 """
 
 import numpy as np
 
 from .errors import ParseError
-from .model import _check_alphabets, _check_thresholds, check_matrix
+from .model import _check_alphabets, _check_integer, _check_thresholds, check_matrix
 
 __all__ = ["MAGIC", "CSV_HEADER", "write_matrix", "read_matrix", "format_matrix", "parse_matrix"]
 
@@ -23,21 +25,35 @@ MAGIC = "SQGT-CODE v1"
 CSV_HEADER = "seed,n,m,d,q,eta,gamma_p,gamma_n,trials,iters,method,P_e,P_FN,P_FP"
 
 
+def _check_header(q: int, Q: int, eta: tuple) -> None:
+    """The checks of a file's parameter and threshold lines."""
+    for name, value in (("q", q), ("Q", Q)):
+        _check_integer(name, value)
+    _check_alphabets(q, Q)
+    if len(eta) != Q + 1:
+        raise ParseError(f"line 3: expected {Q + 1} thresholds, got {len(eta)}")
+    _check_thresholds(eta)
+
+
 def format_matrix(C, q: int, Q: int, eta) -> str:
+    eta = tuple(eta)
+    _check_header(q, Q, eta)
     C = check_matrix(C, q)
     m, n = C.shape
     lines = [
         MAGIC,
         f"q={q} Q={Q} m={m} n={n}",
-        "eta=" + ",".join(str(int(t)) for t in eta),
+        "eta=" + ",".join(map(str, eta)),
     ]
     lines.extend(" ".join(str(int(v)) for v in row) for row in C)
     return "\n".join(lines) + "\n"
 
 
 def write_matrix(path, C, q: int, Q: int, eta) -> None:
+    """Write the matrix file; a refused matrix or header leaves path as it was."""
+    text = format_matrix(C, q, Q, eta)
     with open(path, "w") as fh:
-        fh.write(format_matrix(C, q, Q, eta))
+        fh.write(text)
 
 
 def parse_matrix(text: str) -> tuple[np.ndarray, int, int, tuple[int, ...]]:
@@ -61,16 +77,13 @@ def parse_matrix(text: str) -> tuple[np.ndarray, int, int, tuple[int, ...]]:
     q, Q, m, n = fields["q"], fields["Q"], fields["m"], fields["n"]
     if m < 1 or n < 1:
         raise ParseError(f"line 2: need m, n >= 1, got m={m}, n={n}")
-    _check_alphabets(q, Q)
     if len(lines) < 3 or not lines[2].startswith("eta="):
         raise ParseError("line 3: expected eta=<comma-separated ints>")
     try:
         eta = tuple(int(x) for x in lines[2][4:].split(","))
     except ValueError:
         raise ParseError("line 3: bad integer in threshold list") from None
-    if len(eta) != Q + 1:
-        raise ParseError(f"line 3: expected {Q + 1} thresholds, got {len(eta)}")
-    _check_thresholds(eta)
+    _check_header(q, Q, eta)
     rows = []
     for i in range(m):
         lineno = 4 + i

@@ -90,7 +90,9 @@ class CodeParams:
 
 def _equidistant_Q(q: int, eta_step: int, u: int) -> int:
     """Q of the equidistant bracket at (q, eta_step, u); BadRange for a
-    step below 1 or a Q above MAX_Q."""
+    size that is not an integer, a step below 1 or a Q above MAX_Q."""
+    for name, value in (("q", q), ("eta step", eta_step), ("u", u)):
+        _check_integer(name, value)
     if eta_step < 1:
         raise BadRange(f"eta step must be >= 1, got {eta_step}")
     Q = max(2, (q - 1) * u // eta_step + 1)

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,20 @@ def base_9x12():
 @pytest.fixture
 def base_7x8():
     return BASE_7x8.copy()
+
+
+@pytest.fixture
+def at_once():
+    """Fail the test once it has run 10 s of wall clock, the bound a refusal
+    must keep: SIGALRM stops a request that hangs at its next Python step.
+    pytest's Failed is no Exception, so no handler in the program takes it."""
+    def expire(signum, frame):
+        pytest.fail("ran past the 10 s bound of a request refused at once")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

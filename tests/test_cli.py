@@ -65,6 +65,13 @@ class TestConstructVerifyRoundTrip:
         assert run("verify", "--code", out, "--property", "bin-sep-qgt", "--d", 2, "--l", 2) == 0
         assert capsys.readouterr().out == "PASS\n"
 
+    def test_disjunct_check_passes_and_names_the_canonical_witness(self, capsys):
+        assert run("verify", "--code", BASE, "--property", "bin-disjunct", "--d", 2) == 0
+        assert capsys.readouterr().out == "PASS\n"
+        assert run("verify", "--code", BASE, "--property", "bin-disjunct", "--d", 3) == 1
+        assert capsys.readouterr().out == ("WITNESS sq-disjunct: {1,2,3,5} vs {5}: column 5 beats "
+                                           "the other 3 on 0 coordinates, needs 1\n")
+
     @pytest.mark.parametrize("prop", ["bin-disjunct", "sq-disjunct"])
     def test_disjunct_checks_refuse_a_lower_end(self, capsys, prop):
         assert run("verify", "--code", BASE, "--property", prop, "--d", 2, "--l", 2) == 2
@@ -168,15 +175,47 @@ class TestOtherConstructions:
         assert capsys.readouterr().err.startswith("BadThreshold:")
 
     def test_bose_chowla_and_ml(self, tmp_path, capsys):
-        out = tmp_path / "bc.sqgt"
-        assert run("construct", "--method", "bose-chowla", "--n", 5, "--d", 2,
-                   "--q", 3, "--eta", 1, "--out", out) == 0
+        for n, defectives in ((5, "2,4"), (13, "3,11")):
+            out = tmp_path / f"bc{n}.sqgt"
+            assert run("construct", "--method", "bose-chowla", "--n", n, "--d", 2,
+                       "--q", 3, "--eta", 1, "--out", out) == 0
+            capsys.readouterr()
+            assert run("verify", "--code", out, "--property", "sq-separable", "--d", 2, "--l", 2) == 0
+            assert capsys.readouterr().out == "PASS\n"
+            run("encode", "--code", out, "--defectives", defectives)
+            z = capsys.readouterr().out.strip().replace(" ", ",")
+            assert run("decode", "--code", out, "--syndrome", z, "--algorithm", "ml",
+                       "--l", 2, "--d", 2) == 0
+            assert capsys.readouterr().out.strip() == defectives
+
+    def test_tall_random_binary_code_separates(self, tmp_path, capsys):
+        # 34 076 x 12, of about 450 distinct rows, which the verifiers read
+        out = tmp_path / "tall.sqgt"
+        assert run("construct", "--method", "random-binary", "--n", 12, "--d", 3,
+                   "--thresholds", "0,2,4,5", "--alpha", 1, "--m-multiplier", 4,
+                   "--seed", 7, "--out", out) == 0
+        assert capsys.readouterr().out.startswith("wrote 34076x12 code")
+        for e in (0, 1):
+            assert run("verify", "--code", out, "--property", "sq-separable", "--d", 3,
+                       "--l", 2, "--e", e) == 0
+            assert capsys.readouterr().out == "PASS\n"
+
+    @pytest.mark.usefixtures("at_once")
+    def test_recursive_code_at_kappa_8(self, tmp_path, capsys):
+        # 255 x 1 279: the recursive decoder inverts any set, while BP's
+        # dynamic programme is refused before it is built
+        out = tmp_path / "k8.sqgt"
+        assert run("construct", "--method", "lindstrom", "--kappa", 8, "--q", 3,
+                   "--eta", 1, "--out", out) == 0
         capsys.readouterr()
-        run("encode", "--code", out, "--defectives", "2,4")
+        defectives = "1,2,3,100,640,1279"
+        run("encode", "--code", out, "--defectives", defectives)
         z = capsys.readouterr().out.strip().replace(" ", ",")
-        assert run("decode", "--code", out, "--syndrome", z, "--algorithm", "ml",
-                   "--l", 2, "--d", 2) == 0
-        assert capsys.readouterr().out.strip() == "2,4"
+        assert run("decode", "--code", out, "--syndrome", z, "--algorithm", "lindstrom") == 0
+        assert capsys.readouterr().out == defectives + "\n"
+        assert run("decode", "--code", out, "--syndrome", z, "--algorithm", "bp", "--d", 6) == 2
+        assert capsys.readouterr() == (
+            "", f"BadRange: BP needs 46507116 dynamic-programme rows per trial, more than {MAX_CELLS}\n")
 
     def test_random_constructions_deterministic(self, tmp_path):
         a, b = tmp_path / "a.sqgt", tmp_path / "b.sqgt"
@@ -221,6 +260,7 @@ class TestOtherConstructions:
         assert err.startswith("BadRange:") and "'x'" in err
 
 
+@pytest.mark.usefixtures("at_once")
 class TestBadValues:
     RANDOM = ("--method", "random-disjunct", "--n", 12, "--d", 2, "--q", 5, "--eta", 2)
     BINARY = ("--method", "random-binary", "--n", 12, "--d", 3, "--thresholds", "0,2,4,5")
@@ -376,6 +416,7 @@ def test_construct_overflow_is_typed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.usefixtures("at_once")
 class TestRefusedInputs:
     GOLDEN = str(DATA / "golden_9x24.sqgt")
     SYNDROME = "3,0,1,4,0,0,0,3,1"  # of {2,20}
@@ -399,11 +440,14 @@ class TestRefusedInputs:
           "--m-multiplier", 1e308), "BadRange"),
         (("--method", "random-disjunct", "--n", 20, "--q", 4000001, "--m", 5), "BadRange"),
         (("--method", "concat-disjunct", "--base", BASE, "--d", 1, "--q", 10**6), "BadRange"),
+        (("--method", "bose-chowla", "--n", 13, "--d", 10**7, "--q", 3), "Overflow"),
     ])
     def test_caps(self, tmp_path, capsys, argv, error):
         out = tmp_path / "r.sqgt"
         assert run("construct", *argv, "--out", out) == 2
-        assert capsys.readouterr().err.startswith(f"{error}:")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{error}:")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -587,6 +631,7 @@ def test_capacity_cli(capsys):
     assert "alpha" in out and "quantizer" in out
 
 
+@pytest.mark.usefixtures("at_once")
 def test_capacity_cli_refuses_a_large_alphabet_at_once(capsys):
     assert run("capacity", "--d", 1, "--q", 10**9, "--Q", 2, "--grid-step", 0.5) == 2
     captured = capsys.readouterr()

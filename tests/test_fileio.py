@@ -78,3 +78,26 @@ def test_entry_out_of_alphabet():
 def test_alphabets_below_two(params):
     with pytest.raises(BadRange, match="alphabet sizes must be >= 2"):
         parse_matrix(f"SQGT-CODE v1\n{params}\n0 0\n")
+
+
+@pytest.mark.parametrize("Q, eta, error", [
+    (3, (0, 1), ParseError),
+    (2, (0, 3, 1), ThresholdNotIncreasing),
+    (2, (1, 2, 3), ThresholdNotIncreasing),
+    (1, (0, 5), BadRange),
+    (2, (0, 1, 2**63), BadRange),
+])
+def test_writing_refuses_each_header_that_reading_refuses(tmp_path, Q, eta, error):
+    with pytest.raises(error):
+        parse_matrix(f"SQGT-CODE v1\nq=3 Q={Q} m=1 n=2\neta={','.join(map(str, eta))}\n1 2\n")
+    path = tmp_path / "code.sqgt"
+    with pytest.raises(error):
+        write_matrix(path, [[1, 2]], 3, Q, eta)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("q, Q, eta", [(3, 2, (0, 1, 2.5)), (3, 2, (0, 1.0, 3)), (3.0, 2, (0, 1, 3))])
+def test_writing_refuses_a_size_or_threshold_that_is_no_integer(q, Q, eta):
+    # int() would write 2.5 as 2, a file that reads back as another bracket
+    with pytest.raises(BadRange, match="must be an integer, got"):
+        format_matrix([[1, 2]], q, Q, eta)

@@ -10,16 +10,23 @@ that it stays fast.
 import pathlib
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqgt.capacity import capacity_search, td_rate_denominator
 from sqgt.cli import CONSTRUCT_METHODS, DECODE_ALGORITHMS, VERIFY_PROPERTIES, main
-from sqgt.construct import lindstrom
-from sqgt.errors import SqgtError
+from sqgt.construct import (bose_chowla_code, concat_disjunct, lindstrom, random_binary_separable,
+                            random_disjunct, scale_disjunct)
+from sqgt.decode import Marginals, select_topd
+from sqgt.errors import BadRange, SqgtError
 from sqgt.fileio import format_matrix, parse_matrix, write_matrix
 from sqgt.model import CodeParams, syndrome
 from sqgt.simulate import parse_config
+from sqgt.verify import is_binary_separable_qgt
+
+from conftest import BASE_9x12
 
 DATA = pathlib.Path(__file__).parent / "data"
 CODES = [str(DATA / name) for name in
@@ -104,6 +111,39 @@ def test_code_params(q, Q, eta, l, u, e):
     except SqgtError:
         return
     assert p.q >= 2 and p.Q >= 2 and len(p.eta) == p.Q + 1 and 0 <= p.e and 1 <= p.l <= p.u
+
+
+# a float where a size belongs: range(), bit_length() and indexing would
+# refuse it with a bare TypeError or AttributeError, so each entry point
+# checks its sizes first
+FLOAT_SIZES = {
+    "equidistant-q": lambda: CodeParams.equidistant(7.0, 2, 1, 2),
+    "equidistant-step": lambda: CodeParams.equidistant(7, 2.0, 1, 2),
+    "equidistant-u": lambda: CodeParams.equidistant(7, 2, 1, 2.0),
+    "concat-d": lambda: concat_disjunct(BASE_9x12, 2.0, 0, 7, 2),
+    "concat-step": lambda: concat_disjunct(BASE_9x12, 2, 0, 7, 2.0),
+    "bin-sep-qgt-d": lambda: is_binary_separable_qgt(BASE_9x12, 2.0),
+    "random-disjunct-levels": lambda: random_disjunct(10, 2, 2.0, 1),
+    "random-disjunct-n": lambda: random_disjunct(10.0, 2, 2, 1),
+    "random-disjunct-m": lambda: random_disjunct(10, 2, 2, 1, m=5.0),
+    "bose-chowla-n": lambda: bose_chowla_code(5.0, 2, 3, 1),
+    "bose-chowla-d": lambda: bose_chowla_code(5, 2.0, 3, 1),
+    "capacity-d": lambda: capacity_search(2.0, 3, 3),
+    "capacity-Q": lambda: capacity_search(2, 3, 3.0),
+    "select-topd-d": lambda: select_topd(Marginals(p1=np.array([0.2, 0.9]), iterations=1), 1.0),
+    "lindstrom-step": lambda: lindstrom(3, 9, 2.0),
+    "lindstrom-kappa": lambda: lindstrom(3.0, 9, 2),
+    "random-binary-d": lambda: random_binary_separable(12, 3.0, (0, 2, 4, 5), 1),
+    "random-binary-alpha": lambda: random_binary_separable(12, 3, (0, 2, 4, 5), 1.0),
+    "td-rate-d": lambda: td_rate_denominator(3.0, 2),
+    "scale-disjunct-q": lambda: scale_disjunct(BASE_9x12, 2, 0, 3.0, (0, 2, 3, 5, 7)),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_SIZES.values(), ids=FLOAT_SIZES.keys())
+def test_a_float_size_is_refused_by_name(call):
+    with pytest.raises(BadRange, match=r"^[\w ]+ must be an integer, got \d+\.0$"):
+        call()
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -143,6 +144,7 @@ def test_sweep_results_are_capped():
         parse_config(over)
 
 
+@pytest.mark.usefixtures("at_once")
 def test_simulate_cli_refuses_an_oversized_sweep(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(TINY.replace("trials=20", "trials=1000000000000"))
@@ -200,6 +202,18 @@ def test_csv_matches_golden_bytes(threads):
     # bits that flips a selection shows here
     golden = (pathlib.Path(__file__).parent / "data" / "sweep_golden.csv").read_text()
     assert rows_to_csv(run_simulation(parse_config(GOLDEN), threads=threads)) == golden
+
+
+def test_sweep_script_writes_the_same_bytes_at_one_and_two_workers(tmp_path, monkeypatch, capsys):
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "run_error_sweep.py"
+    script_main = runpy.run_path(str(script))["main"]
+    for threads in (1, 2):
+        monkeypatch.setattr("sys.argv", ["run_error_sweep.py", "--trials", "2", "--threads", str(threads),
+                                         "--outdir", str(tmp_path / str(threads))])
+        assert script_main() == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {tmp_path / str(threads) / 'sweep_seed101.csv'}" for threads in (1, 2)]
+    assert (tmp_path / "1" / "sweep_seed101.csv").read_bytes() == (tmp_path / "2" / "sweep_seed101.csv").read_bytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked only where fork exists")
