@@ -15,7 +15,7 @@ from math import comb, inf, log2
 import numpy as np
 
 from .errors import BadDistribution, BadEta, BadPartition, BadRange, BudgetExceeded, Overflow
-from .model import _check_integer
+from .model import _check_integer, _check_real
 
 __all__ = [
     "Quantizer",
@@ -86,6 +86,7 @@ def _convolve_power(pt: np.ndarray, k: int) -> np.ndarray:
 
 def sum_pmf(pt, d: int) -> np.ndarray:
     """Distribution of the sum of d i.i.d. sample amounts (d-fold convolution)."""
+    _check_integer("d", d)
     if d < 1:
         raise BadRange(f"need d >= 1, got {d}")
     return _convolve_power(check_distribution(pt), d)
@@ -125,6 +126,8 @@ def mutual_information(pt, d: int, i: int, quant: Quantizer) -> float:
     i = d this is the entropy of the output distribution.
     """
     pt = check_distribution(pt)
+    for name, value in (("d", d), ("i", i)):
+        _check_integer(name, value)
     if not 1 <= i <= d:
         raise BadPartition(f"split size must lie in 1..{d}, got {i}")
     if quant.top != (len(pt) - 1) * d:
@@ -288,6 +291,7 @@ def capacity_search(
     top = (q - 1) * d
     if Q > top + 1:
         raise BadPartition(f"cannot split 0..{top} into {Q} nonempty regions")
+    _check_real("grid_step", grid_step)
     resolution = round(1.0 / grid_step) if grid_step > 0 and 1.0 / grid_step < inf else 0
     if resolution < 1:
         raise BadRange(f"grid_step must be positive with round(1/grid_step) >= 1, got {grid_step}")
@@ -318,6 +322,8 @@ def capacity_search(
 
 
 def _bound(n: int, d: int, pt, quant: Quantizer, numerator) -> float:
+    for name, value in (("n", n), ("d", d)):
+        _check_integer(name, value)
     if n < d or d < 1:
         raise BadRange(f"need n >= d >= 1, got n={n}, d={d}")
     worst = 0.0

@@ -83,8 +83,7 @@ def _cmd_construct(args) -> int:
             seed=args.seed, m=args.m, m_multiplier=args.m_multiplier,
         )
     else:  # lindstrom
-        C, spec = con.lindstrom(args.kappa, args.q, args.eta, n=args.n)
-        params = spec.params
+        C, params = con.lindstrom(args.kappa, args.q, args.eta, n=args.n)
     write_matrix(args.out, C, params.q, params.Q, params.eta)
     print(f"wrote {C.shape[0]}x{C.shape[1]} code {params} to {args.out}")
     return 0
@@ -136,13 +135,9 @@ def _cmd_decode(args) -> int:
     if args.algorithm == "disjunct":
         found = dec.decode_disjunct(C, params, z)
     elif args.algorithm == "concat":
-        from .construct import concat_spec
-
-        found = dec.decode_concat(concat_spec(C, params), z)
+        found = dec.decode_concat(C, params, z)
     elif args.algorithm == "lindstrom":
-        from .construct import lindstrom_spec
-
-        found = dec.decode_lindstrom(lindstrom_spec(C, params), z)
+        found = dec.decode_lindstrom(C, params, z)
     elif args.algorithm == "ml":
         found = dec.decode_ml(C, params, z, noise)
     else:  # bp

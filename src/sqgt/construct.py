@@ -1,18 +1,17 @@
 """Code constructions for the quantized-adder testing model.
 
 Each constructor returns a test matrix together with the bracket parameters
-it claims (so the verify module can certify the claim), plus any metadata
-the matching decoder needs. Scaling constructions accept arbitrary
+it claims (so the verify module can certify the claim); concat_disjunct
+returns them inside its ConcatSpec. Scaling constructions accept arbitrary
 thresholds; the concatenation, number-theoretic, and recursive constructions
 assume the equidistant model and take a scalar threshold step.
 
-The decoder metadata of the concatenated and recursive codes (ConcatSpec,
-LindstromSpec) has one builder each, concat_spec and lindstrom_spec. They
-read the structure off the scaled matrix under the code's own bracket,
-which they keep as given. The constructors and the command line both go
-through them, so a code read back from a file decodes exactly like the
-code just built. concat_separable is an alias of concat_disjunct: the
-concatenation does not depend on the base's property.
+The decoders of the concatenated and recursive codes take the code and its
+bracket, like every other decoder, and read the block structure off the
+scaled matrix under that bracket, so a code read back from a file decodes
+exactly like the code just built. concat_spec is the one reader of the
+concatenation's block scales. concat_separable is an alias of
+concat_disjunct: the concatenation does not depend on the base's property.
 
 Probabilistic constructors take an explicit seed and an optional row-count
 override or multiplier; their row-count formulas use natural logarithms and
@@ -20,7 +19,6 @@ only guarantee the claimed property asymptotically.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import ceil, comb, factorial, inf, isfinite, log
 
 import numpy as np
@@ -35,14 +33,12 @@ from .errors import (
     NotPrime,
     Overflow,
 )
-from .model import MAX_CELLS, CodeParams, _check_integer, _check_thresholds, _equidistant_Q, check_matrix
+from .model import MAX_CELLS, CodeParams, _check_integer, _check_real, _check_thresholds, _equidistant_Q, check_matrix
 from .rng import make_rng
 
 __all__ = [
     "ConcatSpec",
-    "LindstromSpec",
     "concat_spec",
-    "lindstrom_spec",
     "scale_disjunct",
     "scale_separable",
     "row_success_prob",
@@ -102,6 +98,8 @@ def _check_rows(m: int | None, m_multiplier: float, delta: float) -> None:
         _check_integer("m", m)
         if m < 1:
             raise BadRange(f"m must be >= 1, got {m}")
+    _check_real("m_multiplier", m_multiplier)
+    _check_real("delta", delta)
     if not 0 < m_multiplier < inf:
         raise BadRange(f"m_multiplier must be positive and finite, got {m_multiplier}")
     if not 0 <= delta < inf:
@@ -145,6 +143,9 @@ def row_success_prob(d: int, levels: int, p0: float) -> float:
     with probability (1-p0)/levels; success means the pivot entry strictly
     exceeds the sum of d other entries in the row.
     """
+    for name, value in (("d", d), ("levels", levels)):
+        _check_integer(name, value)
+    _check_real("p0", p0)
     if d < 1 or levels < 1:
         raise BadRange(f"need d >= 1 and levels >= 1, got d={d}, levels={levels}")
     if not 0.0 < p0 < 1.0:
@@ -167,6 +168,7 @@ def row_success_prob(d: int, levels: int, p0: float) -> float:
 
 def optimize_p0(d: int, levels: int, step: float = 1e-3) -> tuple[float, float]:
     """Grid-maximize row_success_prob over p0; returns (p0, probability)."""
+    _check_real("step", step)
     if not 0.0 < step < 1.0:
         raise BadRange(f"step must lie in (0, 1), got {step}")
     grid = np.arange(step, 1.0, step)
@@ -183,6 +185,8 @@ def optimize_p0(d: int, levels: int, step: float = 1e-3) -> tuple[float, float]:
 
 def ratio_vs_single_level(d: int, levels: int) -> float:
     """Asymptotic test-count ratio (single level over `levels` levels) at p0 = d/(d+1)."""
+    for name, value in (("d", d), ("levels", levels)):
+        _check_integer(name, value)
     if d < 1 or levels < 1:
         raise BadRange(f"need d >= 1 and levels >= 1, got d={d}, levels={levels}")
     return 1.0 + sum(
@@ -193,6 +197,7 @@ def ratio_vs_single_level(d: int, levels: int) -> float:
 
 def ratio_vs_single_level_limit(levels: int) -> float:
     """Large-d limit of ratio_vs_single_level, in exact integer quotients."""
+    _check_integer("levels", levels)
     if levels < 1:
         raise BadRange(f"need levels >= 1, got {levels}")
     total = 1.0
@@ -236,6 +241,7 @@ def random_disjunct(
         )
     if p0 is None:
         p0 = d / (d + 1)
+    _check_real("p0", p0)
     if not 0 < p0 < 1:
         raise BadDistribution(f"p0 must lie in (0, 1), got {p0}")
     if m is None:
@@ -255,6 +261,7 @@ def random_disjunct(
 
 def reduce_alphabet(C, eta_step: int) -> np.ndarray:
     """Round entries down to multiples of the step; preserves disjunctness."""
+    _check_integer("eta step", eta_step)
     if eta_step < 1:
         raise BadRange(f"eta step must be >= 1, got {eta_step}")
     C = check_matrix(C)
@@ -269,17 +276,8 @@ def reduce_alphabet(C, eta_step: int) -> np.ndarray:
 class ConcatSpec:
     """Metadata for a code built as [s_1*B, ..., s_K*B]; d and e are params.u, params.e."""
 
-    base: np.ndarray
     scales: tuple[int, ...]
     params: CodeParams
-
-    @property
-    def blocks(self) -> int:
-        return len(self.scales)
-
-    def block_matrix(self, j: int) -> np.ndarray:
-        """Matrix of block j (1-based)."""
-        return self.scales[j - 1] * self.base
 
 
 def _concat_multipliers(d: int, levels: int):
@@ -305,9 +303,9 @@ def _concat_scales(d: int, q: int, eta_step: int) -> tuple[int, ...]:
 def concat_spec(C, params: CodeParams) -> ConcatSpec:
     """Block structure of a scaled-block concatenation, read off its matrix.
 
-    The scales follow from the bracket's q, d = u and threshold step; the
-    base is the first block divided by its scale. InconsistentSpec is raised
-    unless C is exactly [s_1*B, ..., s_K*B] for a binary B.
+    The scales follow from the bracket's q, d = u and threshold step.
+    InconsistentSpec is raised unless C is exactly [s_1*B, ..., s_K*B] for
+    a binary B, the first block divided by its scale.
     """
     C = check_matrix(C, params.q)
     scales = _concat_scales(params.u, params.q, params.step)
@@ -316,7 +314,7 @@ def concat_spec(C, params: CodeParams) -> ConcatSpec:
     base = C[:, : C.shape[1] // len(scales)] // scales[0]
     if base.max() > 1 or not np.array_equal(np.hstack([s * base for s in scales]), C):
         raise InconsistentSpec("code is not a scaled-block concatenation for these parameters")
-    return ConcatSpec(base=base, scales=scales, params=params)
+    return ConcatSpec(scales=scales, params=params)
 
 
 def concat_disjunct(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.ndarray, ConcatSpec]:
@@ -375,6 +373,7 @@ def _prime_factors(x: int) -> list[int]:
 
 
 def smallest_prime_at_least(n: int) -> int:
+    _check_integer("n", n)
     p = max(2, n)
     while _prime_factors(p) != [p]:
         p += 1
@@ -436,6 +435,8 @@ def bose_chowla(L: int, d: int) -> tuple[int, ...]:
     be prime. The field is GF(L)[x] modulo _find_irreducible(L, d), and t is
     its first primitive element in the same digit order, starting at x.
     """
+    for name, value in (("L", L), ("d", d)):
+        _check_integer(name, value)
     if d < 2:
         raise BadRange(f"need d >= 2, got {d}")
     if _prime_factors(L) != [L]:
@@ -479,6 +480,8 @@ def sidon_set_exhaustive(L: int, d: int) -> tuple[int, ...]:
     modulo L^d - 1."""
     from itertools import combinations_with_replacement
 
+    for name, value in (("L", L), ("d", d)):
+        _check_integer(name, value)
     if L > 16:
         raise BadRange(f"exhaustive search is desk-scale only (L <= 16), got {L}")
     mod = L**d - 1
@@ -605,6 +608,7 @@ def ordered_subsets(kappa: int) -> np.ndarray:
     """Nonempty subsets of {1..kappa} as int64 bit masks (element x is bit
     x-1), ordered by size, then by value: among sets of one size that is
     colexicographic order."""
+    _check_integer("kappa", kappa)
     return np.array(sorted(range(1, 2**kappa), key=lambda S: (S.bit_count(), S)), dtype=np.int64)
 
 
@@ -615,66 +619,13 @@ def _parity(masks: np.ndarray) -> np.ndarray:
     return masks & 1
 
 
-@dataclass(frozen=True, eq=False)
-class LindstromSpec:
-    """Metadata for the recursive block construction.
-
-    q2 is the number of bit columns beyond the first in every block,
-    subsets the block and row labels as bit masks (ordered_subsets), widths
-    the retained column count per block after truncation, and matrix the
-    unscaled integer code.
-    """
-
-    q2: int
-    subsets: np.ndarray
-    widths: tuple[int, ...]
-    matrix: np.ndarray
-    params: CodeParams
-
-    @property
-    def n(self) -> int:
-        return int(sum(self.widths))
-
-    def block_slice(self, i: int) -> slice:
-        """Column range of block i (1-based) in the assembled matrix."""
-        start = int(sum(self.widths[: i - 1]))
-        return slice(start, start + self.widths[i - 1])
-
-
-def lindstrom_spec(C, params: CodeParams) -> LindstromSpec:
-    """Block structure of a (possibly truncated) recursive code, read off
-    its scaled matrix.
-
-    kappa follows from m = 2^kappa - 1, the bit-column count from the
-    bracket's q and threshold step, and the block widths from n.
-    InconsistentSpec is raised when C cannot be such a code; the decoder
-    checks each block's columns.
-    """
-    C = check_matrix(C, params.q)
-    step = params.step
-    m, n = C.shape
-    kappa = m.bit_length()
-    if m != 2**kappa - 1:
-        raise InconsistentSpec(f"m={m} is not 2^kappa - 1 for any kappa")
-    if np.any(C % step):
-        raise InconsistentSpec("entries are not multiples of the threshold step")
-    q2 = _floor_log2_ratio(_step_levels(params.q, step), 1)
-    subsets = ordered_subsets(kappa)
-    full_widths = [q2 + S.bit_count() for S in subsets.tolist()]
-    if n > sum(full_widths):
-        raise InconsistentSpec(f"n={n} exceeds the construction size {sum(full_widths)}")
-    starts = accumulate(full_widths, initial=0)
-    widths = tuple(min(w, max(0, n - s)) for w, s in zip(full_widths, starts))
-    return LindstromSpec(q2=q2, subsets=subsets, widths=widths, matrix=C // step, params=params)
-
-
 def lindstrom(
     kappa: int,
     q: int,
     eta_step: int,
     n: int | None = None,
     chains: dict[int, list] | None = None,
-) -> tuple[np.ndarray, LindstromSpec]:
+) -> tuple[np.ndarray, CodeParams]:
     """Recursive block code identifying any number of defectives up to n.
 
     One block and one row per nonempty subset of {1..kappa}, labeled by bit
@@ -731,4 +682,4 @@ def lindstrom(
     if not 1 <= n <= total:
         raise BadRange(f"n must lie in 1..{total}, got {n}")
     C = eta_step * full[:, :n]
-    return C, lindstrom_spec(C, CodeParams.equidistant(q, eta_step, 1, n, 0))
+    return C, CodeParams.equidistant(q, eta_step, 1, n, 0)

@@ -9,7 +9,6 @@ two selection rules to obtain a defective set.
 from dataclasses import dataclass
 from math import inf
 from numbers import Integral
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .model import (
     CodeParams,
     NoiseModel,
     _check_integer,
+    _check_real,
     _integers,
     check_matrix,
     likelihood,
@@ -33,9 +33,6 @@ from .model import (
     syndrome,
 )
 from .verify import _check_set_budget, _subset_chunks, _syndrome_table, _within
-
-if TYPE_CHECKING:  # a spec comes from construct, which a caller has loaded already
-    from .construct import ConcatSpec, LindstromSpec
 
 __all__ = [
     "decode_disjunct",
@@ -80,65 +77,81 @@ def decode_disjunct(C, params: CodeParams, z) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in np.nonzero(exceed <= params.e)[0])
 
 
-def decode_concat(spec: "ConcatSpec", z) -> tuple[int, ...]:
+def decode_concat(C, params: CodeParams, z) -> tuple[int, ...]:
     """Two-step decoder for concatenated scaled-block codes.
 
-    Step 1 peels the syndrome into per-block syndromes by repeated
-    divide-and-floor against the block scale ratios; step 2 runs the
-    disjunct counting decoder inside every block. Corrects up to e errors
-    per block. Each block's answer is encoded again; NoConsistentSet is
-    raised when it holds more than d subjects or its syndrome misses the
-    block syndrome in more than e coordinates, which happens when the
-    base is only separable, not disjunct.
+    The block scales, and InconsistentSpec unless C is such a code, come
+    from construct.concat_spec under the code's own bracket. Step 1 peels
+    the syndrome into per-block syndromes by repeated divide-and-floor
+    against the block scale ratios; step 2 runs the disjunct counting
+    decoder inside every block. Corrects up to e errors per block. Each
+    block's answer is encoded again; NoConsistentSet is raised when it
+    holds more than d subjects or its syndrome misses the block syndrome in
+    more than e coordinates, which happens when the base is only separable,
+    not disjunct.
     """
-    m, nb = spec.base.shape
-    z = _check_results(z, m, spec.params.Q)
+    from .construct import concat_spec
+
+    C = check_matrix(C, params.q)
+    scales = concat_spec(C, params).scales
+    m, n = C.shape
+    nb = n // len(scales)
+    z = _check_results(z, m, params.Q)
     found: list[int] = []
     y = z.copy()
-    for j in range(spec.blocks, 0, -1):
-        f = spec.scales[j - 1] // spec.scales[0]  # 1 + d + ... + d^(j-1)
+    for j in range(len(scales), 0, -1):
+        f = scales[j - 1] // scales[0]  # 1 + d + ... + d^(j-1)
         yj = f * (y // f)
         y = y - yj
-        block = spec.block_matrix(j)
-        local = decode_disjunct(block, spec.params, yj)
-        if len(local) > spec.params.u:
+        block = C[:, (j - 1) * nb : j * nb]
+        local = decode_disjunct(block, params, yj)
+        if len(local) > params.u:
             raise NoConsistentSet(
-                f"block {j} decodes to {len(local)} subjects, more than d={spec.params.u}"
+                f"block {j} decodes to {len(local)} subjects, more than d={params.u}"
             )
-        encoded = syndrome(block, local, spec.params.eta)
+        encoded = syndrome(block, local, params.eta)
         misses = int((encoded != yj).sum())
-        if misses > spec.params.e:
+        if misses > params.e:
             raise NoConsistentSet(
                 f"block {j} decodes to a set whose syndrome misses the block "
-                f"syndrome in {misses} coordinates, more than e={spec.params.e}"
+                f"syndrome in {misses} coordinates, more than e={params.e}"
             )
         found.extend((j - 1) * nb + i for i in local)
     return tuple(sorted(found))
 
 
-def block_equation(spec: "LindstromSpec", block: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Elimination equation of one block of a recursive code.
+def block_equation(labels: np.ndarray, q2: int, block: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Elimination equation of one block of a recursive code, whose block
+    and row labels are labels = ordered_subsets(kappa) and whose blocks
+    have q2 bit columns beyond the first.
 
     Returns (odd_rows, even_rows, coefficients): 1-based row indices whose
     results are added and subtracted, and the power-of-two coefficients the
-    combination leaves on the block's own columns.
+    combination leaves on the block's columns, one per column of the full
+    block; a truncated block keeps the leading ones.
     """
-    if not 1 <= block <= len(spec.subsets):
-        raise BadRange(f"block must lie in 1..{len(spec.subsets)}, got {block}")
-    from .construct import _parity  # loaded already: construct built the spec
+    for name, value in (("q2", q2), ("block", block)):
+        _check_integer(name, value)
+    if not 1 <= block <= len(labels):
+        raise BadRange(f"block must lie in 1..{len(labels)}, got {block}")
+    from .construct import _parity
 
-    labels = spec.subsets
     S = int(labels[block - 1])
     rows = np.nonzero((labels & S) == labels)[0]  # labeled by subsets of S
     odd = _parity(labels[rows]) == 1
-    width = spec.widths[block - 1]
-    full = spec.q2 + S.bit_count()
-    coeffs = tuple(2 ** (full - k) for k in range(1, width + 1))
+    full = q2 + S.bit_count()
+    coeffs = tuple(2 ** (full - k) for k in range(1, full + 1))
     return tuple((rows[odd] + 1).tolist()), tuple((rows[~odd] + 1).tolist()), coeffs
 
 
-def decode_lindstrom(spec: "LindstromSpec", z) -> tuple[int, ...]:
+def decode_lindstrom(C, params: CodeParams, z) -> tuple[int, ...]:
     """Recursive elimination decoder; exact for any defective count 0..n.
+
+    The block structure is read off C under the code's own bracket: kappa
+    from m = 2^kappa - 1, the bit-column count q2 from q and the threshold
+    step, and the block column ranges from n, since truncation drops
+    columns from the right. InconsistentSpec is raised when C cannot be
+    such a code, or when a block's columns break the construction rules.
 
     Processes blocks from the last to the first on the residual results
     r = z - C w of the subjects decoded so far. For each block it combines
@@ -147,19 +160,36 @@ def decode_lindstrom(spec: "LindstromSpec", z) -> tuple[int, ...]:
     The results are summed as Python integers, so the remainder is exact
     for any integer results; C w, at most a row sum of C, stays in int64.
     """
-    C = spec.matrix
-    mrows, n = C.shape
+    from .construct import _floor_log2_ratio, _step_levels, ordered_subsets
+
+    C = check_matrix(C, params.q)
+    step = params.step
+    m, n = C.shape
+    kappa = m.bit_length()
+    if m != 2**kappa - 1:
+        raise InconsistentSpec(f"m={m} is not 2^kappa - 1 for any kappa")
+    if np.any(C % step):
+        raise InconsistentSpec("entries are not multiples of the threshold step")
+    q2 = _floor_log2_ratio(_step_levels(params.q, step), 1)
+    labels = ordered_subsets(kappa)
+    widths = [q2 + S.bit_count() for S in labels.tolist()]
+    if n > sum(widths):
+        raise InconsistentSpec(f"n={n} exceeds the construction size {sum(widths)}")
+    C = C // step
     # shape only: the elimination refuses results outside 0..Q-1 with
     # NonBinaryResidue
-    z = _check_results(z, mrows, None).astype(object)
-    cw = np.zeros(mrows, dtype=np.int64)
+    z = _check_results(z, m, None).astype(object)
+    cw = np.zeros(m, dtype=np.int64)
     w = np.zeros(n, dtype=np.int64)
-    for i in range(len(spec.subsets), 0, -1):
-        if spec.widths[i - 1] == 0:
+    start = sum(widths)
+    for i in range(len(labels), 0, -1):
+        start -= widths[i - 1]
+        if start >= n:  # truncated away
             continue
-        odd, even, coeffs = block_equation(spec, i)
+        sl = slice(start, min(start + widths[i - 1], n))
+        odd, even, coeffs = block_equation(labels, q2, i)
         odd, even = [j - 1 for j in odd], [j - 1 for j in even]
-        sl = spec.block_slice(i)
+        coeffs = coeffs[: sl.stop - start]
         vec = C[odd, sl].sum(axis=0) - C[even, sl].sum(axis=0)
         if tuple(int(c) for c in vec) != coeffs:
             raise InconsistentSpec(
@@ -170,7 +200,7 @@ def decode_lindstrom(spec: "LindstromSpec", z) -> tuple[int, ...]:
             raise NonBinaryResidue(f"block {i} leaves a negative remainder {rhs}")
         for offset, c in enumerate(coeffs):
             if rhs >= c:
-                w[sl.start + offset] = 1
+                w[start + offset] = 1
                 rhs -= c
         if rhs != 0:
             raise NonBinaryResidue(f"block {i} leaves remainder {rhs} after all bits")
@@ -242,6 +272,10 @@ class BpConfig:
     def __post_init__(self):
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral) or self.max_iters < 1:
             raise BadRange(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        _check_real("damping", self.damping)
+        for name in ("prior", "tol"):  # None leaves them unset
+            if getattr(self, name) is not None:
+                _check_real(name, getattr(self, name))
         if not 0.0 <= self.damping < 1.0:
             raise BadRange(f"damping must lie in [0, 1), got {self.damping}")
         if self.prior is not None and not 0.0 < self.prior < 1.0:

@@ -11,7 +11,7 @@ an explicit seed and are bit-reproducible.
 
 import operator
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -108,6 +108,13 @@ def _check_integer(name: str, value) -> None:
         raise BadRange(f"{name} must be an integer, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """Raise BadRange unless value is a real number, so that text or None
+    never reaches a range comparison."""
+    if not isinstance(value, Real):
+        raise BadRange(f"{name} must be a real number, got {value!r}")
+
+
 def _check_thresholds(eta) -> None:
     """Raise ThresholdNotIncreasing unless eta starts at 0 and strictly
     increases, and BadRange unless its entries are integers that fit in
@@ -166,6 +173,8 @@ class NoiseModel:
     gamma_n: float = 0.0
 
     def __post_init__(self):
+        for name in ("gamma_p", "gamma_n"):
+            _check_real(name, getattr(self, name))
         # NaN fails every comparison; the stay probability is checked as computed
         if not (self.gamma_p >= 0 and self.gamma_n >= 0 and 1.0 - self.gamma_p - self.gamma_n >= 0):
             raise BadRange(
@@ -271,6 +280,8 @@ def sq_sum(vectors, eta, m: int | None = None) -> np.ndarray:
     thresholds this equals floor(sum / eta_step). A negative entry raises
     BadRange.
     """
+    if m is not None:
+        _check_integer("m", m)
     vecs = [_integers(v, "codeword entries") for v in vectors]
     if not vecs:
         if m is None:

@@ -5,11 +5,12 @@ sum-major kernel; factor_bp_decode_batch is the sum-major kernel as it
 stood before factors ran in blocks, one factor at a time (fast at many
 trials, unlike the trial-major loop). The current kernel must reproduce
 their marginals bit for bit, so every test that compares them uses
-np.array_equal, not a tolerance.
+np.array_equal, not a tolerance. exhaustive_posterior is the exact
+posterior that BP must reach on the trees random_tree draws.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -420,3 +421,44 @@ def factor_bp_decode_batch(
     marg = np.exp(marg_log)
     marg /= marg[0] + marg[1]
     return Marginals(p1=marg[1, :, :trials].T.copy(), iterations=iterations)
+
+
+def exhaustive_posterior(C, params: CodeParams, z, noise: NoiseModel, prior: float) -> np.ndarray:
+    """Exact per-subject posterior P(w_i = 1 | z) by summing over all 2^n
+    defective patterns, each with an independent prior; the oracle BP must
+    match on trees."""
+    m, n = C.shape
+    T = channel_matrix(params.Q, noise)
+    eta = np.asarray(params.eta)
+    p1 = np.zeros(n)
+    tot = 0.0
+    for bits in product([0, 1], repeat=n):
+        w = np.array(bits)
+        sums = C @ w
+        if sums.size and sums.max() >= params.eta[-1]:
+            continue
+        y = np.searchsorted(eta, sums, side="right") - 1
+        like = float(np.prod(T[y, z]))
+        pw = float(np.prod(np.where(w, prior, 1 - prior)))
+        tot += like * pw
+        p1 += like * pw * w
+    return p1 / tot
+
+
+def random_tree(rng, n_max: int, q: int) -> np.ndarray:
+    """A random code whose factor graph is a tree: about n_max subjects,
+    each new one joining one existing test, with entries in 1..q-1."""
+    factors = [[0]]
+    n = 1
+    while n < n_max:
+        if rng.random() < 0.4:
+            factors.append([int(rng.integers(n))])
+        else:
+            v = n
+            n += 1
+            factors[int(rng.integers(len(factors)))].append(v)
+    C = np.zeros((len(factors), n), dtype=int)
+    for t, vs in enumerate(factors):
+        for v in vs:
+            C[t, v] = int(rng.integers(1, q))
+    return C

@@ -21,6 +21,7 @@ from sqgt.construct import (
     concat_disjunct,
     concat_separable,
     lindstrom,
+    ordered_subsets,
     random_binary_separable,
     random_disjunct,
     ratio_vs_single_level,
@@ -35,6 +36,7 @@ from sqgt.rng import make_rng
 from sqgt.simulate import SweepConfig, rows_to_csv, run_simulation
 from sqgt.verify import Witness, is_sq_disjunct, is_sq_separable
 
+from bp_reference import exhaustive_posterior, random_tree
 from conftest import (
     BASE_9x12,
     GOLDEN_9x24,
@@ -53,29 +55,31 @@ def test_criterion_01_concat_worked_example():
     assert np.array_equal(C, GOLDEN_9x24)
     y = syndrome(C, [2, 20], spec.params.eta)
     assert y.tolist() == [3, 0, 1, 4, 0, 0, 0, 3, 1]
-    assert decode_concat(spec, y) == (2, 20)
+    assert decode_concat(C, spec.params, y) == (2, 20)
     print("\nACCEPTANCE 1 PASS: concat construction worked example exact")
 
 
 def test_criterion_02_recursive_worked_example():
     """Printed recursive code for kappa=3 with the published gate chains,
     including the final block's elimination equation."""
-    C, spec = lindstrom(3, 9, 2, chains=GOLDEN_LINDSTROM_CHAINS)
-    assert np.array_equal(spec.matrix[:, spec.block_slice(7)], GOLDEN_LINDSTROM_BLOCK7)
-    assert np.array_equal(spec.matrix, GOLDEN_LINDSTROM_7x26)
-    odd, even, coeffs = block_equation(spec, 7)
+    C, params = lindstrom(3, 9, 2, chains=GOLDEN_LINDSTROM_CHAINS)
+    assert np.array_equal(C[:, 21:26] // params.step, GOLDEN_LINDSTROM_BLOCK7)
+    assert np.array_equal(C // params.step, GOLDEN_LINDSTROM_7x26)
+    odd, even, coeffs = block_equation(ordered_subsets(3), 2, 7)
     assert coeffs == (16, 8, 4, 2, 1)
     assert odd == (1, 2, 3, 7) and even == (4, 5, 6)
-    assert spec.block_slice(7) == slice(21, 26)
+    # block 7 is the code's last, one column per coefficient: columns 22..26
+    assert C.shape[1] - len(coeffs) == 21
     print("ACCEPTANCE 2 PASS: recursive construction worked example exact")
 
 
 def test_criterion_03_recursive_exhaustive_inversion():
-    C, spec = lindstrom(2, 3, 2)
-    assert spec.q2 == 0 and spec.n == 4
+    C, params = lindstrom(2, 3, 2)
+    # q2 = 0 (no column above the step) and n = 4
+    assert C.max() == params.step and C.shape[1] == 4
     for bits in itertools.product([0, 1], repeat=4):
-        z = quantize_sums(C @ np.array(bits), spec.params.eta)
-        assert decode_lindstrom(spec, z) == tuple(i + 1 for i in range(4) if bits[i])
+        z = quantize_sums(C @ np.array(bits), params.eta)
+        assert decode_lindstrom(C, params, z) == tuple(i + 1 for i in range(4) if bits[i])
     print("ACCEPTANCE 3 PASS: all 16 defective patterns invert exactly")
 
 
@@ -133,8 +137,8 @@ def test_criterion_05_construction_verifier_closure():
 
     # recursive construction, including every defective count
     for kappa, q in ((2, 3), (3, 3)):
-        C, spec = lindstrom(kappa, q, 2)
-        assert is_sq_separable(C, spec.params) is None
+        C, params = lindstrom(kappa, q, 2)
+        assert is_sq_separable(C, params) is None
 
     # necessary conditions: scaling below the first threshold must fail
     with pytest.raises(AlphabetTooSmall):
@@ -146,50 +150,12 @@ def test_criterion_05_construction_verifier_closure():
     print("ACCEPTANCE 5 PASS: desk-scale construction/verifier closure")
 
 
-def _exhaustive_posterior(C, params, z, noise, prior):
-    m, n = C.shape
-    from channel_reference import channel_matrix
-
-    T = channel_matrix(params.Q, noise)
-    eta = np.asarray(params.eta)
-    p1 = np.zeros(n)
-    tot = 0.0
-    for bits in itertools.product([0, 1], repeat=n):
-        w = np.array(bits)
-        sums = C @ w
-        if sums.size and sums.max() >= params.eta[-1]:
-            continue
-        y = np.searchsorted(eta, sums, side="right") - 1
-        like = float(np.prod(T[y, z]))
-        pw = float(np.prod(np.where(w, prior, 1 - prior)))
-        tot += like * pw
-        p1 += like * pw * w
-    return p1 / tot
-
-
-def _random_tree(rng, n_max, q):
-    factors = [[0]]
-    n = 1
-    while n < n_max:
-        if rng.random() < 0.4:
-            factors.append([int(rng.integers(n))])
-        else:
-            v = n
-            n += 1
-            factors[int(rng.integers(len(factors)))].append(v)
-    C = np.zeros((len(factors), n), dtype=int)
-    for t, vs in enumerate(factors):
-        for v in vs:
-            C[t, v] = int(rng.integers(1, q))
-    return C
-
-
 def test_criterion_06_bp_exact_on_trees():
     rng = make_rng(60_616)
     worst = 0.0
     for trial in range(50):
         n_max = int(rng.integers(4, 13))
-        C = _random_tree(rng, n_max, 4)
+        C = random_tree(rng, n_max, 4)
         m, n = C.shape
         params = CodeParams.equidistant(4, 2, 1, n)
         noise = NoiseModel(0.04, 0.04) if trial % 2 else NOISELESS
@@ -200,7 +166,7 @@ def test_criterion_06_bp_exact_on_trees():
         marg = bp_decode(
             C, params, z, noise, cfg=BpConfig(max_iters=2 * (m + n), prior=prior)
         )
-        exact = _exhaustive_posterior(C, params, z, noise, prior)
+        exact = exhaustive_posterior(C, params, z, noise, prior)
         worst = max(worst, float(np.abs(marg.p1 - exact).max()))
     assert worst < 1e-9, worst
     print(f"ACCEPTANCE 6 PASS: BP exact on 50 trees (worst gap {worst:.2e})")

@@ -8,6 +8,7 @@ import pytest
 
 import sqgt.simulate as sim
 from sqgt.cli import DECODE_ALGORITHMS, main
+from sqgt.construct import lindstrom
 from sqgt.errors import BadRange
 from sqgt.fileio import CSV_HEADER, read_matrix, write_matrix
 from sqgt.model import MAX_CELLS, CodeParams
@@ -673,11 +674,16 @@ CLI_MODULES = ["sqgt", "sqgt.cli", "sqgt.errors", "sqgt.fileio", "sqgt.model", "
       "--d", 2), ["decode", "verify"]),
     (("decode", "--code", TestRefusedInputs.GOLDEN, "--syndrome", TestRefusedInputs.SYNDROME,
       "--algorithm", "concat", "--d", 2), ["construct", "decode", "verify"]),
+    (("decode", "--code", "{tmp}/lindstrom.sqgt", "--syndrome", "9,4,5,4,5,1,9",  # of {1,9,22,26}
+      "--algorithm", "lindstrom"), ["construct", "decode", "verify"]),
     (("simulate", "--config", "{tmp}/sweep.cfg", "--threads", 1),
      ["construct", "decode", "simulate", "verify"]),
-], ids=["encode", "capacity", "verify", "construct", "decode-bp", "decode-concat", "simulate"])
+], ids=["encode", "capacity", "verify", "construct", "decode-bp", "decode-concat", "decode-lindstrom",
+        "simulate"])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, added):
     (tmp_path / "sweep.cfg").write_text(TestSimulateCli.CONFIG)
+    C, params = lindstrom(3, 9, 2)
+    write_matrix(tmp_path / "lindstrom.sqgt", C, params.q, params.Q, params.eta)
     argv = [str(a).format(tmp=tmp_path) for a in argv]
     probe = (
         "import contextlib, io, sys, sqgt.cli\n"

@@ -9,6 +9,7 @@ from sqgt.construct import (
     concat_disjunct,
     concat_separable,
     lindstrom,
+    ordered_subsets,
     random_disjunct,
     scale_disjunct,
 )
@@ -43,7 +44,7 @@ from sqgt.model import (
 )
 from sqgt.rng import derive_seed, make_rng
 
-from channel_reference import channel_matrix
+from bp_reference import exhaustive_posterior, random_tree
 from conftest import BASE_7x8, BASE_9x12, GOLDEN_LINDSTROM_CHAINS
 
 
@@ -84,7 +85,7 @@ class TestDecodeConcat:
         C, spec = concat_disjunct(base_9x12, d=2, e=0, q=7, eta_step=2)
         y = syndrome(C, [2, 20], spec.params.eta)
         assert y.tolist() == [3, 0, 1, 4, 0, 0, 0, 3, 1]
-        assert decode_concat(spec, y) == (2, 20)
+        assert decode_concat(C, spec.params, y) == (2, 20)
 
     def test_peeling_intermediates(self, base_9x12):
         # the divide-and-floor chain on the worked syndrome; the peeled
@@ -100,7 +101,7 @@ class TestDecodeConcat:
         params = spec.params
         for subjects in ([1], [3, 7], [2, 11]):
             y = syndrome(C, subjects, params.eta)
-            assert decode_concat(spec, y) == decode_disjunct(C, params, y)
+            assert decode_concat(C, params, y) == decode_disjunct(C, params, y)
 
     def test_exactness_on_random_sets(self, base_9x12):
         C, spec = concat_disjunct(base_9x12, d=2, e=0, q=7, eta_step=2)
@@ -109,7 +110,7 @@ class TestDecodeConcat:
             size = int(rng.integers(0, 3))
             planted = sorted(int(x) + 1 for x in rng.choice(24, size, replace=False))
             y = syndrome(C, planted, spec.params.eta)
-            assert decode_concat(spec, y) == tuple(planted)
+            assert decode_concat(C, spec.params, y) == tuple(planted)
 
     def test_block_syndrome_decomposition(self, base_9x12):
         # the peeled y_j must equal the true syndrome of the defectives
@@ -121,11 +122,11 @@ class TestDecodeConcat:
             size = int(rng.integers(0, 3))
             planted = sorted(int(x) + 1 for x in rng.choice(24, size, replace=False))
             y = syndrome(C, planted, eta).astype(np.int64)
-            for j in range(spec.blocks, 0, -1):
+            for j in range(len(spec.scales), 0, -1):
                 f = (spec.params.u**j - 1) // (spec.params.u - 1)
                 yj = f * (y // f)
                 y = y - yj
-                block = spec.block_matrix(j)
+                block = C[:, (j - 1) * 12 : j * 12]
                 local = [s - (j - 1) * 12 for s in planted if (j - 1) * 12 < s <= j * 12]
                 assert yj.tolist() == syndrome(block, local, eta).tolist()
 
@@ -139,21 +140,21 @@ class TestDecodeConcat:
             size = int(rng.integers(1, 3))
             planted = sorted(int(x) + 1 for x in rng.choice(24, size, replace=False))
             y = syndrome(C, planted, spec.params.eta)
-            assert decode_concat(spec, y) == decode_ml(C, ml_params, y) == tuple(planted)
+            assert decode_concat(C, spec.params, y) == decode_ml(C, ml_params, y) == tuple(planted)
 
     def test_d1_column_matching(self, base_9x12):
         C, spec = concat_disjunct(base_9x12, d=1, e=0, q=7, eta_step=2)
         for subject in (1, 13, 30):
             y = syndrome(C, [subject], spec.params.eta)
-            assert decode_concat(spec, y) == (subject,)
-        assert decode_concat(spec, np.zeros(9, dtype=int)) == ()
+            assert decode_concat(C, spec.params, y) == (subject,)
+        assert decode_concat(C, spec.params, np.zeros(9, dtype=int)) == ()
 
     def test_d1_refuses_a_syndrome_no_subject_explains(self, base_9x12):
         # no single subject explains this syndrome: block 3's answer does not
         # re-encode to the block syndrome
         C, spec = concat_disjunct(base_9x12, d=1, e=0, q=7, eta_step=2)
         with pytest.raises(NoConsistentSet):
-            decode_concat(spec, [3, 0, 0, 0, 3, 0, 0, 0, 0])
+            decode_concat(C, spec.params, [3, 0, 0, 0, 3, 0, 0, 0, 0])
         ml_params = CodeParams(spec.params.q, spec.params.Q, spec.params.eta, 1, 1, 0)
         with pytest.raises(NoConsistentSet):
             decode_ml(C, ml_params, [3, 0, 0, 0, 3, 0, 0, 0, 0])
@@ -172,7 +173,7 @@ class TestDecodeConcat:
             for planted in itertools.combinations(range(1, n + 1), size):
                 y = syndrome(C, planted, spec.params.eta)
                 try:
-                    assert decode_concat(spec, y) == planted
+                    assert decode_concat(C, spec.params, y) == planted
                 except NoConsistentSet:
                     refused += 1
         assert (refused == 0) == disjunct_base
@@ -186,29 +187,33 @@ class TestDecodeConcat:
         C, spec = concat_separable(base, d=2, e=0, q=7, eta_step=2)
         y = syndrome(C, [1], spec.params.eta)
         with pytest.raises(NoConsistentSet, match="misses"):
-            decode_concat(spec, y)
+            decode_concat(C, spec.params, y)
 
 
 class TestDecodeLindstrom:
     def test_block_equation_golden(self):
-        _, spec = lindstrom(3, 9, 2, chains=GOLDEN_LINDSTROM_CHAINS)
-        odd, even, coeffs = block_equation(spec, 7)
+        odd, even, coeffs = block_equation(ordered_subsets(3), 2, 7)
         assert odd == (1, 2, 3, 7)
         assert even == (4, 5, 6)
         assert coeffs == (16, 8, 4, 2, 1)
-        assert spec.block_slice(7) == slice(21, 26)
+        # block 7 is the last of lindstrom(3, 9, 2), one column per coefficient
+        C, params = lindstrom(3, 9, 2, chains=GOLDEN_LINDSTROM_CHAINS)
+        assert C.shape[1] - len(coeffs) == 21
+        odd, even = [j - 1 for j in odd], [j - 1 for j in even]
+        combined = C[odd, 21:26].sum(axis=0) - C[even, 21:26].sum(axis=0)
+        assert (combined // params.step).tolist() == list(coeffs)
 
     def test_exhaustive_kappa2(self):
-        C, spec = lindstrom(2, 3, 2)
+        C, params = lindstrom(2, 3, 2)
         for bits in itertools.product([0, 1], repeat=4):
             w = np.array(bits)
-            z = quantize_sums(C @ w, spec.params.eta)
-            assert decode_lindstrom(spec, z) == tuple(
+            z = quantize_sums(C @ w, params.eta)
+            assert decode_lindstrom(C, params, z) == tuple(
                 i + 1 for i in range(4) if bits[i]
             )
 
     def test_injective_map_kappa2(self):
-        C, spec = lindstrom(2, 3, 2)
+        C, _ = lindstrom(2, 3, 2)
         seen = set()
         for bits in itertools.product([0, 1], repeat=4):
             z = tuple((C @ np.array(bits)).tolist())
@@ -216,61 +221,63 @@ class TestDecodeLindstrom:
             seen.add(z)
 
     def test_all_defective(self):
-        C, spec = lindstrom(3, 9, 2, chains=GOLDEN_LINDSTROM_CHAINS)
-        z = quantize_sums(C @ np.ones(26, dtype=int), spec.params.eta)
-        assert decode_lindstrom(spec, z) == tuple(range(1, 27))
+        C, params = lindstrom(3, 9, 2, chains=GOLDEN_LINDSTROM_CHAINS)
+        z = quantize_sums(C @ np.ones(26, dtype=int), params.eta)
+        assert decode_lindstrom(C, params, z) == tuple(range(1, 27))
 
     def test_empty_set(self):
-        _, spec = lindstrom(3, 9, 2)
-        assert decode_lindstrom(spec, np.zeros(7, dtype=int)) == ()
+        C, params = lindstrom(3, 9, 2)
+        assert decode_lindstrom(C, params, np.zeros(7, dtype=int)) == ()
 
     def test_random_sets_and_truncation(self):
         rng = make_rng(9)
         for n in (26, 19, 11):
-            C, spec = lindstrom(3, 9, 2, n=n)
+            C, params = lindstrom(3, 9, 2, n=n)
             for _ in range(50):
                 w = (rng.random(n) < 0.5).astype(int)
-                z = quantize_sums(C @ w, spec.params.eta)
-                assert decode_lindstrom(spec, z) == tuple(
+                z = quantize_sums(C @ w, params.eta)
+                assert decode_lindstrom(C, params, z) == tuple(
                     int(i) + 1 for i in np.nonzero(w)[0]
                 )
 
     def test_corrupted_syndrome_raises(self):
-        C, spec = lindstrom(2, 3, 2)
-        z = quantize_sums(C @ np.array([1, 0, 0, 1]), spec.params.eta)
+        C, params = lindstrom(2, 3, 2)
+        z = quantize_sums(C @ np.array([1, 0, 0, 1]), params.eta)
         z[0] += 37
         with pytest.raises(NonBinaryResidue):
-            decode_lindstrom(spec, z)
+            decode_lindstrom(C, params, z)
 
     def test_extreme_results_give_the_exact_remainder(self):
         # block 7 adds rows 1, 2, 3, 7 and subtracts rows 4, 5, 6, so its
         # combination is 7 * 2^63 - 4; int64 sums would wrap it
-        _, spec = lindstrom(3, 9, 1)
+        C, params = lindstrom(3, 9, 1)
         top, low = 2**63 - 1, -(2**63)
         z = [top, top, top, low, low, low, top]
-        remainder = 4 * top - 3 * low - sum(block_equation(spec, 7)[2])
+        remainder = 4 * top - 3 * low - sum(block_equation(ordered_subsets(3), 3, 7)[2])
         assert remainder == 64563604257983430589
         with pytest.raises(
             NonBinaryResidue, match=f"^block 7 leaves remainder {remainder} after all bits$"
         ):
-            decode_lindstrom(spec, z)
+            decode_lindstrom(C, params, z)
 
 
 def _decoder(name):
     """(decode, C, params) for one decoder on a small code."""
     if name == "concat":
         C, spec = concat_disjunct(BASE_9x12, 2, 0, 7, 2)
-        return (lambda z: decode_concat(spec, z)), C, spec.params
-    if name == "lindstrom":
-        C, spec = lindstrom(2, 3, 1)
-        return (lambda z: decode_lindstrom(spec, z)), C, spec.params
-    params = CodeParams.equidistant(2, 1, 1, 2)
+        params = spec.params
+    elif name == "lindstrom":
+        C, params = lindstrom(2, 3, 1)
+    else:
+        C, params = BASE_9x12, CodeParams.equidistant(2, 1, 1, 2)
     decode = {
         "disjunct": decode_disjunct,
+        "concat": decode_concat,
+        "lindstrom": decode_lindstrom,
         "ml": decode_ml,
         "bp": lambda C, p, z: select_topd(bp_decode(C, p, z), 1),
     }[name]
-    return (lambda z: decode(BASE_9x12, params, z)), BASE_9x12, params
+    return (lambda z: decode(C, params, z)), C, params
 
 
 @pytest.mark.parametrize("name", ["disjunct", "concat", "lindstrom", "ml", "bp"])
@@ -369,46 +376,10 @@ class TestBp:
         marg = bp_decode(C, params, np.array([1]), NOISELESS, cfg=BpConfig(prior=0.5))
         assert marg.p1[0] == pytest.approx(1.0, abs=1e-9)
 
-    @staticmethod
-    def _exhaustive_posterior(C, params, z, noise, prior):
-        m, n = C.shape
-        T = channel_matrix(params.Q, noise)
-        eta = np.asarray(params.eta)
-        p1 = np.zeros(n)
-        tot = 0.0
-        for bits in itertools.product([0, 1], repeat=n):
-            w = np.array(bits)
-            sums = C @ w
-            if sums.size and sums.max() >= params.eta[-1]:
-                continue
-            y = np.searchsorted(eta, sums, side="right") - 1
-            like = float(np.prod(T[y, z]))
-            pw = float(np.prod(np.where(w, prior, 1 - prior)))
-            tot += like * pw
-            p1 += like * pw * w
-        return p1 / tot
-
-    @staticmethod
-    def _random_tree(rng, n_max, q):
-        factors = [[0]]
-        n = 1
-        while n < n_max:
-            if rng.random() < 0.4:
-                factors.append([int(rng.integers(n))])
-            else:
-                v = n
-                n += 1
-                factors[int(rng.integers(len(factors)))].append(v)
-        C = np.zeros((len(factors), n), dtype=int)
-        for t, vs in enumerate(factors):
-            for v in vs:
-                C[t, v] = int(rng.integers(1, q))
-        return C
-
     def test_tree_exactness(self):
         rng = make_rng(1234)
         for trial in range(10):
-            C = self._random_tree(rng, 10, 4)
+            C = random_tree(rng, 10, 4)
             m, n = C.shape
             params = CodeParams.equidistant(4, 2, 1, n)
             noise = NoiseModel(0.04, 0.04) if trial % 2 else NOISELESS
@@ -418,7 +389,7 @@ class TestBp:
             marg = bp_decode(
                 C, params, z, noise, cfg=BpConfig(max_iters=2 * (m + n), prior=0.3)
             )
-            exact = self._exhaustive_posterior(C, params, z, noise, 0.3)
+            exact = exhaustive_posterior(C, params, z, noise, 0.3)
             assert np.abs(marg.p1 - exact).max() < 1e-9
 
     def test_marginals_in_range(self):
@@ -456,10 +427,10 @@ class TestBp:
 
     def test_recursive_codes_past_the_row_cap_are_refused(self):
         # 46.5 M rows per trial at kappa 8, about 1.2 GB for one syndrome
-        C, spec = lindstrom(8, 3, 1)
-        z = syndrome(C, [1, 2, 3, 100, 640, 1279], spec.params.eta)
+        C, params = lindstrom(8, 3, 1)
+        z = syndrome(C, [1, 2, 3, 100, 640, 1279], params.eta)
         with pytest.raises(BadRange, match="^BP needs 46507116 dynamic-programme rows per trial"):
-            bp_decode(C, spec.params, z, d=6)
+            bp_decode(C, params, z, d=6)
 
     def test_zero_trials(self):
         C, params = random_disjunct(10, 2, 1, 2, seed=0, m=12)

@@ -15,14 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqgt.capacity import capacity_search, td_rate_denominator
+from sqgt.capacity import (Quantizer, capacity_search, mutual_information, necessary_tests, sufficient_tests,
+                           sum_pmf, td_rate_denominator)
 from sqgt.cli import CONSTRUCT_METHODS, DECODE_ALGORITHMS, VERIFY_PROPERTIES, main
-from sqgt.construct import (bose_chowla_code, concat_disjunct, lindstrom, random_binary_separable,
-                            random_disjunct, scale_disjunct)
-from sqgt.decode import Marginals, select_topd
+from sqgt.construct import (bose_chowla, bose_chowla_code, concat_disjunct, lindstrom, optimize_p0,
+                            ordered_subsets, random_binary_separable, random_disjunct, ratio_vs_single_level,
+                            ratio_vs_single_level_limit, reduce_alphabet, row_success_prob, scale_disjunct,
+                            sidon_set_exhaustive, smallest_prime_at_least)
+from sqgt.decode import BpConfig, Marginals, block_equation, select_topd
 from sqgt.errors import BadRange, SqgtError
 from sqgt.fileio import format_matrix, parse_matrix, write_matrix
-from sqgt.model import CodeParams, syndrome
+from sqgt.model import CodeParams, NoiseModel, sq_sum, syndrome
 from sqgt.simulate import parse_config
 from sqgt.verify import is_binary_separable_qgt
 
@@ -137,6 +140,30 @@ FLOAT_SIZES = {
     "random-binary-alpha": lambda: random_binary_separable(12, 3, (0, 2, 4, 5), 1.0),
     "td-rate-d": lambda: td_rate_denominator(3.0, 2),
     "scale-disjunct-q": lambda: scale_disjunct(BASE_9x12, 2, 0, 3.0, (0, 2, 3, 5, 7)),
+    "reduce-alphabet-step": lambda: reduce_alphabet(BASE_9x12, 2.0),
+    "smallest-prime-n": lambda: smallest_prime_at_least(7.0),
+    "row-success-d": lambda: row_success_prob(2.0, 3, 0.5),
+    "row-success-levels": lambda: row_success_prob(2, 3.0, 0.5),
+    "optimize-p0-d": lambda: optimize_p0(2.0, 3),
+    "optimize-p0-levels": lambda: optimize_p0(2, 3.0),
+    "ratio-d": lambda: ratio_vs_single_level(2.0, 3),
+    "ratio-levels": lambda: ratio_vs_single_level(2, 3.0),
+    "ratio-limit-levels": lambda: ratio_vs_single_level_limit(3.0),
+    "sum-pmf-d": lambda: sum_pmf((0.5, 0.5), 2.0),
+    "mutual-information-d": lambda: mutual_information((0.5, 0.5), 2.0, 1, Quantizer.identity(2)),
+    "mutual-information-i": lambda: mutual_information((0.5, 0.5), 2, 1.0, Quantizer.identity(2)),
+    "sufficient-tests-n": lambda: sufficient_tests(10.0, 2, (0.5, 0.5), Quantizer.identity(2)),
+    "sufficient-tests-d": lambda: sufficient_tests(10, 2.0, (0.5, 0.5), Quantizer.identity(2)),
+    "necessary-tests-n": lambda: necessary_tests(10.0, 2, (0.5, 0.5), Quantizer.identity(2)),
+    "necessary-tests-d": lambda: necessary_tests(10, 2.0, (0.5, 0.5), Quantizer.identity(2)),
+    "bose-chowla-field-L": lambda: bose_chowla(5.0, 2),
+    "bose-chowla-field-d": lambda: bose_chowla(5, 2.0),
+    "sidon-L": lambda: sidon_set_exhaustive(3.0, 2),
+    "sidon-d": lambda: sidon_set_exhaustive(3, 2.0),
+    "ordered-subsets-kappa": lambda: ordered_subsets(3.0),
+    "sq-sum-m": lambda: sq_sum([], (0, 1, 2), m=3.0),
+    "block-equation-q2": lambda: block_equation(ordered_subsets(3), 2.0, 7),
+    "block-equation-block": lambda: block_equation(ordered_subsets(3), 2, 7.0),
 }
 
 
@@ -146,12 +173,35 @@ def test_a_float_size_is_refused_by_name(call):
         call()
 
 
+# text or None where a rate belongs would reach a comparison and end in a
+# bare TypeError, so each is refused by name first
+TEXT_RATES = {
+    "noise-gamma-p": lambda: NoiseModel("0.1", 0),
+    "noise-gamma-n": lambda: NoiseModel(0, None),
+    "bp-damping": lambda: BpConfig(damping="0.5"),
+    "bp-prior": lambda: BpConfig(prior="0.5"),
+    "bp-tol": lambda: BpConfig(tol="0.5"),
+    "random-disjunct-p0": lambda: random_disjunct(10, 2, 2, 1, p0="0.5"),
+    "random-disjunct-delta": lambda: random_disjunct(10, 2, 2, 1, delta="1"),
+    "random-binary-m-multiplier": lambda: random_binary_separable(12, 3, (0, 2, 4, 5), 1, m_multiplier=None),
+    "row-success-p0": lambda: row_success_prob(2, 3, "0.5"),
+    "optimize-p0-step": lambda: optimize_p0(2, 3, "0.1"),
+    "capacity-grid-step": lambda: capacity_search(2, 3, 3, grid_step="0.1"),
+}
+
+
+@pytest.mark.parametrize("call", TEXT_RATES.values(), ids=TEXT_RATES.keys())
+def test_text_or_none_for_a_rate_is_refused_by_name(call):
+    with pytest.raises(BadRange, match=r"^\w+ must be a real number, got (None|'[\d.]+')$"):
+        call()
+
+
 @pytest.fixture(scope="module")
 def codes(tmp_path_factory):
     """The data files, a recursive code and a path that does not exist."""
     tmp = tmp_path_factory.mktemp("codes")
-    C, spec = lindstrom(3, 5, 1)
-    write_matrix(tmp / "lindstrom.sqgt", C, spec.params.q, spec.params.Q, spec.params.eta)
+    C, params = lindstrom(3, 5, 1)
+    write_matrix(tmp / "lindstrom.sqgt", C, params.q, params.Q, params.eta)
     return CODES + [str(tmp / "lindstrom.sqgt"), str(tmp / "missing.sqgt")], tmp
 
 

@@ -27,17 +27,27 @@ def _outcome(build):
         return type(err), str(err)
 
 
+def _decodes_sampled_sets(C, params, seed):
+    """Two sampled sets decode exactly; every decode checks each block's
+    column range against its elimination equation."""
+    rng = make_rng(seed)
+    n = C.shape[1]
+    for _ in range(2):
+        planted = tuple(sorted(int(i) + 1 for i in rng.choice(n, int(rng.integers(n + 1)), replace=False)))
+        assert decode_lindstrom(C, params, syndrome(C, planted, params.eta)) == planted
+
+
 @pytest.mark.parametrize("kappa", range(1, 8))
 @pytest.mark.parametrize("q, step", PAIRS)
 def test_matrix_and_widths_match_reference(kappa, q, step):
     C_ref, widths_ref = reference_lindstrom(kappa, q, step)
     total = C_ref.shape[1]
     for n in sorted({1, 2, total // 3, total // 2, total - 1, total} & set(range(1, total + 1))):
-        C, spec = lindstrom(kappa, q, step, n=n)
-        expected, widths = reference_lindstrom(kappa, q, step, n=n)
+        C, params = lindstrom(kappa, q, step, n=n)
+        expected, _ = reference_lindstrom(kappa, q, step, n=n)
         assert np.array_equal(C, expected)
         assert C.dtype == expected.dtype
-        assert spec.widths == widths
+        _decodes_sampled_sets(C, params, seed=kappa * 1000 + n)
 
 
 @pytest.mark.parametrize("kappa, q, step, chains", [
@@ -48,10 +58,10 @@ def test_matrix_and_widths_match_reference(kappa, q, step):
     (6, 17, 3, {63: [[1, 3, 4, 5, 6], [1, 4, 5, 6], [1, 4, 6], [1, 6], [6]]}),
 ])
 def test_given_chains_match_reference(kappa, q, step, chains):
-    C, spec = lindstrom(kappa, q, step, chains=chains)
-    expected, widths = reference_lindstrom(kappa, q, step, chains=chains)
+    C, params = lindstrom(kappa, q, step, chains=chains)
+    expected, _ = reference_lindstrom(kappa, q, step, chains=chains)
     assert np.array_equal(C, expected)
-    assert spec.widths == widths
+    _decodes_sampled_sets(C, params, seed=kappa)
     assert not np.array_equal(C, lindstrom(kappa, q, step)[0])
 
 
@@ -88,9 +98,9 @@ def test_chain_outcomes_match_reference(kappa, chains):
 @pytest.mark.parametrize("q, step", [(2, 1), (9, 2)])
 def test_decode_recovers_every_size(kappa, q, step):
     """One sampled set of every size 0..n decodes exactly."""
-    C, spec = lindstrom(kappa, q, step)
+    C, params = lindstrom(kappa, q, step)
     n = C.shape[1]
     rng = make_rng(kappa * 100 + q)
     for size in range(n + 1):
         planted = tuple(sorted(int(i) + 1 for i in rng.choice(n, size, replace=False)))
-        assert decode_lindstrom(spec, syndrome(C, planted, spec.params.eta)) == planted
+        assert decode_lindstrom(C, params, syndrome(C, planted, params.eta)) == planted
