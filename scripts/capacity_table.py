@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from sqgt.capacity import capacity_search
+from sqgt.errors import SqgtError
 
 
 def main() -> int:
@@ -33,4 +34,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except SqgtError as err:
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        sys.exit(2)

@@ -11,6 +11,7 @@ which use every split. All entropies are in bits; 0*log(0) is 0.
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, islice, product
 from math import comb, inf, log2
+from numbers import Integral
 
 import numpy as np
 
@@ -43,6 +44,8 @@ class Quantizer:
     edges: tuple[int, ...]
 
     def __post_init__(self):
+        if any(isinstance(e, bool) or not isinstance(e, Integral) for e in self.edges):
+            raise BadPartition(f"edges must be integers, got {self.edges}")
         if len(self.edges) < 2 or self.edges[0] != 0:
             raise BadPartition(f"edges must start at 0, got {self.edges}")
         if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
@@ -69,11 +72,15 @@ class Quantizer:
 
 def check_distribution(pt) -> np.ndarray:
     """Coerce to a 1-D probability vector; tolerance 1e-12 on the total."""
-    arr = np.asarray(pt, dtype=float)
+    try:
+        arr = np.asarray(pt, dtype=float)
+    except (TypeError, ValueError):
+        raise BadDistribution("probabilities must be numbers") from None
     if arr.ndim != 1 or arr.size < 1:
         raise BadDistribution(f"expected a 1-D distribution, got shape {arr.shape}")
-    if arr.min() < 0 or abs(arr.sum() - 1.0) > 1e-12:
-        raise BadDistribution(f"probabilities must be nonnegative and sum to 1")
+    # NaN fails every comparison
+    if not (arr.min() >= 0 and abs(arr.sum() - 1.0) <= 1e-12):
+        raise BadDistribution("probabilities must be nonnegative and sum to 1")
     return arr
 
 
@@ -92,29 +99,68 @@ def sum_pmf(pt, d: int) -> np.ndarray:
     return _convolve_power(check_distribution(pt), d)
 
 
-def _entropy(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+_CELLS = 1 << 20
 
 
-def _bucket(pmf: np.ndarray, quant: Quantizer, shift: int = 0) -> np.ndarray:
-    """Quantizer-region masses of pmf placed at offset `shift`."""
-    out = np.zeros(quant.Q)
-    for r, reg in enumerate(quant.regions()):
-        lo = max(reg.start - shift, 0)
-        hi = max(reg.stop - shift, 0)
-        out[r] = pmf[lo:hi].sum()
-    return out
+def _slice_masses(pmfs: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masses pmfs[:, lo:hi] of the distinct slices read by the regions of
+    the rows of edges (within 0..len), and each (row, region)'s column: a
+    row of a C-contiguous array, which numpy adds as the 1-D slice."""
+    n = pmfs.shape[1]
+    code = edges[:, :-1] * (n + 1) + edges[:, 1:]
+    used, slot = np.unique(code, return_inverse=True)
+    starts, stops = np.divmod(used, n + 1)
+    mass = np.zeros((len(pmfs), len(used)))
+    for width in np.unique(stops - starts):
+        same = stops - starts == width
+        # the gather comes back strided, and numpy sums a strided axis in another order
+        slices = np.ascontiguousarray(pmfs[:, starts[same, None] + np.arange(width)])
+        mass[:, same] = slices.sum(axis=2)
+    # the inverse has the shape of code under some numpy versions, flat under others
+    return mass, slot.reshape(code.shape)
+
+
+def _entropies(pmfs: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Entropy of every pmf (row) quantized by every row of edges (column),
+    bit for bit as numpy takes -(nz * log2(nz)).sum() over the positive
+    region masses nz of one pmf, in region order."""
+    mass, slot = _slice_masses(pmfs, edges)
+    positive = mass > 0
+    terms = np.zeros_like(mass)
+    terms[positive] = mass[positive] * np.log2(mass[positive])
+    # positive terms in region order, added in sequence as numpy adds under 8 entries
+    total = np.zeros((len(pmfs), len(slot)))
+    for r in range(slot.shape[1]):
+        total += terms[:, slot[:, r]]
+    if slot.shape[1] >= 8:
+        count = positive[:, slot].sum(axis=2)
+        for c in np.unique(count[count >= 8]):
+            p, k = np.nonzero(count == c)
+            cells = slot[k]
+            compact = terms[p[:, None], cells][positive[p[:, None], cells]].reshape(len(p), c)
+            total[p, k] = compact.sum(axis=1)
+    return 0.0 - total
 
 
 def output_pmf(pt, d: int, quant: Quantizer) -> np.ndarray:
     """Distribution of the quantized test result for d defectives."""
     s = sum_pmf(pt, d)
     if quant.top != len(s) - 1:
-        raise BadPartition(
-            f"quantizer covers 0..{quant.top} but sums reach {len(s) - 1}"
-        )
-    return _bucket(s, quant)
+        raise BadPartition(f"quantizer covers 0..{quant.top} but sums reach {len(s) - 1}")
+    mass, slot = _slice_masses(s[None], np.array([quant.edges], dtype=np.int64))
+    return mass[0, slot[0]]
+
+
+def _check_split(pt, d: int, i: int, quant: Quantizer) -> np.ndarray:
+    """check_distribution(pt), after checking the split i of d and quant's range."""
+    pt = check_distribution(pt)
+    for name, value in (("d", d), ("i", i)):
+        _check_integer(name, value)
+    if not 1 <= i <= d:
+        raise BadPartition(f"split size must lie in 1..{d}, got {i}")
+    if quant.top != (len(pt) - 1) * d:
+        raise BadPartition(f"quantizer covers 0..{quant.top}, expected 0..{(len(pt) - 1) * d}")
+    return pt
 
 
 def mutual_information(pt, d: int, i: int, quant: Quantizer) -> float:
@@ -125,30 +171,23 @@ def mutual_information(pt, d: int, i: int, quant: Quantizer) -> float:
     the mean entropy of the quantized (i-sum + b) distribution over b. For
     i = d this is the entropy of the output distribution.
     """
-    pt = check_distribution(pt)
-    for name, value in (("d", d), ("i", i)):
-        _check_integer(name, value)
-    if not 1 <= i <= d:
-        raise BadPartition(f"split size must lie in 1..{d}, got {i}")
-    if quant.top != (len(pt) - 1) * d:
-        raise BadPartition(
-            f"quantizer covers 0..{quant.top}, expected 0..{(len(pt) - 1) * d}"
-        )
-    p_open = _convolve_power(pt, i)
-    p_known = _convolve_power(pt, d - i)
+    pt = _check_split(pt, d, i, quant)
+    p_open, p_known = _convolve_power(pt, i), _convolve_power(pt, d - i)
+    n, edges = len(p_open), np.array(quant.edges, dtype=np.int64)
+    # a known sum b moves every region b to the left, off the ends of p_open;
+    # a shift gathers at most n entries, so the shifts go in blocks of about _CELLS
+    block, shifts = max(1, _CELLS // (n + quant.Q)), np.flatnonzero(p_known)
     total = 0.0
-    for b, pb in enumerate(p_known):
-        if pb > 0:
-            total += pb * _entropy(_bucket(p_open, quant, shift=b))
+    for b in np.split(shifts, range(block, len(shifts), block)):
+        for pb, h in zip(p_known[b], _entropies(p_open[None], np.clip(edges - b[:, None], 0, n))[0]):
+            total += pb * h
     return total
 
 
 def mutual_information_bruteforce(pt, d: int, i: int, quant: Quantizer) -> float:
     """Same quantity by direct summation over the joint distribution of
     (open symbols, known symbols, result); the independent cross-check."""
-    pt = check_distribution(pt)
-    if not 1 <= i <= d:
-        raise BadPartition(f"split size must lie in 1..{d}, got {i}")
+    pt = _check_split(pt, d, i, quant)
     q = len(pt)
     edges = np.asarray(quant.edges)
     joint: dict[tuple, float] = {}
@@ -167,10 +206,7 @@ def mutual_information_bruteforce(pt, d: int, i: int, quant: Quantizer) -> float
             joint[(t1, t2, z)] = joint.get((t1, t2, z), 0.0) + p
             p1_m[t1] = p1_m.get(t1, 0.0) + p
             p2z_m[(t2, z)] = p2z_m.get((t2, z), 0.0) + p
-    return sum(
-        p * log2(p / (p1_m[t1] * p2z_m[(t2, z)]))
-        for (t1, t2, z), p in joint.items()
-    )
+    return sum(p * log2(p / (p1_m[t1] * p2z_m[(t2, z)])) for (t1, t2, z), p in joint.items())
 
 
 def rate_objective(pt, d: int, quant: Quantizer) -> float:
@@ -196,50 +232,17 @@ def _compositions(total: int, parts: int):
 
 def _objective_table(points, d: int, edges: np.ndarray) -> np.ndarray:
     """rate_objective(pt, d, quant) for every point (row) and quantizer
-    (column; one row of edges each), bit for bit: the same d-fold
-    convolution, and every sum that mutual_information takes through numpy
-    (region masses, entropy terms) taken by numpy over the rows of a
-    C-contiguous array, which it adds in the order it adds a 1-D slice."""
+    (column; one row of edges each), bit for bit: mutual_information's d-fold
+    convolution and entropy at the full split, where 0.0 + 1.0 * H is H, over d."""
     sums = np.array([_convolve_power(np.asarray(pt, dtype=float), d) for pt in points])
-    n = sums.shape[1]
-    # the slice sums[:, lo:hi] of every (quantizer, region), coded lo * (n + 1) + hi
-    code = edges[:, :-1] * (n + 1) + edges[:, 1:]
-    used = np.flatnonzero(np.bincount(code.ravel(), minlength=(n + 1) ** 2))
-    starts, stops = np.divmod(used, n + 1)
-    mass = np.zeros((len(sums), (n + 1) ** 2))
-    for width in np.unique(stops - starts):
-        same = stops - starts == width
-        # the gather comes back strided, and numpy sums a strided axis in another order
-        slices = np.ascontiguousarray(sums[:, starts[same, None] + np.arange(width)])
-        mass[:, used[same]] = slices.sum(axis=2)
-    positive = mass > 0
-    terms = np.zeros_like(mass)
-    terms[positive] = mass[positive] * np.log2(mass[positive])
-    # entropy of each (point, quantizer): its positive terms in region order,
-    # added in sequence as numpy adds fewer than 8 entries
-    total = np.zeros((len(sums), len(code)))
-    for r in range(code.shape[1]):
-        total += terms[:, code[:, r]]
-    if code.shape[1] >= 8:
-        count = positive[:, code].sum(axis=2)
-        for c in np.unique(count[count >= 8]):
-            p, k = np.nonzero(count == c)
-            cells = code[k]
-            compact = terms[p[:, None], cells][positive[p[:, None], cells]].reshape(len(p), c)
-            total[p, k] = compact.sum(axis=1)
-    # mutual_information's 0.0 + 1.0 * entropy at the full split (a zero
-    # entropy comes out +0.0), over d
-    return (0.0 - total) / d
+    return _entropies(sums, edges) / d
 
 
-_CELLS = 1 << 20
-
-
-def _scan(best, points, scale: int, d: int, quantizers):
+def _scan(best, points, scale: int, d: int, edges: np.ndarray):
     """First strict maximum of the rate objective over (point, quantizer)
     pairs in row-major order, starting from best; each point is integer
-    weights over scale. best and the result are (bits, quantizer,
-    distribution, weights).
+    weights over scale, each quantizer a row of edges. best and the result
+    are (bits, row of edges, distribution, weights).
 
     The pairs go to _objective_table in blocks of about _CELLS floats
     (points x quantizers x regions, plus each point's slice masses):
@@ -247,20 +250,19 @@ def _scan(best, points, scale: int, d: int, quantizers):
     np.argmax is the first maximum of a block, kept only if it beats the
     best of the blocks before it.
     """
-    top, Q = quantizers[0].top, quantizers[0].Q
-    per_point = Q * len(quantizers) + (top + 2) ** 2
+    Q, top = edges.shape[1] - 1, int(edges[0, -1]) - 1
+    per_point = Q * len(edges) + (top + 2) ** 2
     n_points = max(1, _CELLS // per_point)
-    n_quants = len(quantizers) if n_points > 1 else max(1, _CELLS // Q)
-    edges = np.array([quant.edges for quant in quantizers])
+    n_quants = len(edges) if n_points > 1 else max(1, _CELLS // Q)
     points = iter(points)
     while block := list(islice(points, n_points)):
         pts = [tuple(w / scale for w in weights) for weights in block]
-        for k0 in range(0, len(quantizers), n_quants):
+        for k0 in range(0, len(edges), n_quants):
             table = _objective_table(pts, d, edges[k0:k0 + n_quants])
             at = int(np.argmax(table))
             if table.flat[at] > best[0]:
                 p, k = divmod(at, table.shape[1])
-                best = (table.flat[at], quantizers[k0 + k], pts[p], block[p])
+                best = (table.flat[at], k0 + k, pts[p], block[p])
     return best
 
 
@@ -307,18 +309,15 @@ def capacity_search(
             f"{points} grid and refine points x {quants} quantizers "
             f"exceed budget {budget}"
         )
-    quantizers = [
-        Quantizer((0,) + cuts + (top + 1,))
-        for cuts in combinations(range(1, top + 1), Q - 1)
-    ]
-    best = _scan((-1.0, None, None, None), _compositions(resolution, q), resolution, d, quantizers)
+    edges = np.array([(0, *c, top + 1) for c in combinations(range(1, top + 1), Q - 1)], dtype=np.int64)
+    best = _scan((-1.0, None, None, None), _compositions(resolution, q), resolution, d, edges)
     if refine:
         scale = resolution * fine
         heads = product(*(range(fine * w - fine, fine * w + fine + 1) for w in best[3][:-1]))
         points = ((*h, scale - sum(h)) for h in heads)
-        best = _scan(best, (w for w in points if min(w) >= 0), scale, d, quantizers)
-    bits, quant, pt, _ = best
-    return pt, quant, bits
+        best = _scan(best, (w for w in points if min(w) >= 0), scale, d, edges)
+    bits, k, pt, _ = best
+    return pt, Quantizer(tuple(edges[k].tolist())), bits
 
 
 def _bound(n: int, d: int, pt, quant: Quantizer, numerator) -> float:

@@ -109,9 +109,9 @@ def _check_integer(name: str, value) -> None:
 
 
 def _check_real(name: str, value) -> None:
-    """Raise BadRange unless value is a real number, so that text or None
-    never reaches a range comparison."""
-    if not isinstance(value, Real):
+    """Raise BadRange unless value is a real number other than a bool, so
+    that text or None never reaches a range comparison."""
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise BadRange(f"{name} must be a real number, got {value!r}")
 
 

@@ -25,7 +25,7 @@ from .construct import MAX_CELLS, _rows_per_block, random_disjunct
 from .decode import BpConfig, bp_decode_batch, select_threshold, select_topd, Marginals
 from .errors import BadRange, ConfigError
 from .fileio import CSV_HEADER
-from .model import CodeParams, NoiseModel, _check_integer, apply_noise, syndrome
+from .model import CodeParams, NoiseModel, _check_integer, _check_real, apply_noise, syndrome
 from .rng import derive_seed, make_rng
 
 __all__ = ["SweepConfig", "SimulationRow", "parse_config", "run_simulation", "rows_to_csv"]
@@ -59,6 +59,10 @@ class SweepConfig:
                                 ("trials", self.trials), ("iterations", self.iterations),
                                 ("seed", self.seed), *(("q", q) for q in self.q_values)):
                 _check_integer(name, value)
+            # text or None would end the range checks below in a bare TypeError
+            _check_real("damping", self.damping)
+            if self.bp_tol is not None:
+                _check_real("bp_tol", self.bp_tol)
         except BadRange as err:
             raise ConfigError(str(err)) from None
         sizes = (self.n, self.d, self.m, self.eta_step, self.trials, self.iterations)

@@ -1,18 +1,75 @@
 """The capacity grid search as it stood before the grid and refine points
 went through one scan, on the rate objective as it stood before it was
-evaluated at the full split only: the minimum over every split.
+evaluated at the full split only: the minimum over every split; and the
+scalar mutual information it calls, as it stood before one array evaluator
+took the entropies of the search, mutual_information and output_pmf.
 
 Kept verbatim, for tests only, except that the search now refuses a
 one-region quantizer (Q < 2) as capacity_search does: capacity_search must
 return the same distribution, quantizer and bits, or raise the same error
-class with the same message, after the same number of rate_objective calls.
+class with the same message, after the same number of rate_objective calls;
+and mutual_information and output_pmf must return the same bits.
 """
 
 from itertools import combinations, product
 from math import comb, inf
 
-from sqgt.capacity import Quantizer, mutual_information
+import numpy as np
+
+from sqgt.capacity import Quantizer, _convolve_power, check_distribution, sum_pmf
 from sqgt.errors import BadPartition, BadRange, BudgetExceeded
+from sqgt.model import _check_integer
+
+
+def _entropy(p: np.ndarray) -> float:
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
+def _bucket(pmf: np.ndarray, quant: Quantizer, shift: int = 0) -> np.ndarray:
+    """Quantizer-region masses of pmf placed at offset `shift`."""
+    out = np.zeros(quant.Q)
+    for r, reg in enumerate(quant.regions()):
+        lo = max(reg.start - shift, 0)
+        hi = max(reg.stop - shift, 0)
+        out[r] = pmf[lo:hi].sum()
+    return out
+
+
+def output_pmf(pt, d: int, quant: Quantizer) -> np.ndarray:
+    """Distribution of the quantized test result for d defectives."""
+    s = sum_pmf(pt, d)
+    if quant.top != len(s) - 1:
+        raise BadPartition(
+            f"quantizer covers 0..{quant.top} but sums reach {len(s) - 1}"
+        )
+    return _bucket(s, quant)
+
+
+def mutual_information(pt, d: int, i: int, quant: Quantizer) -> float:
+    """Information one side of an i / d-i defective split shares with the
+    other side plus the test result, in the noiseless channel.
+
+    Computed exactly by conditioning on the known side's sum: the result is
+    the mean entropy of the quantized (i-sum + b) distribution over b. For
+    i = d this is the entropy of the output distribution.
+    """
+    pt = check_distribution(pt)
+    for name, value in (("d", d), ("i", i)):
+        _check_integer(name, value)
+    if not 1 <= i <= d:
+        raise BadPartition(f"split size must lie in 1..{d}, got {i}")
+    if quant.top != (len(pt) - 1) * d:
+        raise BadPartition(
+            f"quantizer covers 0..{quant.top}, expected 0..{(len(pt) - 1) * d}"
+        )
+    p_open = _convolve_power(pt, i)
+    p_known = _convolve_power(pt, d - i)
+    total = 0.0
+    for b, pb in enumerate(p_known):
+        if pb > 0:
+            total += pb * _entropy(_bucket(p_open, quant, shift=b))
+    return total
 
 
 def rate_objective(pt, d: int, quant: Quantizer) -> float:

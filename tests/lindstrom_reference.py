@@ -3,11 +3,9 @@ kept verbatim for tests only.
 
 Rows were labeled by frozensets of 1-based elements, every row parity was a
 set intersection, and the default gate chain dropped the largest element at
-each step. The bit-mask construction must reproduce its matrices and block
-widths exactly, so tests compare them with np.array_equal.
+each step. The bit-mask construction must reproduce its matrices exactly,
+so tests compare them with np.array_equal.
 """
-
-from itertools import accumulate
 
 import numpy as np
 
@@ -40,11 +38,8 @@ def reference_lindstrom(
     eta_step: int,
     n: int | None = None,
     chains: dict[int, list] | None = None,
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(scaled matrix, block widths after truncation) of the recursive code.
-
-    The matrix is built as before; the widths follow the old block
-    labeling, as the spec builder read them off the matrix. There is no
+) -> np.ndarray:
+    """Scaled matrix of the recursive code, built as before. There is no
     cell cap: keep kappa small.
     """
     if kappa < 1:
@@ -86,8 +81,4 @@ def reference_lindstrom(
         n = total
     if not 1 <= n <= total:
         raise BadRange(f"n must lie in 1..{total}, got {n}")
-    C = eta_step * full[:, :n]
-    full_widths = [q2 + len(S) for S in subsets]
-    starts = accumulate(full_widths, initial=0)
-    widths = tuple(min(w, max(0, n - s)) for w, s in zip(full_widths, starts))
-    return C, widths
+    return eta_step * full[:, :n]

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb, log2
 
 import numpy as np
@@ -155,22 +156,30 @@ class TestCapacitySearch:
             capacity_search(2, 3, 3, grid_step=0.001, budget=100)
 
     def test_budget_is_checked_before_the_quantizers_are_built(self, monkeypatch):
-        built = []
+        # the candidates are rows of one edges array, drawn from combinations;
+        # only the winner becomes a Quantizer
+        built, drawn = [], []
 
         class CountedQuantizer(Quantizer):
             def __post_init__(self):
                 built.append(self.edges)
                 super().__post_init__()
 
+        def counted_combinations(*args):
+            drawn.append(args)
+            return combinations(*args)
+
         monkeypatch.setattr(sqgt.capacity, "Quantizer", CountedQuantizer)
-        capacity_search(2, 3, 3, grid_step=0.5, refine=False)
-        assert len(built) == comb(4, 2)
+        monkeypatch.setattr(sqgt.capacity, "combinations", counted_combinations)
+        pt, quant, _ = capacity_search(2, 3, 3, grid_step=0.5, refine=False)
+        assert (len(drawn), built) == (1, [quant.edges])
         built.clear()
+        drawn.clear()
         # 447 grid and refine points x C(60, 3) quantizers
         with pytest.raises(BudgetExceeded, match="^447 grid and refine points x 34220 quantizers "
                                                  "exceed budget 10000000$"):
             capacity_search(30, 3, 4, grid_step=0.5)
-        assert built == []
+        assert built == drawn == []
 
     @pytest.mark.parametrize("step", [0.0, 2.0, 5.0, -0.1, float("nan"), float("inf"), 5e-324])
     def test_bad_grid_step(self, step):

@@ -15,15 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqgt.capacity import (Quantizer, capacity_search, mutual_information, necessary_tests, sufficient_tests,
-                           sum_pmf, td_rate_denominator)
+from sqgt.capacity import (Quantizer, capacity_search, check_distribution, mutual_information,
+                           mutual_information_bruteforce, necessary_tests, sufficient_tests, sum_pmf,
+                           td_rate_denominator)
 from sqgt.cli import CONSTRUCT_METHODS, DECODE_ALGORITHMS, VERIFY_PROPERTIES, main
 from sqgt.construct import (bose_chowla, bose_chowla_code, concat_disjunct, lindstrom, optimize_p0,
                             ordered_subsets, random_binary_separable, random_disjunct, ratio_vs_single_level,
                             ratio_vs_single_level_limit, reduce_alphabet, row_success_prob, scale_disjunct,
                             sidon_set_exhaustive, smallest_prime_at_least)
 from sqgt.decode import BpConfig, Marginals, block_equation, select_topd
-from sqgt.errors import BadRange, SqgtError
+from sqgt.errors import BadDistribution, BadPartition, BadRange, SqgtError
 from sqgt.fileio import format_matrix, parse_matrix, write_matrix
 from sqgt.model import CodeParams, NoiseModel, sq_sum, syndrome
 from sqgt.simulate import parse_config
@@ -152,6 +153,8 @@ FLOAT_SIZES = {
     "sum-pmf-d": lambda: sum_pmf((0.5, 0.5), 2.0),
     "mutual-information-d": lambda: mutual_information((0.5, 0.5), 2.0, 1, Quantizer.identity(2)),
     "mutual-information-i": lambda: mutual_information((0.5, 0.5), 2, 1.0, Quantizer.identity(2)),
+    "mi-bruteforce-d": lambda: mutual_information_bruteforce((0.5, 0.5), 2.0, 1, Quantizer.identity(2)),
+    "mi-bruteforce-i": lambda: mutual_information_bruteforce((0.5, 0.5), 2, 1.0, Quantizer.identity(2)),
     "sufficient-tests-n": lambda: sufficient_tests(10.0, 2, (0.5, 0.5), Quantizer.identity(2)),
     "sufficient-tests-d": lambda: sufficient_tests(10, 2.0, (0.5, 0.5), Quantizer.identity(2)),
     "necessary-tests-n": lambda: necessary_tests(10.0, 2, (0.5, 0.5), Quantizer.identity(2)),
@@ -193,6 +196,38 @@ TEXT_RATES = {
 @pytest.mark.parametrize("call", TEXT_RATES.values(), ids=TEXT_RATES.keys())
 def test_text_or_none_for_a_rate_is_refused_by_name(call):
     with pytest.raises(BadRange, match=r"^\w+ must be a real number, got (None|'[\d.]+')$"):
+        call()
+
+
+# a bool is an Integral, so it passed as a rate of 0 or 1
+BOOL_RATES = {
+    "noise-gamma-p": lambda: NoiseModel(True, False),
+    "bp-damping": lambda: BpConfig(damping=False),
+    "bp-tol": lambda: BpConfig(tol=True),
+    "capacity-grid-step": lambda: capacity_search(2, 3, 3, grid_step=True),
+}
+
+
+@pytest.mark.parametrize("call", BOOL_RATES.values(), ids=BOOL_RATES.keys())
+def test_a_bool_for_a_rate_is_refused_by_name(call):
+    with pytest.raises(BadRange, match=r"^\w+ must be a real number, got (True|False)$"):
+        call()
+
+
+# a NaN entry passed and made every information NaN; text, or a fractional
+# or text edge, ended in a bare ValueError or TypeError
+BAD_CAPACITY_INPUTS = {
+    "nan-distribution": (BadDistribution, lambda: check_distribution([float("nan"), 1.0])),
+    "text-distribution": (BadDistribution, lambda: check_distribution(["a", "b"])),
+    "fractional-edge": (BadPartition, lambda: Quantizer((0, 1.5, 3))),
+    "text-edge": (BadPartition, lambda: Quantizer((0, "a"))),
+    "bool-edge": (BadPartition, lambda: Quantizer((0, True))),
+}
+
+
+@pytest.mark.parametrize("error, call", BAD_CAPACITY_INPUTS.values(), ids=BAD_CAPACITY_INPUTS.keys())
+def test_bad_capacity_inputs_are_refused(error, call):
+    with pytest.raises(error):
         call()
 
 

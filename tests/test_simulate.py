@@ -88,6 +88,12 @@ def test_parse_config_errors(broken):
         ({"eta_step": 2.0}, "eta must be an integer, got 2.0"),
         ({"d": True}, "d must be an integer, got True"),
         ({"q_values": (3, 5.0)}, "q must be an integer, got 5.0"),
+        # text, None or a bool for a rate ended in a bare TypeError or passed
+        ({"damping": "0.5"}, "damping must be a real number, got '0.5'"),
+        ({"damping": None}, "damping must be a real number, got None"),
+        ({"damping": False}, "damping must be a real number, got False"),
+        ({"bp_tol": "x"}, "bp_tol must be a real number, got 'x'"),
+        ({"gammas": ((True, 0.0),)}, "gammas: gamma_p must be a real number, got True"),
     ],
 )
 def test_sweep_config_checks_itself(change, message):
