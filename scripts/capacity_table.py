@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from sqgt.capacity import capacity_search
-from sqgt.errors import SqgtError
+from sqgt.errors import BadRange, SqgtError
 
 
 def main() -> int:
@@ -24,10 +24,13 @@ def main() -> int:
     ap.add_argument("--Q", type=int, default=3)
     ap.add_argument("--grid-step", type=float, default=0.02)
     args = ap.parse_args()
+    if args.dmax < 1:
+        raise BadRange(f"need dmax >= 1, got {args.dmax}")
 
-    print(f"{'d':>3}  {'alpha (bits)':>12}  distribution / quantizer")
     for d in range(1, args.dmax + 1):
         pt, quant, bits = capacity_search(d, args.q, args.Q, grid_step=args.grid_step)
+        if d == 1:  # printed once the first search has accepted the inputs
+            print(f"{'d':>3}  {'alpha (bits)':>12}  distribution / quantizer")
         probs = " ".join(f"{p:.3f}" for p in pt)
         print(f"{d:>3}  {bits:>12.6f}  [{probs}]  {quant}")
     return 0

@@ -282,8 +282,7 @@ class ConcatSpec:
 
 def _concat_multipliers(d: int, levels: int):
     """The block multipliers 1 + d + ... + d^(j-1) up to levels, for d >= 1;
-    at d = 1 that is 1..levels, returned as a range, so that its length is
-    known before it is built."""
+    at d = 1 the range 1..levels, whose length is known before it is built."""
     if d == 1:
         return range(1, levels + 1)
     multipliers = []
@@ -294,27 +293,29 @@ def _concat_multipliers(d: int, levels: int):
     return multipliers
 
 
-def _concat_scales(d: int, q: int, eta_step: int) -> tuple[int, ...]:
-    """Block scales eta_step * (1 + d + ... + d^(j-1)) up to q-1, for d >= 1;
-    at d = 1 that is every multiple of the step."""
-    return tuple(eta_step * g for g in _concat_multipliers(d, _step_levels(q, eta_step)))
-
-
 def concat_spec(C, params: CodeParams) -> ConcatSpec:
     """Block structure of a scaled-block concatenation, read off its matrix.
 
-    The scales follow from the bracket's q, d = u and threshold step.
+    The scales step * (1 + d + ... + d^(j-1)) up to q-1, at d = 1 every
+    multiple of the step, follow from the bracket's q, d = u and step.
     InconsistentSpec is raised unless C is exactly [s_1*B, ..., s_K*B] for
     a binary B, the first block divided by its scale.
     """
     C = check_matrix(C, params.q)
-    scales = _concat_scales(params.u, params.q, params.step)
-    if C.shape[1] % len(scales):
-        raise InconsistentSpec(f"n={C.shape[1]} is not divisible by the {len(scales)} blocks")
-    base = C[:, : C.shape[1] // len(scales)] // scales[0]
-    if base.max() > 1 or not np.array_equal(np.hstack([s * base for s in scales]), C):
+    step = params.step
+    scales = tuple(step * g for g in _concat_multipliers(params.u, _step_levels(params.q, step)))
+    m, n = C.shape
+    if n % len(scales):
+        raise InconsistentSpec(f"n={n} is not divisible by the {len(scales)} blocks")
+    base = C[:, : n // len(scales)] // scales[0]
+    if base.max() > 1 or not np.array_equal(C.reshape(m, len(scales), -1), _scaled_blocks(base, scales)):
         raise InconsistentSpec("code is not a scaled-block concatenation for these parameters")
     return ConcatSpec(scales=scales, params=params)
+
+
+def _scaled_blocks(base: np.ndarray, scales: tuple[int, ...]) -> np.ndarray:
+    """The blocks s_j * base side by side, as an (m, K, nb) array."""
+    return base[:, None] * np.array(scales)[:, None]
 
 
 def concat_disjunct(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.ndarray, ConcatSpec]:
@@ -336,8 +337,8 @@ def concat_disjunct(base, d: int, e: int, q: int, eta_step: int) -> tuple[np.nda
     if base.size * len(multipliers) > MAX_CELLS:
         raise BadRange(f"{len(multipliers)} blocks x {base.size} base cells exceed {MAX_CELLS} matrix cells")
     params = CodeParams.equidistant(q, eta_step, 1, d, e)
-    C = np.hstack([eta_step * g * base for g in multipliers])
-    return C, concat_spec(C, params)
+    scales = tuple(eta_step * g for g in multipliers)
+    return _scaled_blocks(base, scales).reshape(len(base), -1), ConcatSpec(scales=scales, params=params)
 
 
 # The same concatenation applied to a binary d-separable base code.

@@ -30,7 +30,6 @@ from .model import (
     check_matrix,
     likelihood,
     quantize_sums,
-    syndrome,
 )
 from .verify import _check_set_budget, _subset_chunks, _syndrome_table, _within
 
@@ -80,43 +79,33 @@ def decode_disjunct(C, params: CodeParams, z) -> tuple[int, ...]:
 def decode_concat(C, params: CodeParams, z) -> tuple[int, ...]:
     """Two-step decoder for concatenated scaled-block codes.
 
-    The block scales, and InconsistentSpec unless C is such a code, come
-    from construct.concat_spec under the code's own bracket. Step 1 peels
-    the syndrome into per-block syndromes by repeated divide-and-floor
-    against the block scale ratios; step 2 runs the disjunct counting
-    decoder inside every block. Corrects up to e errors per block. Each
-    block's answer is encoded again; NoConsistentSet is raised when it
-    holds more than d subjects or its syndrome misses the block syndrome in
-    more than e coordinates, which happens when the base is only separable,
-    not disjunct.
+    The block scales s_j = s_1 * f_j, and InconsistentSpec unless C is such
+    a code, come from construct.concat_spec under the code's own bracket,
+    under which block j's syndromes are f_j times those of the binary base
+    B. Step 1 peels the syndrome into per-block counts on B by divmod
+    against f_K, ..., f_1; step 2 runs the counting decoder on B with each
+    block's counts. Corrects up to e errors per block. NoConsistentSet is
+    raised when a block's answer holds more than d subjects or misses the
+    block's counts in more than e coordinates, which happens when the base
+    is only separable, not disjunct.
     """
     from .construct import concat_spec
 
     C = check_matrix(C, params.q)
     scales = concat_spec(C, params).scales
-    m, n = C.shape
-    nb = n // len(scales)
-    z = _check_results(z, m, params.Q)
+    base = C[:, : C.shape[1] // len(scales)] // scales[0]
+    y = _check_results(z, len(C), params.Q)
     found: list[int] = []
-    y = z.copy()
     for j in range(len(scales), 0, -1):
-        f = scales[j - 1] // scales[0]  # 1 + d + ... + d^(j-1)
-        yj = f * (y // f)
-        y = y - yj
-        block = C[:, (j - 1) * nb : j * nb]
-        local = decode_disjunct(block, params, yj)
+        counts, y = np.divmod(y, scales[j - 1] // scales[0])  # f_j = 1 + d + ... + d^(j-1)
+        local = np.nonzero((counts == 0) @ base <= params.e)[0]
         if len(local) > params.u:
-            raise NoConsistentSet(
-                f"block {j} decodes to {len(local)} subjects, more than d={params.u}"
-            )
-        encoded = syndrome(block, local, params.eta)
-        misses = int((encoded != yj).sum())
+            raise NoConsistentSet(f"block {j} decodes to {len(local)} subjects, more than d={params.u}")
+        misses = int((base[:, local].sum(axis=1) != counts).sum())
         if misses > params.e:
-            raise NoConsistentSet(
-                f"block {j} decodes to a set whose syndrome misses the block "
-                f"syndrome in {misses} coordinates, more than e={params.e}"
-            )
-        found.extend((j - 1) * nb + i for i in local)
+            raise NoConsistentSet(f"block {j} decodes to a set whose syndrome misses the block "
+                                  f"syndrome in {misses} coordinates, more than e={params.e}")
+        found.extend((j - 1) * base.shape[1] + int(i) + 1 for i in local)
     return tuple(sorted(found))
 
 
@@ -618,8 +607,8 @@ def bp_decode_batch(
     m, n = C.shape
     Z = _check_results(Z, m, params.Q, batch=True)
     T = Z.shape[0]
-    if d is None:
-        d = params.u
+    d = params.u if d is None else d
+    _check_integer("d", d)
     p_prior = cfg.prior if cfg.prior is not None else d / n
     if not 0.0 < p_prior < 1.0:
         raise BadRange(f"defect prior must lie in (0, 1), got {p_prior}")
@@ -699,16 +688,24 @@ def bp_decode(
     return Marginals(p1=out.p1[0], iterations=out.iterations)
 
 
+def _one_trial(marginals: Marginals) -> np.ndarray:
+    """p1 of marginals of one trial, one per subject; BadRange otherwise."""
+    p1 = np.asarray(marginals.p1)
+    if p1.ndim != 1:
+        raise BadRange(f"marginals must have shape (n,), one per subject, got {p1.shape}")
+    return p1
+
+
 def select_threshold(marginals: Marginals) -> tuple[int, ...]:
     """Subjects whose posterior defect probability strictly exceeds 1/2."""
-    return tuple(int(i) + 1 for i in np.nonzero(marginals.p1 > 0.5)[0])
+    return tuple(int(i) + 1 for i in np.nonzero(_one_trial(marginals) > 0.5)[0])
 
 
 def select_topd(marginals: Marginals, d: int) -> tuple[int, ...]:
     """The d subjects with the largest marginals; ties go to smaller indices."""
     _check_integer("d", d)
-    n = marginals.p1.shape[0]
-    if not 0 <= d <= n:
-        raise BadD(f"d must lie in 0..{n}, got {d}")
-    order = np.argsort(-marginals.p1, kind="stable")
+    p1 = _one_trial(marginals)
+    if not 0 <= d <= len(p1):
+        raise BadD(f"d must lie in 0..{len(p1)}, got {d}")
+    order = np.argsort(-p1, kind="stable")
     return tuple(sorted(int(i) + 1 for i in order[:d]))

@@ -238,6 +238,11 @@ class TestOtherConstructions:
         capsys.readouterr()
         assert run("verify", "--code", out, "--property", "sq-separable", "--d", 2) == 0
 
+    def test_bp_threshold_rule_on_the_golden_code(self, capsys):
+        assert run("decode", "--code", DATA / "golden_9x24.sqgt", "--syndrome", "3,0,1,4,0,0,0,3,1",
+                   "--algorithm", "bp", "--d", 2, "--select", "threshold") == 0
+        assert capsys.readouterr().out.strip() == "2,20"
+
     def test_bp_decode_runs(self, tmp_path, capsys):
         out = tmp_path / "rnd.sqgt"
         run("construct", "--method", "random-disjunct", "--n", 12, "--d", 2,

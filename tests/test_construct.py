@@ -188,6 +188,10 @@ class TestRowSuccessProb:
 
 
 class TestRandomDisjunct:
+    def test_levels_past_the_alphabet_are_refused(self):
+        with pytest.raises(AlphabetTooSmall, match="^largest level 6 exceeds q-1=4$"):
+            random_disjunct(10, 2, 3, 2, q=5)
+
     def test_row_count_formula(self):
         C, params = random_disjunct(32, 1, 1, 1, e=0, delta=1.0, seed=0)
         pi = row_success_prob(1, 1, 0.5)
@@ -315,14 +319,16 @@ class TestConcat:
 
     @pytest.mark.parametrize("step", [1, 2, 3])
     @pytest.mark.parametrize("q", range(2, 14))
-    def test_d1_scales_are_every_multiple(self, q, step):
-        from sqgt.construct import _concat_scales
-
+    def test_d1_scales_are_every_multiple(self, base_9x12, q, step):
         if q - 1 < step:
             with pytest.raises(AlphabetTooSmall):
-                _concat_scales(1, q, step)
+                concat_disjunct(base_9x12, 1, 0, q, step)
+            with pytest.raises(AlphabetTooSmall):
+                concat_spec(np.zeros((9, 12), dtype=np.int64), CodeParams.equidistant(q, step, 1, 1))
         else:
-            assert _concat_scales(1, q, step) == tuple(range(step, q, step))
+            C, spec = concat_disjunct(base_9x12, 1, 0, q, step)
+            assert spec.scales == tuple(range(step, q, step))
+            assert concat_spec(C, spec.params).scales == spec.scales
 
     def test_golden_separable(self, base_7x8):
         C, spec = concat_separable(base_7x8, d=2, e=0, q=7, eta_step=2)
@@ -700,10 +706,10 @@ class TestRefusedBeforeWork:
 
     @pytest.fixture
     def no_blocks(self, monkeypatch):
-        def refuse(blocks):
+        def refuse(base, scales):
             raise AssertionError("a refused concatenation built its blocks")
 
-        monkeypatch.setattr(np, "hstack", refuse)
+        monkeypatch.setattr(construct, "_scaled_blocks", refuse)
 
     @pytest.mark.parametrize("q, match", [
         (10**6, f"999999 blocks x 108 base cells exceed {construct.MAX_CELLS} matrix cells"),

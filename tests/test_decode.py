@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from sqgt.errors import (
     BadD,
     BadRange,
     ExplosionGuard,
+    InconsistentSpec,
     NoConsistentSet,
     NonBinaryResidue,
     ThresholdNotIncreasing,
@@ -149,6 +151,22 @@ class TestDecodeConcat:
             assert decode_concat(C, spec.params, y) == (subject,)
         assert decode_concat(C, spec.params, np.zeros(9, dtype=int)) == ()
 
+    @pytest.mark.usefixtures("at_once")
+    def test_d1_code_of_30000_blocks_builds_and_decodes_at_once(self, base_9x12):
+        # stacking per-block copies held 4.3 times the matrix, and decoding
+        # every scaled block converted the 30 001 thresholds once per block
+        tracemalloc.start()
+        try:
+            C, spec = concat_disjunct(base_9x12, 1, 0, 30_001, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert C.shape == (9, 12 * 30_000)
+        assert peak < 1.5 * C.nbytes
+        subject = C.shape[1] - 7
+        y = syndrome(C, [subject], spec.params.eta)
+        assert decode_concat(C, spec.params, y) == (subject,)
+
     def test_d1_refuses_a_syndrome_no_subject_explains(self, base_9x12):
         # no single subject explains this syndrome: block 3's answer does not
         # re-encode to the block syndrome
@@ -239,6 +257,24 @@ class TestDecodeLindstrom:
                 assert decode_lindstrom(C, params, z) == tuple(
                     int(i) + 1 for i in np.nonzero(w)[0]
                 )
+
+    def test_entries_off_the_step_are_refused(self):
+        C, params = lindstrom(3, 9, 2)
+        C[0, np.argmin(C[0])] = 1
+        with pytest.raises(InconsistentSpec, match="^entries are not multiples of the threshold step$"):
+            decode_lindstrom(C, params, np.zeros(7, dtype=int))
+
+    def test_block_columns_off_the_rules_are_refused(self):
+        C, params = lindstrom(3, 9, 2)
+        C[:, -1] = 0
+        with pytest.raises(InconsistentSpec, match="^block 7 columns do not match the construction rules$"):
+            decode_lindstrom(C, params, np.zeros(7, dtype=int))
+
+    def test_negative_remainder_is_refused(self):
+        # block 7 subtracts rows 4, 5, 6
+        C, params = lindstrom(3, 9, 2)
+        with pytest.raises(NonBinaryResidue, match="^block 7 leaves a negative remainder -3$"):
+            decode_lindstrom(C, params, [0, 0, 0, 1, 1, 1, 0])
 
     def test_corrupted_syndrome_raises(self):
         C, params = lindstrom(2, 3, 2)
@@ -375,6 +411,12 @@ class TestBp:
         params = CodeParams(q=2, Q=2, eta=(0, 1, 2), l=1, u=1, e=0)
         marg = bp_decode(C, params, np.array([1]), NOISELESS, cfg=BpConfig(prior=0.5))
         assert marg.p1[0] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("d, prior", [(0, "0.0"), (12, "1.0")])
+    def test_prior_of_no_or_every_subject_is_refused(self, base_9x12, d, prior):
+        params = CodeParams.equidistant(2, 1, 1, 2)
+        with pytest.raises(BadRange, match=f"^defect prior must lie in \\(0, 1\\), got {prior}$"):
+            bp_decode(base_9x12, params, np.zeros(9, dtype=int), d=d)
 
     def test_tree_exactness(self):
         rng = make_rng(1234)

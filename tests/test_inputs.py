@@ -23,7 +23,8 @@ from sqgt.construct import (bose_chowla, bose_chowla_code, concat_disjunct, lind
                             ordered_subsets, random_binary_separable, random_disjunct, ratio_vs_single_level,
                             ratio_vs_single_level_limit, reduce_alphabet, row_success_prob, scale_disjunct,
                             sidon_set_exhaustive, smallest_prime_at_least)
-from sqgt.decode import BpConfig, Marginals, block_equation, select_topd
+from sqgt.decode import (BpConfig, Marginals, block_equation, bp_decode, bp_decode_batch, select_threshold,
+                         select_topd)
 from sqgt.errors import BadDistribution, BadPartition, BadRange, SqgtError
 from sqgt.fileio import format_matrix, parse_matrix, write_matrix
 from sqgt.model import CodeParams, NoiseModel, sq_sum, syndrome
@@ -167,12 +168,41 @@ FLOAT_SIZES = {
     "sq-sum-m": lambda: sq_sum([], (0, 1, 2), m=3.0),
     "block-equation-q2": lambda: block_equation(ordered_subsets(3), 2.0, 7),
     "block-equation-block": lambda: block_equation(ordered_subsets(3), 2, 7.0),
+    "bp-decode-d": lambda: bp_decode(BASE_9x12, CodeParams.equidistant(2, 1, 1, 2), [0] * 9, d=2.0),
+    "bp-decode-batch-d": lambda: bp_decode_batch(BASE_9x12, CodeParams.equidistant(2, 1, 1, 2), [[0] * 9], d=2.0),
 }
 
 
 @pytest.mark.parametrize("call", FLOAT_SIZES.values(), ids=FLOAT_SIZES.keys())
 def test_a_float_size_is_refused_by_name(call):
     with pytest.raises(BadRange, match=r"^[\w ]+ must be an integer, got \d+\.0$"):
+        call()
+
+
+# a bool is an Integral, so BP took d=True as a prior of 1/n
+BOOL_SIZES = {
+    "bp-decode-d": lambda: bp_decode(BASE_9x12, CodeParams.equidistant(2, 1, 1, 2), [0] * 9, d=True),
+    "bp-decode-batch-d": lambda: bp_decode_batch(BASE_9x12, CodeParams.equidistant(2, 1, 1, 2), [[0] * 9], d=False),
+}
+
+
+@pytest.mark.parametrize("call", BOOL_SIZES.values(), ids=BOOL_SIZES.keys())
+def test_a_bool_size_is_refused_by_name(call):
+    with pytest.raises(BadRange, match=r"^d must be an integer, got (True|False)$"):
+        call()
+
+
+# bp_decode_batch returns marginals of shape (trials, n): the threshold rule
+# read the trial of each pick as a subject, and top-d ended in a TypeError
+BATCH_MARGINALS = {
+    "select-threshold": lambda: select_threshold(Marginals(p1=np.full((2, 3), 0.9), iterations=1)),
+    "select-topd": lambda: select_topd(Marginals(p1=np.full((2, 3), 0.9), iterations=1), 1),
+}
+
+
+@pytest.mark.parametrize("call", BATCH_MARGINALS.values(), ids=BATCH_MARGINALS.keys())
+def test_batch_marginals_are_refused_by_the_selection_rules(call):
+    with pytest.raises(BadRange, match=r"^marginals must have shape \(n,\), one per subject, got \(2, 3\)$"):
         call()
 
 

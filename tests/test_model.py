@@ -34,6 +34,10 @@ class TestValidateParams:
     def test_reference_params_ok(self):
         validate_params(CodeParams(q=3, Q=4, eta=(0, 2, 3, 5, 7), l=1, u=3, e=0))
 
+    def test_equidistant_step_below_one(self):
+        with pytest.raises(BadRange, match="^eta step must be >= 1, got 0$"):
+            CodeParams.equidistant(7, 0, 1, 2)
+
     def test_duplicate_threshold(self):
         with pytest.raises(ThresholdNotIncreasing):
             validate_params(CodeParams(q=3, Q=4, eta=(0, 2, 2, 5, 7), l=1, u=3))

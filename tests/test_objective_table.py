@@ -187,12 +187,13 @@ def test_capacity_table_matches_golden(monkeypatch, capsys):
         assert capsys.readouterr().out.encode() == golden.read_bytes(), golden.name
 
 
-@pytest.mark.parametrize("argv", [["--Q", "1"], ["--grid-step", "0"]])
+@pytest.mark.parametrize("argv", [["--Q", "1"], ["--grid-step", "0"], ["--dmax", "0"]])
 def test_capacity_table_refuses_bad_input_without_a_traceback(argv):
     script = ROOT / "scripts" / "capacity_table.py"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, str(script), "--dmax", "1", *argv], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 2
+    assert out.stdout == ""
     assert out.stderr.startswith("BadRange: ")
     assert "Traceback" not in out.stderr

@@ -56,6 +56,7 @@ def test_parse_config_round_trip():
         TINY + "bp_tol=inf\n",
         TINY.replace("q=3,5", "q=1,5"),
         *(TINY.replace("gammas=0:0,0.05:0.05", f"gammas=0:0,{pair}") for pair in BAD_NOISE),
+        TINY.replace("gammas=0:0,0.05:0.05", "gammas=0:0,x:0"),  # a pair that is no number
     ],
 )
 def test_parse_config_errors(broken):

@@ -100,6 +100,11 @@ class TestSqDisjunct:
 
 
 class TestSqSeparable:
+    def test_too_few_columns(self):
+        params = CodeParams.equidistant(3, 1, 1, 4)
+        with pytest.raises(TooFewColumns, match="^need n >= u, got n=3, u=4$"):
+            is_sq_separable(np.eye(3, dtype=int), params)
+
     def test_disjunct_implies_separable(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
