@@ -102,22 +102,29 @@ def sum_pmf(pt, d: int) -> np.ndarray:
 _CELLS = 1 << 20
 
 
+def _slices(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct slices lo:hi (within 0..n) read by the regions of the
+    rows of edges, as (widths, starts) sorted by width, and the slice of
+    each (row, region)."""
+    code = np.diff(edges, axis=1) * (n + 1) + edges[:, :-1]
+    used, slot = np.unique(code, return_inverse=True)
+    # the inverse has the shape of code under some numpy versions, flat under others
+    return *np.divmod(used, n + 1), slot.reshape(code.shape)
+
+
 def _slice_masses(pmfs: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masses pmfs[:, lo:hi] of the distinct slices read by the regions of
     the rows of edges (within 0..len), and each (row, region)'s column: a
     row of a C-contiguous array, which numpy adds as the 1-D slice."""
-    n = pmfs.shape[1]
-    code = edges[:, :-1] * (n + 1) + edges[:, 1:]
-    used, slot = np.unique(code, return_inverse=True)
-    starts, stops = np.divmod(used, n + 1)
-    mass = np.zeros((len(pmfs), len(used)))
-    for width in np.unique(stops - starts):
-        same = stops - starts == width
-        # the gather comes back strided, and numpy sums a strided axis in another order
-        slices = np.ascontiguousarray(pmfs[:, starts[same, None] + np.arange(width)])
-        mass[:, same] = slices.sum(axis=2)
-    # the inverse has the shape of code under some numpy versions, flat under others
-    return mass, slot.reshape(code.shape)
+    widths, starts, slot = _slices(edges, pmfs.shape[1])
+    mass = np.zeros((len(pmfs), len(widths)))
+    cuts = [*(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
+    for i, j in zip([0, *cuts], cuts):
+        if widths[i]:  # an empty slice keeps mass 0
+            # the gather comes back strided, and numpy sums a strided axis in another order
+            slices = np.ascontiguousarray(pmfs[:, starts[i:j, None] + np.arange(widths[i])])
+            mass[:, i:j] = slices.sum(axis=2)
+    return mass, slot
 
 
 def _entropies(pmfs: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -126,8 +133,7 @@ def _entropies(pmfs: np.ndarray, edges: np.ndarray) -> np.ndarray:
     region masses nz of one pmf, in region order."""
     mass, slot = _slice_masses(pmfs, edges)
     positive = mass > 0
-    terms = np.zeros_like(mass)
-    terms[positive] = mass[positive] * np.log2(mass[positive])
+    terms = mass * np.log2(np.where(positive, mass, 1.0))  # 0 where the mass is 0
     # positive terms in region order, added in sequence as numpy adds under 8 entries
     total = np.zeros((len(pmfs), len(slot)))
     for r in range(slot.shape[1]):
@@ -178,8 +184,10 @@ def mutual_information(pt, d: int, i: int, quant: Quantizer) -> float:
     # a shift gathers at most n entries, so the shifts go in blocks of about _CELLS
     block, shifts = max(1, _CELLS // (n + quant.Q)), np.flatnonzero(p_known)
     total = 0.0
-    for b in np.split(shifts, range(block, len(shifts), block)):
-        for pb, h in zip(p_known[b], _entropies(p_open[None], np.clip(edges - b[:, None], 0, n))[0]):
+    for k in range(0, len(shifts), block):
+        b = shifts[k : k + block]
+        moved = np.minimum(np.maximum(edges - b[:, None], 0), n)
+        for pb, h in zip(p_known[b], _entropies(p_open[None], moved)[0]):
             total += pb * h
     return total
 
@@ -244,14 +252,17 @@ def _scan(best, points, scale: int, d: int, edges: np.ndarray):
     weights over scale, each quantizer a row of edges. best and the result
     are (bits, row of edges, distribution, weights).
 
-    The pairs go to _objective_table in blocks of about _CELLS floats
-    (points x quantizers x regions, plus each point's slice masses):
-    whole points while they fit, else one point's quantizers in slices.
+    The pairs go to _objective_table in blocks of about _CELLS floats:
+    a point holds its sum pmf, quantizers x regions, one mass per
+    distinct slice of the quantizers, and the largest gather of
+    _slice_masses, which gathers the slices of one width at a time. Whole
+    points go while they fit, else one point's quantizers in slices.
     np.argmax is the first maximum of a block, kept only if it beats the
     best of the blocks before it.
     """
     Q, top = edges.shape[1] - 1, int(edges[0, -1]) - 1
-    per_point = Q * len(edges) + (top + 2) ** 2
+    width, count = np.unique(_slices(edges, top + 1)[0], return_counts=True)
+    per_point = top + 1 + Q * len(edges) + int(count.sum() + (width * count).max())
     n_points = max(1, _CELLS // per_point)
     n_quants = len(edges) if n_points > 1 else max(1, _CELLS // Q)
     points = iter(points)

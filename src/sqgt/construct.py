@@ -272,6 +272,9 @@ def reduce_alphabet(C, eta_step: int) -> np.ndarray:
 # concatenation of scaled binary blocks (equidistant thresholds)
 # ---------------------------------------------------------------------------
 
+_CONCAT_CELLS = 1 << 16  # matrix cells concat_spec rebuilds at a time to compare
+
+
 @dataclass(frozen=True, eq=False)
 class ConcatSpec:
     """Metadata for a code built as [s_1*B, ..., s_K*B]; d and e are params.u, params.e."""
@@ -308,7 +311,12 @@ def concat_spec(C, params: CodeParams) -> ConcatSpec:
     if n % len(scales):
         raise InconsistentSpec(f"n={n} is not divisible by the {len(scales)} blocks")
     base = C[:, : n // len(scales)] // scales[0]
-    if base.max() > 1 or not np.array_equal(C.reshape(m, len(scales), -1), _scaled_blocks(base, scales)):
+    blocks = C.reshape(m, len(scales), -1)
+    chunk = max(1, _CONCAT_CELLS // base.size)  # blocks compared at a time
+    if base.max() > 1 or not all(
+        np.array_equal(blocks[:, j : j + chunk], _scaled_blocks(base, scales[j : j + chunk]))
+        for j in range(0, len(scales), chunk)
+    ):
         raise InconsistentSpec("code is not a scaled-block concatenation for these parameters")
     return ConcatSpec(scales=scales, params=params)
 

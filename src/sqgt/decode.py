@@ -281,7 +281,7 @@ class Marginals:
     iterations: int
 
 
-_CELLS = 1 << 14  # P rows x trials of one block; larger blocks fall out of cache
+_CELLS = 1 << 14  # k*R rows x trials of one block; larger blocks fall out of cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,18 +291,22 @@ class _Block:
 
     Lattice point j of a test stands for the partial sum g*j, where g is
     the gcd of the test's coefficients and 8, and R is its largest lattice
-    point plus one. The test's prefix and back arrays for its neighbor a
-    are rows base + a*R .. base + a*R + R - 1 of the block's P and B. Each
-    forward and each backward step holds one neighbor of every test that
-    has one at that step; a step's rows, and the edges those rows take
-    their variable message from, are slices or ints where one test runs
-    the step and index arrays otherwise. The factor sums (see _sum_plan)
-    give the msg0 of every edge in `edges`, then the msg1 of each; every
-    block takes each of their steps, however many of its terms are zero.
+    point plus one. P and B hold only the rows that are read: the prefix
+    array of neighbor a has top[a] + 1 rows, top[a] being the largest
+    lattice point of the neighbors before a, and its back array top[a+1]
+    + 1, one (test, neighbor) after another. Each forward and each
+    backward step holds one neighbor of every test that has one at that
+    step; a step's rows, and the edges those rows take their variable
+    message from, are slices or ints where one test runs the step and
+    index arrays otherwise. The factor sums (see _sum_plan) give the msg0
+    of every edge in `edges`, then the msg1 of each; every block takes
+    each of their steps, however many of its terms are zero.
     """
 
-    rows: int
+    rows: int  # rows of P
+    b_rows: int  # rows of B
     starts: slice | np.ndarray  # each test's P[0][0], set to 1
+    zeros: slice | np.ndarray  # the rows of P[a+1] beyond top[a], which a shifted add reads unset
     last: slice | np.ndarray  # each test's B[k-1], where weight goes
     weight: np.ndarray  # likelihood of each lattice point per trial, test-major
     forward: tuple[tuple, ...]  # (src, dst, dst + c, edge) per step
@@ -435,7 +439,8 @@ def _steps(block, step, first, count, shifts, edge, blocks: int) -> list[tuple[t
 
 def _blocks(C: np.ndarray, Z: np.ndarray, Q: int, noise: NoiseModel, eta: np.ndarray) -> list[_Block]:
     """The tests with a neighbor, in order, cut into blocks of at most
-    _CELLS P cells each; a test larger than that makes a block alone.
+    _CELLS k*R rows x trials each; a test larger than that makes a block
+    alone.
     BadRange, before any allocation, for more than MAX_CELLS P rows a trial."""
     T = Z.shape[0]
     efac, evar = np.nonzero(C > 0)
@@ -465,28 +470,34 @@ def _blocks(C: np.ndarray, Z: np.ndarray, Q: int, noise: NoiseModel, eta: np.nda
             cells = 0
         cells += s
     cuts.append(len(tests))
-    blk = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))  # block of each test
-    base = np.cumsum(size) - size
-    base -= base[cuts[:-1]][blk]  # row of each test's P[0] in its block
-    Re = R[fac]
-    first = base[fac] + a * Re  # row 0 of each edge's P[a] and B[a]
+    blk = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))[fac]  # block of each edge
+    # ragged rows, edge after edge: P[a] has top[a] + 1, B[a] top[a+1] + 1
+    pn, bn = top + 1, top + c + 1
+    first = np.stack((np.cumsum(pn) - pn, np.cumsum(bn) - bn))
+    first -= first[:, lo[cuts[:-1]]][:, blk]  # rows of each edge's P[a][0] and B[a][0] in its block
+    pf, bf = first
     fw = np.flatnonzero(a < k[fac] - 1)  # edges whose P[a] gives P[a+1]
     bw = np.flatnonzero(a > 0)  # edges whose B[a] gives B[a-1]
     nb = len(cuts) - 1
-    forward = _steps(blk[fac[fw]], a[fw], first[fw], top[fw] + 1, (Re[fw], Re[fw] + c[fw]), fw, nb)
-    backward = _steps(blk[fac[bw]], k[fac[bw]] - 1 - a[bw], first[bw], top[bw] + 1, (c[bw], -Re[bw]), bw, nb)
-    last = (base + (k - 1) * R)[pt] + point
+    forward = _steps(blk[fw], a[fw], pf[fw], pn[fw], (pn[fw], pn[fw] + c[fw]), fw, nb)
+    backward = _steps(blk[bw], k[fac[bw]] - 1 - a[bw], bf[bw], pn[bw], (c[bw], -pn[bw]), bw, nb)
+    # P[a+1] is written at rows 0..top[a], then added into at c..top[a+1]: its rows past top[a] start at 0
+    zero = np.repeat(pf[fw] + 2 * pn[fw], c[fw]) + _within(c[fw])
+    zero_blk = np.repeat(blk[fw], c[fw])
+    last_edge = lo + k - 1
+    last = bf[last_edge][pt] + point
     # msg0 of neighbor a sums P[a, j] * B[a, j] over all R points, msg1
     # sums P[a, j] * B[a, j + c_a] over the first R - c_a; P[a] is zero
     # beyond top[a], so both keep top[a] + 1 products
-    msg0 = np.stack((first, first, Re, top + 1, g[fac]), axis=1)
+    msg0 = np.stack((pf, bf, R[fac], pn, g[fac]), axis=1)
     msg1 = msg0 + np.outer(c, [0, 1, -1, 0, 0])
     out = []
     for b, (f0, f1) in enumerate(zip(cuts, cuts[1:])):
-        rows = int(base[f1 - 1] + size[f1 - 1])
-        e0, e1 = int(lo[f0]), int(lo[f1 - 1] + k[f1 - 1])
+        e0, e1 = int(lo[f0]), int(last_edge[f1 - 1] + 1)
         p0, p1 = pt.searchsorted(f0), pt.searchsorted(f1)
-        out.append(_Block(rows, _index(base[f0:f1]), _index(last[p0:p1]),
+        z0, z1 = zero_blk.searchsorted(b), zero_blk.searchsorted(b + 1)
+        out.append(_Block(int(pf[e1 - 1] + pn[e1 - 1]), int(bf[e1 - 1] + bn[e1 - 1]),
+                          _index(pf[lo[f0:f1]]), _index(zero[z0:z1]), _index(last[p0:p1]),
                           likelihood(buckets[p0:p1, None], Z.T[tests[pt[p0:p1]]], Q, noise),
                           forward[b], backward[b], slice(e0, e1),
                           *_sum_plan(np.concatenate((msg0[e0:e1], msg1[e0:e1])))))
@@ -517,12 +528,13 @@ def _block_update(blk: _Block, V: np.ndarray, F_new: np.ndarray) -> None:
     # forward-backward over the neighbor chains: P[a] is the partial-sum
     # distribution of neighbors < a, B[a] the expected likelihood over
     # neighbors > a as a function of the partial sum. P[a] is zero beyond
-    # top[a] and B[a] is only read up to top[a+1], so both are computed
-    # that far, and the sums read no further: P's other rows stay zero,
-    # and B's are never set. A step on slices writes in place; one on
-    # index arrays cannot.
-    P = np.zeros((blk.rows, T))
+    # top[a] and B[a] is only read up to top[a+1], so each holds that many
+    # rows, and the sums read no further. A step on slices writes in
+    # place; one on index arrays cannot.
+    P = np.empty((blk.rows, T))
     P[blk.starts] = 1.0
+    P[blk.zeros] = 0.0
+    prev = None
     for src, dst, shifted, e in blk.forward:
         prev = P[src]
         if type(dst) is slice:
@@ -530,7 +542,14 @@ def _block_update(blk: _Block, V: np.ndarray, F_new: np.ndarray) -> None:
         else:
             P[dst] = prev * v0[e]
         P[shifted] += prev * v1[e]
-    B = np.empty((blk.rows, T))
+    # the products, then a zero row for the lanes that keep no block
+    # (the rows are in range; under mode="raise" take would copy twice);
+    # P, and prev, a view of it, go before B is built
+    cells = len(blk.gather[0])
+    Y = np.empty((cells + 1, T))
+    P.take(blk.gather[0], axis=0, out=Y[:cells], mode="clip")
+    del P, prev
+    B = np.empty((blk.b_rows, T))
     B[blk.last] = blk.weight
     for src, shifted, dst, e in blk.backward:
         if type(dst) is slice:
@@ -538,12 +557,8 @@ def _block_update(blk: _Block, V: np.ndarray, F_new: np.ndarray) -> None:
             B[dst] += B[shifted] * v1[e]
         else:
             B[dst] = B[src] * v0[e] + B[shifted] * v1[e]
-    # the products, then a zero row for the lanes that keep no block
-    # (the rows are in range; under mode="raise" take would copy twice)
-    cells = len(blk.gather[0])
-    Y = np.empty((cells + 1, T))
-    P.take(blk.gather[0], axis=0, out=Y[:cells], mode="clip")
     Y[:cells] *= B.take(blk.gather[1], axis=0)
+    del B
     Y[cells] = 0.0
     # stride-8 accumulators: block 0 starts them, block i adds into the
     # first lanes[i], then ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
@@ -582,23 +597,36 @@ def bp_decode_batch(
     update; variable-side products run in log domain.
 
     The layout is sum-major: messages are (2, edges, trials) and a factor's
-    dynamic-programming arrays are (neighbors, R, trials), so every numpy
-    call runs over all trials at once. Factors also run in blocks: the
-    arrays of consecutive factors lie side by side, up to a cap of _CELLS
-    rows x trials per block; each forward or backward step, and each add
+    dynamic-programming arrays are rows of trials, so every numpy call runs
+    over all trials at once. Partial sums live on the lattice of multiples
+    of g' = gcd(the factor's coefficients, 8), R = S/g' + 1 points for a
+    coefficient sum S; the others are unreachable. The rows are ragged:
+    with top[a] the largest lattice point of the neighbors before a, the
+    prefix array P[a] holds top[a] + 1 rows, all it can be nonzero on, and
+    the back array B[a] top[a+1] + 1, all that is read of it; only the
+    rows of P[a+1] that its shifted add reads before writing are zeroed.
+    Factors also run in blocks: the arrays of consecutive factors lie side
+    by side, up to a cap of _CELLS k*R rows x trials per block, k being a
+    factor's neighbor count; each forward or backward step, and each add
     of the message sums, covers every factor of a block in one numpy call.
     A single trial puts the whole code in one block; hundreds give about
-    one factor per block, which keeps the arrays in cache. Partial sums
-    live on the lattice of multiples of g' = gcd(the factor's coefficients,
-    8), R = S/g' + 1 points for a coefficient sum S; the others are
-    unreachable. Both sums gather only what can be nonzero: a message of
-    neighbor a adds top[a] + 1 products, top[a] being the largest lattice
-    point of the neighbors before a, and a variable adds the logs of its
-    own edges. The marginals are bit-identical to those of the earlier
-    trial-major kernel, which summed each message as one contiguous row of
-    S + 1 entries: the factor sums reproduce numpy's order of additions for
-    such a row, leaving out only zero terms, and the variable sums add in
-    edge order, because a pinned sweep flips a top-d pick under any other
+    one factor per block, which keeps the arrays in cache. A block builds
+    P, gathers its products and frees it before it builds B. Both sums
+    gather only what can be nonzero: a message of neighbor a adds top[a] +
+    1 products, and a variable adds the logs of its own edges.
+
+    The messages live in four (2, edges, trials) buffers allocated once per
+    call: V, the next V, F, and one that takes the new factor messages
+    and, after damping, the logs of F. F and that buffer swap every
+    iteration, as do V and the next V; the normalisations write into one
+    (edges, trials) scratch, and the variable sums take one level of
+    edges at a time.
+
+    The marginals are bit-identical to those of the earlier trial-major
+    kernel, which summed each message as one contiguous row of S + 1
+    entries: the factor sums reproduce numpy's order of additions for such
+    a row, leaving out only zero terms, and the variable sums add in edge
+    order, because a pinned sweep flips a top-d pick under any other
     order.
 
     Returns Marginals with p1 of shape (trials, n).
@@ -620,49 +648,50 @@ def bp_decode_batch(
     evar = np.nonzero(C > 0)[1]  # variable of each edge, factor-major
     E = len(evar)
     levels, widths, place = _var_levels(evar, n)
+    level_edges = np.split(levels, np.cumsum(widths[:-1]))
     sum_of_edge = place[evar]
 
     V = np.full((2, E, T), 0.5)
+    V_next = np.empty((2, E, T))
     F = np.full((2, E, T), 0.5)
-    logF = np.empty((2, E, T))
+    G = np.empty((2, E, T))  # the new factor messages, then the logs of F
+    S = np.empty((E, T))  # normalisations
     SV = np.zeros((2, n, T))  # sums of incoming logs per variable, by place
     iterations = 0
     for _ in range(cfg.max_iters):
         iterations += 1
-        F_new = np.empty_like(F)
         for blk in blocks:
-            _block_update(blk, V, F_new)
-        norm = F_new[0] + F_new[1]
-        if np.any(norm == 0.0):
+            _block_update(blk, V, G)
+        np.add(G[0], G[1], out=S)
+        if not S.all():
             raise NumericalUnderflow("a factor message lost all probability mass")
-        F_new /= norm
+        G /= S
         if cfg.damping:
             F *= cfg.damping
-            F_new *= 1.0 - cfg.damping
-            F_new += F
-        F = F_new
-
+            G *= 1.0 - cfg.damping
+            G += F
+        F, G = G, F
+        logF = G
         np.log(np.maximum(F, _MSG_FLOOR, out=logF), out=logF)
         # level by level into prefixes of the sums, so that each variable
         # adds its logs in edge order; a variable of degree 0 keeps 0
-        L = logF[:, levels]
-        at = widths[0] if widths else 0
-        SV[:, :at] = L[:, :at]
-        for width in widths[1:]:
-            SV[:, :width] += L[:, at : at + width]
-            at += width
-        V_new = SV[:, sum_of_edge]
-        V_new += log_prior
-        V_new -= logF
-        V_new -= np.maximum(V_new[0], V_new[1])
-        np.exp(V_new, out=V_new)
-        V_new /= V_new[0] + V_new[1]
-        np.clip(V_new, _VAR_FLOOR, None, out=V_new)
-        V_new /= V_new[0] + V_new[1]
+        for j, edges in enumerate(level_edges):
+            if j:
+                SV[:, : len(edges)] += logF.take(edges, axis=1, mode="clip")
+            else:
+                SV[:, : len(edges)] = logF.take(edges, axis=1, mode="clip")
+        SV.take(sum_of_edge, axis=1, out=V_next, mode="clip")
+        V_next += log_prior
+        V_next -= logF
+        V_next -= np.maximum(V_next[0], V_next[1], out=S)
+        np.exp(V_next, out=V_next)
+        V_next /= np.add(V_next[0], V_next[1], out=S)
+        np.clip(V_next, _VAR_FLOOR, None, out=V_next)
+        V_next /= np.add(V_next[0], V_next[1], out=S)
         if cfg.tol is not None:
-            V -= V_new
+            V -= V_next
             delta = np.abs(V, out=V).max() if E else 0.0
-        V = V_new
+        V, V_next = V_next, V
         if cfg.tol is not None and delta < cfg.tol:
             break
 

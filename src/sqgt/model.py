@@ -187,14 +187,15 @@ NOISELESS = NoiseModel(0.0, 0.0)
 
 
 def _integers(x, what: str, past=None) -> np.ndarray:
-    """x as an int64 array. An entry that is not an integer, or lies
-    outside int64, raises BadRange naming it exactly, where a cast would
-    truncate, round or wrap it; integral floats such as 1.0 pass. An entry
-    above int64 raises past(entry) instead, when past is given."""
+    """x as an int64 array, x itself when it is one: no caller writes into
+    the result. An entry that is not an integer, or lies outside int64,
+    raises BadRange naming it exactly, where a cast would truncate, round
+    or wrap it; integral floats such as 1.0 pass. An entry above int64
+    raises past(entry) instead, when past is given."""
     try:
         arr = np.asarray(x)
         if arr.dtype.kind in "bi" or arr.dtype.kind == "u" and int(arr.max(initial=0)) < 2**63:
-            return arr.astype(np.int64)
+            return arr.astype(np.int64, copy=False)
         if arr.dtype.kind in "cSU":
             raise TypeError  # a cast would drop the imaginary part, or parse text as a number
         f = arr.astype(np.float64)

@@ -7,6 +7,8 @@ code at one or two trials, several tests per block in between, about one
 test per block at 400 trials.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,50 @@ def test_sums_gather_no_known_zero(name, trials):
     assert (max(map(len, held)) > 1) == (trials == 1 and name in ("q5", "q11", "g8"))
     if (name, trials) == ("q2", 400):
         assert widths.count(1) == 25
+
+
+@pytest.mark.parametrize("name", ["q2", "q11", "oneshot", "g8"])
+@pytest.mark.parametrize("trials", [1, MIDDLE, 400])
+def test_rows_are_those_the_sums_read(name, trials):
+    # P[a] holds top[a] + 1 rows and B[a] top[a+1] + 1, one test after
+    # another, top[a] being the largest lattice point of the neighbors
+    # before a; the forward and backward steps read and write no others
+    C, params = _code(name)
+    Z = _results(C, params, trials)
+    blocks = decode._blocks(C, Z, params.Q, NOISE, np.asarray(params.eta))
+    p_rows, b_rows = [], []
+    for row in C:
+        c = row[row > 0]
+        if c.size:
+            c = c // int(np.gcd(np.gcd.reduce(c), 8))
+            top = np.concatenate(([0], np.cumsum(c)))
+            p_rows.append(int((top[:-1] + 1).sum()))
+            b_rows.append(int((top[1:] + 1).sum()))
+    cuts = np.cumsum([0, *_layout(C, params, Z)])
+    assert [blk.rows for blk in blocks] == [sum(p_rows[i:j]) for i, j in zip(cuts, cuts[1:])]
+    assert [blk.b_rows for blk in blocks] == [sum(b_rows[i:j]) for i, j in zip(cuts, cuts[1:])]
+
+    def last(rows):
+        return rows.stop - 1 if type(rows) is slice else int(rows.max(initial=-1))
+
+    for blk in blocks:
+        p_read = [blk.starts, blk.zeros, blk.gather[0], *(r for step in blk.forward for r in step[:3])]
+        b_read = [blk.last, blk.gather[1], *(r for step in blk.backward for r in step[:3])]
+        assert max(map(last, p_read)) == blk.rows - 1
+        assert max(map(last, b_read)) == blk.b_rows - 1
+
+
+def test_decode_at_400_trials_holds_what_it_reads():
+    # k x R rows of P and B per test, P kept while B was gathered, and
+    # fresh (2, edges, trials) arrays every iteration took this decode to
+    # 19.3 MB traced; four message buffers and the ragged rows take 15.6,
+    # and the bound lies between the two
+    C, params = _code("q11")
+    Z = _results(C, params, 400)
+    tracemalloc.start()
+    try:
+        bp_decode_batch(C, params, Z, NOISE, d=15, cfg=BpConfig(max_iters=2, damping=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17.5e6

@@ -167,6 +167,22 @@ class TestDecodeConcat:
         y = syndrome(C, [subject], spec.params.eta)
         assert decode_concat(C, spec.params, y) == (subject,)
 
+    @pytest.mark.usefixtures("at_once")
+    def test_d1_decode_of_30000_blocks_holds_no_copy_of_the_code(self, base_9x12):
+        # two int64 copies of the code and a full rebuild to compare against
+        # took the decode's traced peak to 3.2 times the matrix
+        C, spec = concat_disjunct(base_9x12, 1, 0, 30_001, 1)
+        subject = C.shape[1] - 7
+        y = syndrome(C, [subject], spec.params.eta)
+        tracemalloc.start()
+        try:
+            got = decode_concat(C, spec.params, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (subject,)
+        assert peak < 1.5 * C.nbytes
+
     def test_d1_refuses_a_syndrome_no_subject_explains(self, base_9x12):
         # no single subject explains this syndrome: block 3's answer does not
         # re-encode to the block syndrome

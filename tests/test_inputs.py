@@ -19,17 +19,18 @@ from sqgt.capacity import (Quantizer, capacity_search, check_distribution, mutua
                            mutual_information_bruteforce, necessary_tests, sufficient_tests, sum_pmf,
                            td_rate_denominator)
 from sqgt.cli import CONSTRUCT_METHODS, DECODE_ALGORITHMS, VERIFY_PROPERTIES, main
-from sqgt.construct import (bose_chowla, bose_chowla_code, concat_disjunct, lindstrom, optimize_p0,
+from sqgt.construct import (bose_chowla, bose_chowla_code, concat_disjunct, concat_spec, lindstrom, optimize_p0,
                             ordered_subsets, random_binary_separable, random_disjunct, ratio_vs_single_level,
                             ratio_vs_single_level_limit, reduce_alphabet, row_success_prob, scale_disjunct,
-                            sidon_set_exhaustive, smallest_prime_at_least)
-from sqgt.decode import (BpConfig, Marginals, block_equation, bp_decode, bp_decode_batch, select_threshold,
-                         select_topd)
+                            scale_separable, sidon_set_exhaustive, smallest_prime_at_least)
+from sqgt.decode import (BpConfig, Marginals, block_equation, bp_decode, bp_decode_batch, decode_concat,
+                         decode_disjunct, decode_lindstrom, decode_ml, select_threshold, select_topd)
 from sqgt.errors import BadDistribution, BadPartition, BadRange, SqgtError
 from sqgt.fileio import format_matrix, parse_matrix, write_matrix
-from sqgt.model import CodeParams, NoiseModel, sq_sum, syndrome
+from sqgt.model import CodeParams, NoiseModel, apply_noise, check_matrix, quantize_sums, sq_sum, syndrome
 from sqgt.simulate import parse_config
-from sqgt.verify import is_binary_separable_qgt
+from sqgt.verify import (is_binary_disjunct_cgt, is_binary_separable_cgt, is_binary_separable_qgt, is_sq_disjunct,
+                         is_sq_separable)
 
 from conftest import BASE_9x12
 
@@ -204,6 +205,56 @@ BATCH_MARGINALS = {
 def test_batch_marginals_are_refused_by_the_selection_rules(call):
     with pytest.raises(BadRange, match=r"^marginals must have shape \(n,\), one per subject, got \(2, 3\)$"):
         call()
+
+
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+# an int64 argument is read in place, not copied, so a write into it would
+# reach the caller's array; these are read-only, so any such write raises
+_BASE = _read_only(BASE_9x12)
+_C, _SPEC = concat_disjunct(BASE_9x12, 2, 0, 7, 2)
+_C, _P = _read_only(_C), _SPEC.params
+_Y = _read_only(syndrome(_C, [2, 20], _P.eta))
+_L, _LP = lindstrom(2, 3, 2)
+_L = _read_only(_L)
+_LY = _read_only(syndrome(_L, [1, 3], _LP.eta))
+READ_ONLY = (_BASE, _C, _Y, _L, _LY)
+READERS = {
+    "check-matrix": lambda: check_matrix(_C, 7),
+    "quantize-sums": lambda: quantize_sums(_Y, _P.eta),
+    "sq-sum": lambda: sq_sum([_C[:, 0], _C[:, 1]], _P.eta),
+    "syndrome": lambda: syndrome(_C, [1, 2], _P.eta),
+    "apply-noise": lambda: apply_noise(_Y, _P.Q, NoiseModel(0.2, 0.2), 3),
+    "scale-disjunct": lambda: scale_disjunct(_BASE, 2, 0, 7, (0, 3, 13)),
+    "scale-separable": lambda: scale_separable(_BASE, 2, 0, 7, (0, 3, 13)),
+    "reduce-alphabet": lambda: reduce_alphabet(_C, 2),
+    "concat-spec": lambda: concat_spec(_C, _P),
+    "concat-disjunct": lambda: concat_disjunct(_BASE, 2, 0, 7, 2),
+    "decode-disjunct": lambda: decode_disjunct(_C, _P, _Y),
+    "decode-concat": lambda: decode_concat(_C, _P, _Y),
+    "decode-lindstrom": lambda: decode_lindstrom(_L, _LP, _LY),
+    "decode-ml": lambda: decode_ml(_C, _P, _Y),
+    "bp-decode": lambda: bp_decode(_C, _P, _Y),
+    "bp-decode-batch": lambda: bp_decode_batch(_C, _P, _Y[None]),
+    "is-sq-disjunct": lambda: is_sq_disjunct(_C, _P),
+    "is-sq-separable": lambda: is_sq_separable(_C, _P),
+    "is-binary-disjunct-cgt": lambda: is_binary_disjunct_cgt(_BASE, 2),
+    "is-binary-separable-cgt": lambda: is_binary_separable_cgt(_BASE, 2),
+    "is-binary-separable-qgt": lambda: is_binary_separable_qgt(_BASE, 2),
+    "format-matrix": lambda: format_matrix(_C, 7, _P.Q, _P.eta),
+}
+
+
+@pytest.mark.parametrize("call", READERS.values(), ids=READERS.keys())
+def test_an_entry_point_leaves_the_callers_arrays_unchanged(call):
+    before = [a.copy() for a in READ_ONLY]
+    call()
+    for a, b in zip(READ_ONLY, before):
+        assert np.array_equal(a, b) and not a.flags.writeable
 
 
 # text or None where a rate belongs would reach a comparison and end in a
